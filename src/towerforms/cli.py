@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import dsl, linkage, localglobal, pfister, qforms, valuation
+from . import dsl, linkage, pfister, qforms, valuation
 from .errors import TowerFormsError
 from .fields import SampleBudget, format_element, is_square
 

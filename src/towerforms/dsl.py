@@ -15,8 +15,10 @@ Grammar summary (whitespace is insignificant everywhere):
               | "<<" element "]]"                           # 1-fold quadratic
 
 Names resolve to level symbols of the ambient tower; over a proper extension
-GF(p^k), k > 1, the name ``g`` denotes the multiplicative generator used in
-element formatting.  Formatting round-trips: parsing the output of
+GF(p^k), k > 1, the name ``g`` denotes the root of the defining polynomial
+``ffield.canonical_modulus(p, k)`` used in element formatting.  It need not
+generate the multiplicative group: in GF(9) the modulus is X^2 + 1, so
+g^2 = -1 and g has order 4.  Formatting round-trips: parsing the output of
 ``fields.format_element``, ``format_form``, or a symbol's ``describe`` yields
 an equal value.
 """
@@ -142,7 +144,7 @@ def parse_field(text):
 
 
 def _base_generator(tower):
-    """The element named ``g``: the generator of the GF(p^k) base, lifted."""
+    """The element named ``g``: the root of the base modulus, lifted."""
     raw = (0, 1)
     for f in tower.chain[1:]:
         raw = f.const(raw)

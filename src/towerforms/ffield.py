@@ -79,8 +79,8 @@ def irreducible_over(F, poly):
         return False
     if d == 1:
         return True
-    for g in monic_polys(F, 1, polys.deg(poly) // 2):
-        if irreducible_cached_check(F, g) and not polys.pmod(F, poly, g):
+    for g in monic_polys(F, 1, d // 2):
+        if not polys.pmod(F, poly, g):
             return False
     return True
 
@@ -103,16 +103,6 @@ def monic_polys(F, lo, hi):
                 break
             if k == d:
                 break
-
-
-def irreducible_cached_check(F, g):
-    # low-degree guard used inside the trial-division loop; degree 1 always irreducible
-    if polys.deg(g) == 1:
-        return True
-    for h in monic_polys(F, 1, polys.deg(g) // 2):
-        if polys.deg(h) < polys.deg(g) and not polys.pmod(F, g, h):
-            return False
-    return True
 
 
 def irreducibles(F, d):

@@ -10,7 +10,7 @@ here factors through valuations and residues of unit parts.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import polys
@@ -280,33 +280,25 @@ class Element:
         return f"<{format_element(self)} in {self.tower.describe()}>"
 
 
-def arith(a, b, op):
-    """Spec-facing arithmetic dispatcher."""
-    if a.tower != b.tower:
-        raise TowerMismatch("elements of different towers")
-    return {"add": a.__add__, "sub": a.__sub__,
-            "mul": a.__mul__, "div": a.__truediv__}[op](b)
-
-
 # ---------------------------------------------------------------------------
 # valuation / residue
 
 
-def _level_valuation(field, raw):
-    """t-adic valuation of a nonzero fraction at the outermost symbol."""
-    num, den = raw
-    F = field.inner
-    return polys.pshift_order(F, num) - polys.pshift_order(F, den)
+def leading_term(fracs, raw):
+    """Value vector and raw leading coefficient of a nonzero raw.
 
-
-def _level_unit_residue(field, raw, shift):
-    """Residue of raw * t^(-shift); raw must have valuation == shift."""
-    num, den = raw
-    F = field.inner
-    on, od = polys.pshift_order(F, num), polys.pshift_order(F, den)
-    num = num[on:]
-    den = den[od:]
-    return F.div(num[0], den[0])
+    Walks the Laurent levels whose fraction fields are listed in `fracs`,
+    outermost first; at each level the raw becomes the leading coefficient
+    of its unit part one level down.
+    """
+    out = []
+    for f in fracs:
+        num, den = raw
+        F = f.inner
+        on, od = polys.pshift_order(F, num), polys.pshift_order(F, den)
+        out.append(on - od)
+        raw = F.div(num[on], den[od])
+    return tuple(out), raw
 
 
 def valuation(tower, a):
@@ -315,22 +307,14 @@ def valuation(tower, a):
         raise ZeroArgument("valuation of zero")
     if tower.laurent_rank() < 1:
         raise UnsupportedLevel("tower has no LaurentSeries level")
-    raw = a.raw
-    out = []
-    for i in range(len(tower.levels) - 1, -1, -1):
-        lv = tower.levels[i]
-        f = tower.chain[i + 1]
-        if lv.kind == RATFUNC:
-            num, den = raw
-            if polys.deg(num) > 0 or polys.deg(den) > 0:
-                raise UnsupportedLevel(
-                    "element involves the RationalFunction variable")
-            raw = f.inner.div(num[0], den[0]) if num else f.inner.zero
-            continue
-        v = _level_valuation(f, raw)
-        out.append(v)
-        raw = _level_unit_residue(f, raw, v)
-    return tuple(out)
+    raw, depth = a.raw, len(tower.levels)
+    if tower.levels[-1].kind == RATFUNC:
+        num, den = raw
+        if polys.deg(num) > 0 or polys.deg(den) > 0:
+            raise UnsupportedLevel(
+                "element involves the RationalFunction variable")
+        raw, depth = tower.chain[depth].inner.div(num[0], den[0]), depth - 1
+    return leading_term(tower.chain[depth:0:-1], raw)[0]
 
 
 def residue(tower, a):
@@ -338,13 +322,10 @@ def residue(tower, a):
     rt = _residue_tower(tower)
     if a.is_zero():
         return rt.zero
-    idx = len(tower.levels) - 1
-    f = tower.chain[idx + 1]
-    raw = a.raw
-    v = _level_valuation(f, raw)
+    (v,), r = leading_term(tower.chain[-1:], a.raw)
     if v != 0:
         raise NotIntegralUnit(f"valuation {v} != 0")
-    return Element(rt, _level_unit_residue(f, raw, 0))
+    return Element(rt, r)
 
 
 def _residue_tower(tower):
@@ -357,28 +338,17 @@ def is_square(tower, a):
     """Square-class decision under the tower's semantics."""
     if a.is_zero():
         raise ZeroArgument("square class of zero")
-    return _is_square_raw(tower, len(tower.levels), a.raw)
-
-
-def _is_square_raw(tower, depth, raw):
-    f = tower.chain[depth]
-    if depth == 0:
-        return f.is_square(raw)
-    lv = tower.levels[depth - 1]
-    if lv.kind == LAURENT:
-        v = _level_valuation(f, raw)
-        if v % 2:
+    raw, depth = a.raw, len(tower.levels)
+    if depth and tower.levels[-1].kind == RATFUNC:
+        # global rational-function semantics: num*den must be a square up to
+        # a square leading coefficient one level down
+        F = tower.chain[depth].inner
+        g = polys.pmul(F, raw[0], raw[1])
+        if polys.psqrt(F, polys.pscale(F, g, F.inv(g[-1]))) is None:
             return False
-        return _is_square_raw(tower, depth - 1, _level_unit_residue(f, raw, v))
-    # global rational-function semantics: num*den must be a square up to
-    # a square leading coefficient one level down
-    F = f.inner
-    g = polys.pmul(F, raw[0], raw[1])
-    lead = g[-1]
-    monic = polys.pscale(F, g, F.inv(lead))
-    if polys.psqrt(F, monic) is None:
-        return False
-    return _is_square_raw(tower, depth - 1, lead)
+        raw, depth = g[-1], depth - 1
+    w, r = leading_term(tower.chain[depth:0:-1], raw)
+    return not any(v % 2 for v in w) and tower.chain[0].is_square(r)
 
 
 def try_sqrt(tower, a):

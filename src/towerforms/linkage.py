@@ -106,10 +106,7 @@ def square_class_reps(tower):
     if any(lv.kind == fl.RATFUNC for lv in tower.levels):
         raise ConfigUnsupported("square classes of GF(q)(X) are infinite")
     if not tower.levels:
-        nu = next(fl.Element(tower, r) for r in tower.ops.elements()
-                  if not tower.ops.is_zero(r)
-                  and not fl.is_square(tower, fl.Element(tower, r)))
-        return [tower.one, nu]
+        return [tower.one, qforms._finite_nonsquare(tower)]
     inner = square_class_reps(tower.drop_outer())
     t = tower.gen(tower.levels[-1].symbol)
     lifted = [tower.embed(a) for a in inner]
@@ -335,7 +332,7 @@ def verify_lifting_equivalence(tower, d, m, samples=100, seed=0,
                    seed, d=d, m=m)
 
 
-def verify_higher_local_d1(q_base, samples=500, seed=0, with_witness=True):
+def verify_higher_local_d1(q_base, samples=500, seed=0):
     """Sampled check that GF(q)(X) is top-2-linked (higher-local at d = 1):
     3-fold symbols with small slots are isotropic (with explicit witnesses)
     and pairs of 2-fold symbols are linked."""
@@ -350,16 +347,15 @@ def verify_higher_local_d1(q_base, samples=500, seed=0, with_witness=True):
             failures.append({"kind": "anisotropic-3-fold", "index": i,
                              "symbol": s.describe()})
             continue
-        if with_witness:
-            try:
-                vec = localglobal.isotropic_vector_global(q)
-            except BudgetExceeded:
-                failures.append({"kind": "witness-budget", "index": i,
-                                 "symbol": s.describe()})
-                continue
-            if vec is None or not q.evaluate(vec).is_zero():
-                failures.append({"kind": "witness-invalid", "index": i,
-                                 "symbol": s.describe()})
+        try:
+            vec = localglobal.isotropic_vector_global(q)
+        except BudgetExceeded:
+            failures.append({"kind": "witness-budget", "index": i,
+                             "symbol": s.describe()})
+            continue
+        if vec is None or not q.evaluate(vec).is_zero():
+            failures.append({"kind": "witness-invalid", "index": i,
+                             "symbol": s.describe()})
     for i in range(samples):
         s1 = sample_symbol(tower, 2, (seed, "pair-a", i), budget)
         s2 = sample_symbol(tower, 2, (seed, "pair-b", i), budget)

@@ -23,6 +23,11 @@ from .errors import (BudgetExceeded, ConfigUnsupported, TowerFormsError,
 INFINITY = "infinity"
 FINITE = "finite"
 
+# witness search limits: polynomial degree of the coordinates, and the size
+# of one side of the meet-in-the-middle table
+WITNESS_DEGREE_CAP = 12
+WITNESS_SIDE_CAP = 400_000
+
 
 @dataclass(frozen=True)
 class Place:
@@ -194,26 +199,13 @@ def localize(q, place):
     return Completion(place, rt, entries)
 
 
-def _finite_anisotropic_dim(tower, diag):
-    """Anisotropic dimension of a diagonal form over a finite field."""
-    n = len(diag)
-    if n == 0:
-        return 0
-    if n % 2 == 1:
-        return 1
-    det = tower.one
-    for d in diag:
-        det = det * d
-    signed = det if (n // 2) % 2 == 0 else -det
-    return 0 if fl.is_square(tower, signed) else 2
-
-
 def local_anisotropic_dimension(comp):
     parts = {0: [], 1: []}
     for v, r in comp.entries:
         parts[v % 2].append(r)
-    return (_finite_anisotropic_dim(comp.residue_tower, parts[0])
-            + _finite_anisotropic_dim(comp.residue_tower, parts[1]))
+    return sum(qforms._witt_finite(qforms.QuadraticForm(
+        comp.residue_tower, tuple(part))).kernel_dim()
+        for part in parts.values() if part)
 
 
 def local_is_isotropic(comp):
@@ -261,10 +253,6 @@ def witt_index_global(q):
     return (q.dim - anisotropic_dimension_global(q)) // 2
 
 
-def hyperbolic_global(q):
-    return q.dim % 2 == 0 and anisotropic_dimension_global(q) == 0
-
-
 def global_isotropy_report(q):
     places = []
     for P in places_of_interest(q):
@@ -301,11 +289,8 @@ def hilbert_symbol(a, b, v):
         rt = v.residue_tower
         if rt.levels:
             raise ConfigUnsupported("Hilbert symbol needs a finite residue field")
-        va = v.value_vector(a)[0]
-        vb = v.value_vector(b)[0]
-        pi = v.monomial((1,))
-        ra = v.residue(a / pi ** va)
-        rb = v.residue(b / pi ** vb)
+        (va,), ra = v.split(a)
+        (vb,), rb = v.split(b)
     sign = rt.one if (va * vb) % 2 == 0 else -rt.one
     sym = sign * ra ** vb * rb ** (-va)
     return 1 if fl.is_square(rt, sym) else -1
@@ -332,7 +317,7 @@ def square_class_rep(tower, elem):
     s_elem = _embed_poly(tower, s)
     root = fl.try_sqrt(tower, elem / s_elem)
     if root is None:
-        nu = _nonsquare_constant(p)
+        nu = qforms._finite_nonsquare(fl.FieldTower(p)).raw[0]
         s = polys.pscale(F, s, nu)
         s_elem = _embed_poly(tower, s)
         root = fl.try_sqrt(tower, elem / s_elem)
@@ -341,27 +326,19 @@ def square_class_rep(tower, elem):
     return s, root
 
 
-def _nonsquare_constant(p):
-    F = ffield_prime(p)
-    for c in range(2, p):
-        if pow(c, (p - 1) // 2, p) != 1:
-            return c
-    raise TowerFormsError("internal: no non-square in GF(p)")  # p odd
-
-
 def _embed_poly(tower, f):
     num = _from_int_poly(f)
     return tower.element((tuple(num), ((1,),)))
 
 
-def isotropic_vector_global(q, degree_cap=12, side_cap=400_000):
+def isotropic_vector_global(q):
     """An explicit nontrivial zero over GF(p)(X), or None if q is anisotropic.
 
     Small isotropic subforms are tried first (binary ones give exact
     square-root witnesses, and any 5-dimensional subform is isotropic), then
     a meet-in-the-middle search over polynomial vectors of growing degree on
     the chosen subform.  Raises BudgetExceeded if the form is isotropic but
-    no witness appears within the degree cap / enumeration budget.
+    no witness appears within WITNESS_DEGREE_CAP / WITNESS_SIDE_CAP.
     """
     if not is_isotropic_global(q):
         return None
@@ -387,24 +364,24 @@ def isotropic_vector_global(q, degree_cap=12, side_cap=400_000):
         candidates.append(tuple(range(5)))
     elif not candidates:
         candidates.append(tuple(range(n)))
-    found = _subform_witness(q, candidates, degree_cap, side_cap)
+    found = _subform_witness(q, candidates)
     assert q.evaluate(found).is_zero()
     return found
 
 
-def _subform_witness(q, candidates, degree_cap, side_cap):
+def _subform_witness(q, candidates):
     p, F, _ = _global_base(q.tower)
     preps = {idx: [square_class_rep(q.tower, q.diag[i]) for i in idx]
              for idx in candidates}
     exhausted = True
-    for D in range(degree_cap + 1):
+    for D in range(WITNESS_DEGREE_CAP + 1):
         exhausted = True
         for idx in candidates:
             reps = preps[idx]
             sq = [s for s, _ in reps]
             k = len(idx)
             half = (k + 1) // 2
-            if (p ** (D + 1)) ** half > side_cap:
+            if (p ** (D + 1)) ** half > WITNESS_SIDE_CAP:
                 continue
             exhausted = False
             vec = _mitm_search(p, F, sq, half, D)
@@ -418,7 +395,7 @@ def _subform_witness(q, candidates, degree_cap, side_cap):
             break
     if exhausted:
         raise BudgetExceeded("witness search budget exhausted")
-    raise BudgetExceeded(f"no witness up to degree {degree_cap}")
+    raise BudgetExceeded(f"no witness up to degree {WITNESS_DEGREE_CAP}")
 
 
 def _mitm_search(p, F, sq, half, max_deg):

@@ -226,20 +226,22 @@ class _Normalizer:
         for j in range(lo, hi):
             others = [self.vec(self.slots[i]) for i in range(lo, hi) if i != j]
             target = [a + b for a, b in zip(self.vec(self.slots[j]), vlast)]
-            if vmod.f2_span(others, target)[0]:
+            if vmod.f2_solve(others, target) is not None:
                 candidates.append(j)
         if not candidates:
             raise PreconditionSpanViolated(
                 "last slot valuation outside the span of the others")
-        j = next((j for j in candidates
-                  if not (self.slots[j] + self.slots[hi]).is_zero()), None)
-        if j is None:
-            # the Merge rule is inapplicable for every usable slot: the form
-            # is hyperbolic, which we record as an explicit trace step
-            self.apply("collapse", candidates[0] + 1)
-            return True
+        merge = next((j for j in candidates
+                      if not (self.slots[j] + self.slots[hi]).is_zero()), None)
+        j = candidates[0] if merge is None else merge
         for pos in range(j, hi - 1):
             self.apply("swap", pos + 1)
+        if merge is None:
+            # the Merge rule is inapplicable for every usable slot: the form
+            # is hyperbolic, which we record as an explicit trace step next
+            # to slot hi
+            self.apply("collapse", hi)
+            return True
         self.apply("merge", hi)
         for pos in range(hi - 2, lo - 1, -1):
             self.apply("swap", pos + 1)
@@ -249,7 +251,7 @@ class _Normalizer:
 def normalize_last_slot(symbol, ctx):
     """Rewrite a bilinear symbol so its last slot is a valuation unit."""
     vals = [ctx.value_vector(a) for a in symbol.slots]
-    if not vmod.f2_span(vals[:-1], vals[-1])[0]:
+    if vmod.f2_solve(vals[:-1], vals[-1]) is None:
         raise PreconditionSpanViolated(
             "v(last slot) is not in the F2-span of the other slot valuations")
     norm = _Normalizer(symbol.tower, symbol.slots, ctx)
@@ -319,20 +321,18 @@ class PfisterResidueReport:
         """(multiplier, first_residue) at pi, or None when the residue is 0."""
         if pi.is_zero():
             raise ZeroArgument("residue at zero")
-        vp = self.ctx.value_vector(pi)
-        vals = [self.ctx.value_vector(a) for a in self.symbol.slots[:self.m]]
-        I = vmod.f2_solve(vals, vp)
+        vp, r_pi = self.ctx.split(pi)
+        splits = [self.ctx.split(a) for a in self.symbol.slots[:self.m]]
+        I = vmod.f2_solve([w for w, _ in splits], vp)
         if I is None:
             return None
-        prod = self.symbol.tower.one
+        # the residue of sign * prod * t^2 / pi, where prod is the product of
+        # the slots in I and t the monomial that matches the values
+        rt = self.ctx.residue_tower
+        mult = rt.one if len(I) % 2 == 0 else -rt.one
         for i in I:
-            prod = prod * self.symbol.slots[i]
-        diff = tuple((a - b) // 2
-                     for a, b in zip(vp, self.ctx.value_vector(prod)))
-        t = self.ctx.monomial(diff)
-        sign = 1 if len(I) % 2 == 0 else -1
-        mult = self.ctx.residue(sign * prod * t * t / pi)
-        return (mult, self.first_residue)
+            mult = mult * splits[i][1]
+        return (mult / r_pi, self.first_residue)
 
     def to_json(self):
         return {
@@ -372,7 +372,7 @@ def normalized_presentation(symbol, ctx):
         p = _partition_units(norm)
         vals = [norm.vec(a) for a in norm.slots[:p]]
         dep = next((j for j in range(p)
-                    if vmod.f2_span(vals[:j], vals[j])[0]), None)
+                    if vmod.f2_solve(vals[:j], vals[j]) is not None), None)
         if dep is None:
             return (BilinearPfisterSymbol(symbol.tower, tuple(norm.slots)),
                     norm.trace(), p)

@@ -95,35 +95,6 @@ def pmonic(F, a):
     return pscale(F, a, F.inv(a[-1]))
 
 
-def pderiv(F, a):
-    out = []
-    for i in range(1, len(a)):
-        c = a[i]
-        s = F.zero
-        for _ in range(i):
-            s = F.add(s, c)
-        out.append(s)
-    return trim(F, out)
-
-
-def peval(F, a, x):
-    acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def ppow_mod(F, a, n, m):
-    result = (F.one,)
-    base = pmod(F, a, m)
-    while n > 0:
-        if n & 1:
-            result = pmod(F, pmul(F, result, base), m)
-        base = pmod(F, pmul(F, base, base), m)
-        n >>= 1
-    return result
-
-
 def pxgcd(F, a, b):
     """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic (or zero)."""
     r0, r1 = a, b

@@ -2,9 +2,9 @@
 
 Forms are stored diagonalized (characteristic is never 2 here); GramForm is
 accepted as an input format only.  Isotropy dispatches on the outermost
-level: exhaustive/Chevalley facts over finite fields, Springer residue
-recursion at Laurent levels, and the local-global machinery over rational
-function fields.
+level: dimension and discriminant over finite fields, one Springer split
+at full Laurent rank down to the finite base on iterated Laurent towers, and
+the local-global machinery over rational function fields.
 """
 
 from dataclasses import dataclass
@@ -34,8 +34,8 @@ class QuadraticForm:
         return len(self.diag)
 
     def det(self):
-        out = self.tower.one
-        for d in self.diag:
+        out = self.diag[0]
+        for d in self.diag[1:]:
             out = out * d
         return out
 
@@ -180,65 +180,13 @@ def _outer_kind(tower):
 def is_isotropic(q):
     kind = _outer_kind(q.tower)
     if kind == "finite":
-        return _finite_is_isotropic(q)
+        return _witt_finite(q).witt_index > 0
     if kind == fl.LAURENT:
-        from . import valuation as vmod
-        ctx = vmod.ValuationCtx(q.tower, 1)
-        parts = vmod.raw_springer_split(q, ctx)
-        for members in parts.values():
-            sub = QuadraticForm(ctx.residue_tower, tuple(r for _, r in members))
-            if is_isotropic(sub):
-                return True
-        return False
+        return any(dec.witt_index for _, dec in _residue_witt(q)[1])
     if kind == fl.RATFUNC:
         from . import localglobal
         return localglobal.is_isotropic_global(q)
     raise UnsupportedTower(f"unsupported outer level kind {kind!r}")
-
-
-def _finite_is_isotropic(q):
-    if q.dim >= 3:
-        return True  # Chevalley-Warning
-    if q.dim == 2:
-        return fl.is_square(q.tower, -(q.diag[0] * q.diag[1]))
-    return False
-
-
-def _finite_sqrt(tower, a):
-    raw = tower.ops.sqrt(a.raw)
-    return None if raw is None else fl.Element(tower, raw)
-
-
-def finite_isotropic_vector(q):
-    """An explicit nontrivial zero of a form over a finite field, or None."""
-    tower = q.tower
-    F = tower.ops
-    if q.dim == 1:
-        return None
-    if q.dim == 2:
-        ratio = -(q.diag[1] / q.diag[0])
-        s = _finite_sqrt(tower, ratio)
-        if s is None:
-            return None
-        return (s, tower.one)
-    # dim >= 3: zero of the first ternary subform, padded with zeros
-    d1, d2, d3 = q.diag[0], q.diag[1], q.diag[2]
-    for xr in F.elements():
-        x = fl.Element(tower, xr)
-        for yr in F.elements():
-            y = fl.Element(tower, yr)
-            rhs = -(d1 * x * x + d2 * y * y) / d3
-            if rhs.is_zero():
-                if x.is_zero() and y.is_zero():
-                    continue
-                z = tower.zero
-            else:
-                z = _finite_sqrt(tower, rhs)
-                if z is None:
-                    continue
-            vec = [x, y, z] + [tower.zero] * (q.dim - 3)
-            return tuple(vec)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +224,7 @@ def _witt_finite(q):
     binary norm form <1, -disc> otherwise.
     """
     n = q.dim
-    det = q.tower.one
-    for d in q.diag:
-        det = det * d
+    det = q.det()
     if n % 2:
         kd = det if ((n - 1) // 2) % 2 == 0 else -det
         return WittDecomposition(QuadraticForm(q.tower, (kd,)), (n - 1) // 2)
@@ -289,24 +235,34 @@ def _witt_finite(q):
     return WittDecomposition(kernel, (n - 2) // 2)
 
 
-def _witt_laurent(q):
-    """Exact Witt decomposition via residue recursion (non-dyadic henselian).
+def _residue_witt(q):
+    """One Springer split of q at full Laurent rank.
 
-    The kernel is assembled as lift(ker d1-part) + t * lift(ker dt-part):
-    forms over a henselian non-dyadic field are classified by their residue
-    forms, so any unit lifts of the residue kernels represent the kernel.
+    Returns (ctx, [(eps, Witt decomposition of the residue form of the
+    entries with value vector = eps mod 2)]), eps sorted outermost first.
+    Every level of an iterated Laurent tower is henselian and non-dyadic, so
+    W(K) is the sum of 2^r copies of W(k) over the finite base k.
     """
     from . import valuation as vmod
-    ctx = vmod.ValuationCtx(q.tower, 1)
-    t = q.tower.gen(q.tower.levels[-1].symbol)
+    ctx = vmod.ValuationCtx(q.tower, len(q.tower.levels))
     parts = vmod.raw_springer_split(q, ctx)
+    return ctx, [(eps, _witt_finite(QuadraticForm(
+        ctx.residue_tower, tuple(r for _, r in parts[eps]))))
+        for eps in sorted(parts)]
+
+
+def _witt_laurent(q):
+    """Exact Witt decomposition from the full-rank Springer split.
+
+    The kernel is the sum over eps of t^eps * lift(ker q_eps): forms over a
+    henselian non-dyadic field are classified by their residue forms, so any
+    unit lifts of the residue kernels represent the kernel.
+    """
+    ctx, decs = _residue_witt(q)
     kernel_entries = []
-    for eps in sorted(parts):
-        members = parts[eps]
-        sub = QuadraticForm(ctx.residue_tower, tuple(r for _, r in members))
-        dec = witt_decompose(sub)
+    for eps, dec in decs:
         if dec.anisotropic_kernel is not None:
-            pi = t if eps[0] else q.tower.one
+            pi = ctx.monomial(eps)
             for r in dec.anisotropic_kernel.diag:
                 kernel_entries.append(pi * q.tower.embed(r))
     kdim = len(kernel_entries)
@@ -413,16 +369,15 @@ def _finite_nonsquare(tower):
 
 
 def _square_class_monomial(tower, a):
-    """The representative t1^e1 ... * {1, nu} of a's square class over an
-    iterated-Laurent tower; cuts fraction sizes down before Witt recursion."""
-    if not tower.levels:
-        return tower.one if fl.is_square(tower, a) else _finite_nonsquare(tower)
-    sym = tower.levels[-1].symbol
-    t = tower.gen(sym)
-    e = fl.valuation(tower, a)[0]
-    r = fl.residue(tower, a * t ** -e)
-    rep = tower.embed(_square_class_monomial(tower.drop_outer(), r))
-    return t * rep if e % 2 else rep
+    """The representative t^(w mod 2) * {1, nu} of a's square class over an
+    iterated-Laurent tower, read from one full-rank split; cuts fraction
+    sizes down before the Witt decomposition."""
+    from . import valuation as vmod
+    ctx = vmod.ValuationCtx(tower, len(tower.levels))
+    w, r = ctx.split(a)
+    base = ctx.residue_tower
+    unit = base.one if fl.is_square(base, r) else _finite_nonsquare(base)
+    return ctx.monomial(tuple(c % 2 for c in w)) * tower.embed(unit)
 
 
 def reduce_square_classes(q):

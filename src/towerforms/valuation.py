@@ -12,7 +12,7 @@ from functools import cached_property
 
 from . import fields as fl
 from . import qforms
-from .errors import (SingularForm, TowerFormsError, TowerMismatch,
+from .errors import (NotIntegralUnit, TowerFormsError, TowerMismatch,
                      WitnessInvalid, ZeroArgument)
 
 
@@ -42,27 +42,40 @@ class ValuationCtx:
         tail = self.tower.levels[len(self.tower.levels) - self.rank:]
         return tuple(lv.symbol for lv in reversed(tail))
 
-    def value_vector(self, a):
+    def split(self, a):
+        """(w, r): the value vector of a, outermost first, and the residue of
+        a * monomial(-w) in the residue tower, read off in one pass."""
         if a.is_zero():
             raise ZeroArgument("valuation of zero")
-        return fl.valuation(self.tower, a)[:self.rank]
+        n = len(self.tower.levels)
+        w, r = fl.leading_term(self.tower.chain[n:n - self.rank:-1], a.raw)
+        return w, fl.Element(self.residue_tower, r)
+
+    def value_vector(self, a):
+        return self.split(a)[0]
 
     def monomial(self, exponents):
-        """prod t_i^e_i for an exponent vector, outermost first."""
-        out = self.tower.one
-        for s, e in zip(self.symbols, exponents):
-            if e:
-                out = out * self.tower.gen(s) ** e
-        return out
+        """prod t_i^e_i for an exponent vector, outermost first.
+
+        Built level by level from the innermost uniformizer out, directly as
+        the reduced fraction t^e / 1 or 1 / t^-e over the level below.
+        """
+        chain = self.tower.chain[len(self.tower.levels) - self.rank:]
+        raw = chain[0].one
+        for f, e in zip(chain[1:], reversed(exponents)):
+            shift = (f.inner.zero,) * abs(e)
+            raw = ((shift + (raw,), (f.inner.one,)) if e >= 0
+                   else ((raw,), shift + (f.inner.one,)))
+        return fl.Element(self.tower, raw)
 
     def residue(self, a):
-        """Iterated residue of a unit down to the residue tower."""
-        x = a
-        tower = self.tower
-        for _ in range(self.rank):
-            x = fl.residue(tower, x)
-            tower = tower.drop_outer()
-        return x
+        """Residue of an integral unit (or zero) in the residue tower."""
+        if a.is_zero():
+            return self.residue_tower.zero
+        w, r = self.split(a)
+        if any(w):
+            raise NotIntegralUnit(f"valuation {w} != 0")
+        return r
 
     def coset_reps(self):
         """The 2^rank canonical representatives prod t_i^{e_i}, e in {0,1}^r."""
@@ -98,15 +111,6 @@ class ResidueDecomposition:
         return out
 
 
-def _unit_part_and_eps(ctx, d):
-    """Scale d by squares so its valuation is the coset representative."""
-    w = ctx.value_vector(d)
-    eps = tuple(c % 2 for c in w)
-    adj = ctx.monomial(tuple(-(wi - ei) for wi, ei in zip(w, eps)))
-    unit = d * adj * ctx.monomial(eps) ** -1 if any(eps) else d * adj
-    return eps, unit
-
-
 def raw_springer_split(q, ctx):
     """Group diagonal entries by valuation class; residues of unit parts.
 
@@ -116,8 +120,8 @@ def raw_springer_split(q, ctx):
     """
     parts = {}
     for i, d in enumerate(q.diag):
-        eps, unit = _unit_part_and_eps(ctx, d)
-        parts.setdefault(eps, []).append((i, ctx.residue(unit)))
+        w, r = ctx.split(d)
+        parts.setdefault(tuple(c % 2 for c in w), []).append((i, r))
     return parts
 
 
@@ -146,68 +150,39 @@ def residue_form(q, ctx, pi):
     if pi.is_zero():
         raise ZeroArgument("pi must be nonzero")
     dec = springer_decompose(q, ctx)
-    w = ctx.value_vector(pi)
-    eps = tuple(c % 2 for c in w)
-    part = dec.part(eps)
+    w, r = ctx.split(pi)
+    part = dec.part(tuple(c % 2 for c in w))
     if part is None:
         return None
-    rep = ctx.monomial(eps)
-    adj = ctx.monomial(tuple((wi - ei) for wi, ei in zip(w, eps)))
-    mult = ctx.residue(rep * adj / pi)
-    return qforms.scale(part, mult)
-
-
-def f2_span(vectors, target):
-    """Membership of target in the F2-span of the vectors' parity classes.
-
-    Returns (in_span, basis) where basis is a maximal independent subset of
-    the input vectors (as given, not reduced).
-    """
-    basis = []
-    reduced = []
-
-    def reduce(vec):
-        v = [c % 2 for c in vec]
-        for r in reduced:
-            pivot = next((i for i, c in enumerate(r) if c), None)
-            if pivot is not None and v[pivot]:
-                v = [(a + b) % 2 for a, b in zip(v, r)]
-        return v
-
-    for vec in vectors:
-        v = reduce(vec)
-        if any(v):
-            reduced.append(v)
-            basis.append(tuple(vec))
-    return not any(reduce(target)), basis
+    # the multiplier is the residue of monomial(w) / pi
+    return qforms.scale(part, 1 / r)
 
 
 def f2_solve(vectors, target):
     """A set of indices I with sum over I of the vectors = target mod 2.
 
-    Returns a list of indices, or None if target is outside the span.
+    Returns a sorted list of indices, or None if target is outside the span.
+    Vectors are reduced as int bitmasks (bit i = coordinate i mod 2), each
+    row pivoting on its lowest set bit.
     """
-    rows = []  # (reduced vector, index set)
+    def mask(vec):
+        return sum((c & 1) << i for i, c in enumerate(vec))
+
+    rows = []  # (reduced mask, mask of the indices summed into it)
     for idx, vec in enumerate(vectors):
-        v = [c % 2 for c in vec]
-        combo = {idx}
+        v, combo = mask(vec), 1 << idx
         for r, rc in rows:
-            pivot = next((i for i, c in enumerate(r) if c), None)
-            if pivot is not None and v[pivot]:
-                v = [(a + b) % 2 for a, b in zip(v, r)]
-                combo ^= rc
-        if any(v):
+            if v & r & -r:
+                v, combo = v ^ r, combo ^ rc
+        if v:
             rows.append((v, combo))
-    t = [c % 2 for c in target]
-    combo = set()
+    t, combo = mask(target), 0
     for r, rc in rows:
-        pivot = next((i for i, c in enumerate(r) if c), None)
-        if pivot is not None and t[pivot]:
-            t = [(a + b) % 2 for a, b in zip(t, r)]
-            combo ^= rc
-    if any(t):
+        if t & r & -r:
+            t, combo = t ^ r, combo ^ rc
+    if t:
         return None
-    return sorted(combo)
+    return [i for i in range(len(vectors)) if combo >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -230,9 +205,10 @@ def hensel_lift_isotropic(q, ctx, residue_witness, precision=16):
     rt = ctx.residue_tower
     units = []
     for d in q.diag:
-        if any(ctx.value_vector(d)):
+        w, r = ctx.split(d)
+        if any(w):
             raise TowerFormsError("diagonal entries must be units")
-        units.append(ctx.residue(d))
+        units.append(r)
     x_bar = tuple(residue_witness)
     if len(x_bar) != len(units) or all(c.is_zero() for c in x_bar):
         raise WitnessInvalid("witness must be a nonzero vector of matching length")

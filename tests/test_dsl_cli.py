@@ -1,6 +1,8 @@
 """DSL parsing, formatting round trips, CLI exit codes and JSON determinism."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -208,3 +210,15 @@ def test_cli_json_determinism(capsys):
     second = run_cli(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+
+def test_readme_cli_block_runs(capsys):
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("towerforms ")]
+    assert len(lines) >= 9
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

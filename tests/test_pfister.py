@@ -95,6 +95,23 @@ def test_normalize_examples(gf5t, gf3t):
     out, trace = normalize_last_slot(s, ctx3)
     assert out.slots == s.slots and trace.steps == ()
 
+    # <<a, a, -a>>: Merge is inapplicable for every usable slot, so the
+    # chosen slot is swapped next to the last one and collapsed there
+    s = BilinearPfisterSymbol(gf5t, (3 * t, 3 * t, 2 * t))
+    out, trace = normalize_last_slot(s, ctx)
+    assert out.slots == (3 * t, 3 * t, gf5t.one)
+    assert trace.steps[-1].rule == "collapse"
+    assert trace.replay(s).slots == out.slots
+
+    gf3tu = tower(3, 1, ("t", LAURENT), ("u", LAURENT))
+    t2, u2 = gf3tu.gen("t"), gf3tu.gen("u")
+    ctx2 = ValuationCtx(gf3tu, 2)
+    s = BilinearPfisterSymbol(gf3tu, (u2, t2, u2, -u2))
+    out, trace = normalize_last_slot(s, ctx2)
+    assert ctx2.value_vector(out.slots[-1]) == (0, 0)
+    assert trace.replay(s).slots == out.slots
+    assert isometric(expand_bilinear(s), expand_bilinear(out))
+
 
 def test_normalize_precondition_violation(gf3t):
     t = gf3t.gen("t")
