@@ -2,9 +2,11 @@
 
 These classes expose the raw-element protocol used throughout the package:
 zero/one/add/neg/sub/mul/inv/div/eq/is_zero plus finite-field extras
-(element enumeration, Euler-criterion squareness, brute-force square roots).
-GF(p) raws are ints in [0, p); GF(p^k) raws are little-endian int tuples of
-length <= k with no trailing zeros (the zero element is the empty tuple).
+(element enumeration, Euler-criterion squareness, Tonelli-Shanks square
+roots, shared through _FiniteField).  GF(p) is Zp, whose raws are ints in
+[0, p); field towers use it as their base whenever k = 1.  GF(p^k), k > 1,
+is Fq, whose raws are little-endian int tuples of length <= k with no
+trailing zeros (the zero element is the empty tuple).
 """
 
 from functools import lru_cache
@@ -24,13 +26,67 @@ def _is_prime(n):
     return True
 
 
-class Zp:
+class _FiniteField:
+    """Powers, Euler's criterion and square roots over the raw protocol."""
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def pow_(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        result = self.one
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return result
+
+    def is_square(self, a):
+        """Euler criterion; a must be nonzero."""
+        return self.eq(self.pow_(a, (self.order - 1) // 2), self.one)
+
+    def sqrt(self, a):
+        """The square root of a that comes first in elements() order, or None.
+
+        Tonelli-Shanks; the two roots are r and -r, and the earlier one is
+        the one whose leading base-p digit is below p/2.
+        """
+        if self.is_zero(a):
+            return self.zero
+        if not self.is_square(a):
+            return None
+        s, m = 0, self.order - 1
+        while m % 2 == 0:
+            s, m = s + 1, m // 2
+        x, b = self.pow_(a, (m + 1) // 2), self.pow_(a, m)
+        c = None
+        while not self.eq(b, self.one):
+            if c is None:
+                z = next(z for z in self.elements()
+                         if not self.is_zero(z) and not self.is_square(z))
+                c = self.pow_(z, m)
+            i, t = 0, b
+            while not self.eq(t, self.one):
+                i, t = i + 1, self.mul(t, t)
+            g = self.pow_(c, 2 ** (s - i - 1))
+            x, c, s = self.mul(x, g), self.mul(g, g), i
+            b = self.mul(b, c)
+        return x if 2 * self._lead_digit(x) < self.p else self.neg(x)
+
+
+class Zp(_FiniteField):
     """Prime field GF(p); raws are ints in [0, p)."""
+
+    k = 1
 
     def __init__(self, p):
         if not _is_prime(p):
             raise TowerFormsError(f"{p} is not prime")
         self.p = p
+        self.order = p
         self.zero = 0
         self.one = 1 % p
 
@@ -51,9 +107,6 @@ class Zp:
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def eq(self, a, b):
         return a % self.p == b % self.p
 
@@ -65,6 +118,9 @@ class Zp:
 
     def elements(self):
         return range(self.p)
+
+    def _lead_digit(self, a):
+        return a
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +178,7 @@ def canonical_modulus(p, k):
     raise TowerFormsError(f"no irreducible of degree {k} over GF({p})")  # unreachable
 
 
-class Fq:
+class Fq(_FiniteField):
     """GF(p^k) as GF(p)[X]/(modulus); raws are little-endian int tuples."""
 
     def __init__(self, p, k, modulus=None):
@@ -164,9 +220,6 @@ class Fq:
         return polys.pmod(self.base, polys.pscale(self.base, s, self.base.inv(g[0])),
                           self.modulus)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def eq(self, a, b):
         return a == b
 
@@ -176,36 +229,13 @@ class Fq:
     def from_int(self, n):
         return polys.const(self.base, n % self.p)
 
-    def pow_(self, a, n):
-        if n < 0:
-            return self.pow_(self.inv(a), -n)
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     def elements(self):
-        for i in range(self.order):
-            digits = []
-            n = i
-            for _ in range(self.k):
-                digits.append(n % self.p)
-                n //= self.p
-            yield polys.trim(self.base, digits)
+        return map(self.nth, range(self.order))
 
-    def is_square(self, a):
-        """Euler criterion; a must be nonzero."""
-        return self.pow_(a, (self.order - 1) // 2) == self.one
+    def nth(self, i):
+        """The i-th element in elements() order: the base-p digits of i."""
+        return polys.trim(self.base, [i // self.p ** j % self.p
+                                      for j in range(self.k)])
 
-    def sqrt(self, a):
-        """Some square root of a, or None.  Brute force; fields here are small."""
-        if self.is_zero(a):
-            return self.zero
-        for x in self.elements():
-            if self.mul(x, x) == a:
-                return x
-        return None
+    def _lead_digit(self, a):
+        return a[-1]

@@ -1,12 +1,14 @@
 """Field towers, exact elements, valuations, residues and square classes.
 
 A tower is a finite base field GF(p^k) (odd p) with an ordered stack of
-transcendental levels.  A LaurentSeries level carries henselian t-adic
-semantics; a RationalFunction level carries global semantics.  Elements are
-held exactly as reduced fractions of polynomials in the outermost level
-symbol, with coefficients one level down; for a Laurent level this is the
-dense subfield K(t) of K((t)), which suffices because every decision made
-here factors through valuations and residues of unit parts.
+transcendental levels.  The base is ffield.Zp, with int raws, when k = 1,
+and ffield.Fq, with int-tuple raws, when k > 1.  A LaurentSeries level
+carries henselian t-adic semantics; a RationalFunction level carries global
+semantics.  Elements are held exactly as reduced fractions of polynomials in
+the outermost level symbol, with coefficients one level down; for a Laurent
+level this is the dense subfield K(t) of K((t)), which suffices because
+every decision made here factors through valuations and residues of unit
+parts.
 """
 
 import random
@@ -16,7 +18,7 @@ from functools import cached_property
 from . import polys
 from .errors import (DivisionByZero, NotIntegralUnit, TowerFormsError,
                      TowerMismatch, UnsupportedLevel, ZeroArgument)
-from .ffield import Fq, _is_prime
+from .ffield import Fq, _is_prime, _prime_field
 
 LAURENT = "laurent"
 RATFUNC = "ratfunc"
@@ -36,7 +38,8 @@ class FracField:
     """Field of fractions of polynomials over an inner field object.
 
     Raws are (num, den) pairs of coefficient tuples; den is monic and
-    coprime to num, zero is ((), (one,)).
+    coprime to num, zero is ((), (one,)).  A constant den needs no gcd: it
+    is a unit, so make only scales by its inverse.
     """
 
     def __init__(self, inner, symbol):
@@ -54,10 +57,11 @@ class FracField:
             raise DivisionByZero("zero denominator")
         if not num:
             return self.zero
-        g = polys.pgcd(F, num, den)
-        if polys.deg(g) > 0:
-            num = polys.pdivmod(F, num, g)[0]
-            den = polys.pdivmod(F, den, g)[0]
+        if len(den) > 1:
+            g = polys.pgcd(F, num, den)
+            if polys.deg(g) > 0:
+                num = polys.pdivmod(F, num, g)[0]
+                den = polys.pdivmod(F, den, g)[0]
         lead = den[-1]
         if not F.eq(lead, F.one):
             inv = F.inv(lead)
@@ -105,6 +109,13 @@ class FracField:
             return self.zero
         return ((c,), (self.inner.one,))
 
+    def monomial(self, c, e):
+        """c * gen^e as a reduced fraction, for a nonzero inner raw c."""
+        shift = (self.inner.zero,) * abs(e)
+        if e >= 0:
+            return (shift + (c,), (self.inner.one,))
+        return ((c,), shift + (self.inner.one,))
+
 
 @dataclass(frozen=True)
 class FieldTower:
@@ -131,7 +142,10 @@ class FieldTower:
     @cached_property
     def chain(self):
         """Field objects from the base outward; chain[-1] is the element field."""
-        fields = [Fq(self.base_char, self.base_degree, self.base_modulus)]
+        if self.base_degree == 1 and self.base_modulus is not None:
+            Fq(self.base_char, 1, self.base_modulus)  # rejects a bad modulus
+        fields = [Fq(self.base_char, self.base_degree, self.base_modulus)
+                  if self.base_degree > 1 else _prime_field(self.base_char)]
         for lv in self.levels:
             fields.append(FracField(fields[-1], lv.symbol))
         return fields
@@ -259,8 +273,9 @@ class Element:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -366,7 +381,7 @@ def try_sqrt(tower, a):
 def _try_sqrt_raw(tower, depth, raw):
     f = tower.chain[depth]
     if depth == 0:
-        return f.sqrt(raw) if f.is_square(raw) else None
+        return f.sqrt(raw)
     F = f.inner
     num, den = raw
     ln, ld = num[-1], den[-1]
@@ -437,8 +452,9 @@ def sample(tower, budget=SampleBudget(), seed=0):
 def _sample_raw(tower, depth, budget, rng):
     f = tower.chain[depth]
     if depth == 0:
-        elts = [e for e in f.elements() if not f.is_zero(e)]
-        return rng.choice(elts)
+        # the i-th element in elements() order; index 0 is zero
+        i = rng.randrange(1, f.order)
+        return i if f.k == 1 else f.nth(i)
     lv = tower.levels[depth - 1]
     if lv.kind == LAURENT:
         e = rng.randint(-budget.max_val, budget.max_val)
@@ -448,11 +464,7 @@ def _sample_raw(tower, depth, budget, rng):
                 if rng.random() < 0.7 else f.inner.zero
             coeffs.append(c)
         unit = f.make(tuple(coeffs), (f.inner.one,))
-        tpow = f.gen if e >= 0 else f.inv(f.gen)
-        raw = unit
-        for _ in range(abs(e)):
-            raw = f.mul(raw, tpow)
-        return raw
+        return f.mul(unit, f.monomial(f.inner.one, e)) if e else unit
     # rational-function level: ratio of random polynomials
     def rand_poly(force_nonzero):
         d = rng.randint(0, budget.max_deg)
@@ -512,7 +524,7 @@ def _format_raw(tower, depth, raw):
     if depth == 0:
         f = tower.chain[0]
         if f.k == 1:
-            return str(raw[0] if raw else 0)
+            return str(raw)
         return _format_poly_base(tower, raw)
     sym = tower.levels[depth - 1].symbol
     num, den = raw

@@ -6,13 +6,15 @@ rank-1 Springer decomposition over GF(q^deg).  Forms of dimension >= 5 are
 always isotropic (the u-invariant of a global function field is 4), so only
 the places supporting some diagonal entry ever need to be inspected.
 
-Place machinery is implemented for prime base fields GF(p)(X) only: residue
-fields at a degree-m place are realized as GF(p^m) with the place polynomial
-as defining modulus, which needs prime-field coefficients.
+Place machinery is implemented for prime base fields GF(p)(X) only, whose
+numerators and denominators are int polynomials over ffield.Zp.  The residue
+field at a degree-1 place (infinity included) is GF(p) with int raws; at a
+degree-m place, m > 1, it is GF(p^m) with the place polynomial as defining
+modulus, whose raws are the int-tuple remainders mod that polynomial.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import fields as fl
@@ -66,27 +68,13 @@ def _global_base(tower):
         raise ConfigUnsupported("places are defined over GF(q)(X) towers only")
     if tower.base_degree != 1:
         raise ConfigUnsupported("place machinery needs a prime base field")
-    return tower.base_char, tower.chain[0].base, tower.levels[0].symbol
-
-
-def _to_int_poly(f):
-    # ratfunc numerators/denominators carry GF(p^1) raws (length-<=1 tuples)
-    return tuple(c[0] if c else 0 for c in f)
-
-
-def _from_int_poly(f):
-    return tuple((c,) if c else () for c in f)
-
-
-def _frac_raw(elem):
-    num, den = elem.raw
-    return _to_int_poly(num), _to_int_poly(den)
+    return tower.base_char, tower.chain[0], tower.levels[0].symbol
 
 
 @lru_cache(maxsize=None)
 def _factor_monic(p, f):
     """Factor a monic polynomial over GF(p) into {irreducible: multiplicity}."""
-    F = ffield_prime(p)
+    F = ffield._prime_field(p)
     out = {}
     rem = f
     d = 1
@@ -102,18 +90,14 @@ def _factor_monic(p, f):
     return out
 
 
-def ffield_prime(p):
-    return ffield._prime_field(p)
-
-
 @lru_cache(maxsize=None)
 def _irreducibles(p, d):
-    return tuple(ffield.irreducibles(ffield_prime(p), d))
+    return tuple(ffield.irreducibles(ffield._prime_field(p), d))
 
 
 def factor(p, f):
     """Factor a nonzero GF(p)[X] polynomial: (leading unit, {irred: mult})."""
-    F = ffield_prime(p)
+    F = ffield._prime_field(p)
     f = polys.trim(F, f)
     if not f:
         raise ZeroArgument("cannot factor the zero polynomial")
@@ -125,8 +109,7 @@ def places_of_interest(q):
     p, _, _ = _global_base(q.tower)
     finite = set()
     for d in q.diag:
-        num, den = _frac_raw(d)
-        for f in (num, den):
+        for f in d.raw:
             if polys.deg(f) > 0:
                 finite.update(factor(p, f)[1])
     places = sorted((Place(FINITE, f) for f in finite),
@@ -152,36 +135,25 @@ def residue_tower(tower, place):
     return fl.FieldTower(p, place.degree, base_modulus=place.poly)
 
 
-def place_valuation(tower, place, elem):
-    p, F, _ = _global_base(tower)
+def place_split(place, rt, elem):
+    """(v, r): the valuation of a nonzero element at place, and the residue
+    of its unit part elem / pi^v in the residue tower rt, read off with one
+    division by pi per step."""
     if elem.is_zero():
         raise ZeroArgument("valuation of zero")
-    num, den = _frac_raw(elem)
+    num, den = elem.raw
     if place.kind == INFINITY:
-        return polys.deg(den) - polys.deg(num)
-    mult = 0
-    for f, sign in ((num, 1), (den, -1)):
-        while not polys.pmod(F, f, place.poly):
-            f = polys.pdivmod(F, f, place.poly)[0]
-            mult += sign
-    return mult
-
-
-def place_residue_unit(tower, place, elem):
-    """Residue of the unit part elem / pi^v in the residue tower."""
-    p, F, _ = _global_base(tower)
-    if elem.is_zero():
-        raise ZeroArgument("residue of zero")
-    num, den = _frac_raw(elem)
-    rt = residue_tower(tower, place)
-    if place.kind == INFINITY:
-        return rt.element((num[-1],)) / rt.element((den[-1],))
+        return polys.deg(den) - polys.deg(num), rt.element(
+            rt.ops.div(num[-1], den[-1]))
+    F = elem.tower.chain[0]
     parts = []
     for f in (num, den):
-        while not polys.pmod(F, f, place.poly):
-            f = polys.pdivmod(F, f, place.poly)[0]
-        parts.append(polys.pmod(F, f, place.poly))
-    return rt.element(tuple(parts[0])) / rt.element(tuple(parts[1]))
+        k, (quo, rem) = 0, polys.pdivmod(F, f, place.poly)
+        while not rem:
+            k, (quo, rem) = k + 1, polys.pdivmod(F, quo, place.poly)
+        parts.append((k, rem if place.degree > 1 else rem[0]))
+    (vn, rn), (vd, rd) = parts
+    return vn - vd, rt.element(rt.ops.div(rn, rd))
 
 
 @dataclass(frozen=True)
@@ -193,10 +165,8 @@ class Completion:
 
 def localize(q, place):
     rt = residue_tower(q.tower, place)
-    entries = tuple((place_valuation(q.tower, place, d),
-                     place_residue_unit(q.tower, place, d))
-                    for d in q.diag)
-    return Completion(place, rt, entries)
+    return Completion(place, rt, tuple(place_split(place, rt, d)
+                                       for d in q.diag))
 
 
 def local_anisotropic_dimension(comp):
@@ -277,12 +247,9 @@ def hilbert_symbol(a, b, v):
     if a.is_zero() or b.is_zero():
         raise ZeroArgument("Hilbert symbol needs nonzero arguments")
     if isinstance(v, Place):
-        tower = a.tower
-        va = place_valuation(tower, v, a)
-        vb = place_valuation(tower, v, b)
-        rt = residue_tower(tower, v)
-        ra = place_residue_unit(tower, v, a)
-        rb = place_residue_unit(tower, v, b)
+        rt = residue_tower(a.tower, v)
+        va, ra = place_split(v, rt, a)
+        vb, rb = place_split(v, rt, b)
     else:
         if v.rank != 1:
             raise ConfigUnsupported("Hilbert symbol needs a rank-1 valuation")
@@ -305,7 +272,7 @@ def square_class_rep(tower, elem):
     p, F, _ = _global_base(tower)
     if elem.is_zero():
         raise ZeroArgument("square class of zero")
-    num, den = _frac_raw(elem)
+    num, den = elem.raw
     support = {}
     for f, sign in ((num, 1), (den, -1)):
         _, fac = factor(p, f)
@@ -317,7 +284,7 @@ def square_class_rep(tower, elem):
     s_elem = _embed_poly(tower, s)
     root = fl.try_sqrt(tower, elem / s_elem)
     if root is None:
-        nu = qforms._finite_nonsquare(fl.FieldTower(p)).raw[0]
+        nu = qforms._finite_nonsquare(fl.FieldTower(p)).raw
         s = polys.pscale(F, s, nu)
         s_elem = _embed_poly(tower, s)
         root = fl.try_sqrt(tower, elem / s_elem)
@@ -327,8 +294,7 @@ def square_class_rep(tower, elem):
 
 
 def _embed_poly(tower, f):
-    num = _from_int_poly(f)
-    return tower.element((tuple(num), ((1,),)))
+    return tower.element((tuple(f), (1,)))
 
 
 def isotropic_vector_global(q):
@@ -350,16 +316,11 @@ def isotropic_vector_global(q):
             vec = [tower.zero] * n
             vec[i], vec[j] = root, tower.one
             return tuple(vec)
-    def iso_subsets(k):
-        return [idx for idx in itertools.combinations(range(n), k)
-                if is_isotropic_global(
-                    qforms.QuadraticForm(tower, tuple(q.diag[i] for i in idx)))]
-
     candidates = []
     if n >= 4:
-        candidates = iso_subsets(3)
-        if not candidates:
-            candidates = iso_subsets(4)
+        comps = [localize(q, P) for P in places_of_interest(q)]
+        candidates = _isotropic_subsets(comps, 3) or \
+            _isotropic_subsets(comps, 4)
     if n >= 5:
         candidates.append(tuple(range(5)))
     elif not candidates:
@@ -369,10 +330,22 @@ def isotropic_vector_global(q):
     return found
 
 
+def _isotropic_subsets(comps, k):
+    """The k-subsets (k >= 3) of diagonal positions whose subform is
+    isotropic, decided on the completions of the whole form: the subform's
+    places lie among the form's, and at any other place its k unit entries
+    make it isotropic (Chevalley-Warning plus Hensel)."""
+    n = len(comps[0].entries)
+    return [idx for idx in itertools.combinations(range(n), k)
+            if all(local_is_isotropic(replace(
+                c, entries=tuple(c.entries[i] for i in idx))) for c in comps)]
+
+
 def _subform_witness(q, candidates):
     p, F, _ = _global_base(q.tower)
-    preps = {idx: [square_class_rep(q.tower, q.diag[i]) for i in idx]
-             for idx in candidates}
+    reps = {i: square_class_rep(q.tower, q.diag[i])
+            for i in set().union(*candidates)}
+    preps = {idx: [reps[i] for i in idx] for idx in candidates}
     exhausted = True
     for D in range(WITNESS_DEGREE_CAP + 1):
         exhausted = True
@@ -419,7 +392,7 @@ def _mitm_search(p, F, sq, half, max_deg):
 
 
 def _poly_vectors(p, coords, max_deg):
-    F = ffield_prime(p)
+    F = ffield._prime_field(p)
     coeffs = list(itertools.product(range(p), repeat=max_deg + 1))
     single = [polys.trim(F, c) for c in coeffs]
     return itertools.product(single, repeat=coords)

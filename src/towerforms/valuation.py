@@ -63,9 +63,7 @@ class ValuationCtx:
         chain = self.tower.chain[len(self.tower.levels) - self.rank:]
         raw = chain[0].one
         for f, e in zip(chain[1:], reversed(exponents)):
-            shift = (f.inner.zero,) * abs(e)
-            raw = ((shift + (raw,), (f.inner.one,)) if e >= 0
-                   else ((raw,), shift + (f.inner.one,)))
+            raw = f.monomial(raw, e)
         return fl.Element(self.tower, raw)
 
     def residue(self, a):

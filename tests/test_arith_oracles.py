@@ -1,0 +1,165 @@
+"""Differential oracles for the arithmetic core.
+
+Each test keeps the slow route as the reference: GF(p) as the 1-tuple field
+Fq(p, 1), square roots by brute force in elements() order, powers by
+repeated products, fraction normalization through the gcd, and the sampler
+that lists every base element and multiplies t in one factor at a time.
+"""
+
+import random
+
+import pytest
+
+from conftest import tower
+from towerforms import errors, polys
+from towerforms.ffield import Fq, Zp
+from towerforms.dsl import parse_field
+from towerforms.fields import LAURENT, FieldTower, SampleBudget, sample
+
+
+def _brute_sqrt(F, a):
+    for x in F.elements():
+        if F.eq(F.mul(x, x), a):
+            return x
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_zp_matches_tuple_prime_field(p):
+    Z, T = Zp(p), Fq(p, 1)
+    assert (Z.k, Z.order) == (T.k, T.order)
+
+    def tup(x):
+        return (x,) if x else ()
+
+    for a in range(p):
+        assert tup(Z.neg(a)) == T.neg(tup(a))
+        assert Z.is_zero(a) == T.is_zero(tup(a))
+        if a:
+            assert tup(Z.inv(a)) == T.inv(tup(a))
+            assert Z.is_square(a) == T.is_square(tup(a))
+        s = Z.sqrt(a)
+        assert (s is None and T.sqrt(tup(a)) is None) or \
+            tup(s) == T.sqrt(tup(a))
+        for b in range(p):
+            assert tup(Z.add(a, b)) == T.add(tup(a), tup(b))
+            assert tup(Z.sub(a, b)) == T.sub(tup(a), tup(b))
+            assert tup(Z.mul(a, b)) == T.mul(tup(a), tup(b))
+            if b:
+                assert tup(Z.div(a, b)) == T.div(tup(a), tup(b))
+
+
+@pytest.mark.parametrize("F", [Zp(p) for p in (3, 5, 7, 13, 17, 41, 73, 97)]
+                         + [Fq(3, 2), Fq(5, 2), Fq(3, 3)],
+                         ids=lambda F: f"GF({F.order})")
+def test_sqrt_is_first_root_in_element_order(F):
+    squares = 0
+    for a in F.elements():
+        assert F.sqrt(a) == _brute_sqrt(F, a)
+        squares += F.sqrt(a) is not None
+    assert squares == (F.order + 1) // 2
+
+
+@pytest.mark.parametrize("field", ["GF(9)", "GF(3)((t))((u))", "GF(5)(X)"])
+def test_pow_matches_repeated_product(field):
+    K = parse_field(field)
+    for seed in range(6):
+        a = sample(K, SampleBudget(), seed)
+        for n in range(-4, 10):
+            ref = K.one
+            for _ in range(abs(n)):
+                ref = ref * a if n > 0 else ref / a
+            assert a ** n == ref
+    F = Fq(3, 2)
+    for a in F.elements():
+        if F.is_zero(a):
+            continue
+        ref = F.one
+        for n in range(10):
+            assert F.pow_(a, n) == ref
+            assert F.pow_(F.inv(a), n) == F.pow_(a, -n)
+            ref = F.mul(ref, a)
+
+
+def test_prime_modulus_still_checked():
+    with pytest.raises(errors.TowerFormsError):
+        FieldTower(3, 1, base_modulus=(1, 1, 1)).chain
+    with pytest.raises(errors.TowerFormsError):
+        FieldTower(3, 1, base_modulus=(1, 2)).chain
+    assert FieldTower(3, 1, base_modulus=(2, 1)).chain[0].order == 3
+
+
+def _make_by_gcd(f, num, den):
+    """FracField.make through pgcd, whatever the denominator's degree."""
+    F = f.inner
+    num, den = polys.trim(F, num), polys.trim(F, den)
+    if not num:
+        return f.zero
+    g = polys.pgcd(F, num, den)
+    num, den = polys.pdivmod(F, num, g)[0], polys.pdivmod(F, den, g)[0]
+    inv = F.inv(den[-1])
+    return polys.pscale(F, num, inv), polys.pscale(F, den, inv)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_make_constant_denominator_matches_gcd(levels):
+    K = tower(5, 1, *[(s, LAURENT) for s in "tu"[:levels]])
+    f = K.chain[-1]
+    rng = random.Random(levels)
+    budget = SampleBudget(max_val=1, series_terms=1)
+
+    def inner(seed):
+        if levels == 1:
+            return rng.randrange(5)
+        if rng.random() < 0.2:
+            return f.inner.zero
+        return sample(K.drop_outer(), budget, seed).raw
+
+    for seed in range(150):
+        num = tuple(inner((seed, i)) for i in range(rng.randint(0, 4)))
+        den = inner((seed, "den"))
+        den = (f.inner.one if f.inner.is_zero(den) else den,)
+        assert f.make(num, den) == _make_by_gcd(f, num, den)
+        assert f.make(num, den + (f.inner.zero,) * 2) == \
+            _make_by_gcd(f, num, den)
+
+
+def _old_sample_raw(tower, depth, budget, rng):
+    f = tower.chain[depth]
+    if depth == 0:
+        return rng.choice([e for e in f.elements() if not f.is_zero(e)])
+    if tower.levels[depth - 1].kind == LAURENT:
+        e = rng.randint(-budget.max_val, budget.max_val)
+        coeffs = [_old_sample_raw(tower, depth - 1, budget, rng)]
+        for _ in range(rng.randint(0, budget.series_terms)):
+            coeffs.append(_old_sample_raw(tower, depth - 1, budget, rng)
+                          if rng.random() < 0.7 else f.inner.zero)
+        raw = f.make(tuple(coeffs), (f.inner.one,))
+        tpow = f.gen if e >= 0 else f.inv(f.gen)
+        for _ in range(abs(e)):
+            raw = f.mul(raw, tpow)
+        return raw
+
+    def rand_poly():
+        d = rng.randint(0, budget.max_deg)
+        coeffs = [_old_sample_raw(tower, depth - 1, budget, rng)
+                  if rng.random() < 0.8 else f.inner.zero
+                  for _ in range(d + 1)]
+        if all(f.inner.is_zero(c) for c in coeffs):
+            coeffs[0] = _old_sample_raw(tower, depth - 1, budget, rng)
+        return tuple(coeffs)
+    num = rand_poly()
+    return f.make(num, rand_poly())
+
+
+@pytest.mark.parametrize("field", ["GF(9)((t))", "GF(3)((t))((u))",
+                                   "GF(5)(X)", "GF(125)((t))((u))"])
+@pytest.mark.parametrize("budget", [SampleBudget(),
+                                    SampleBudget(max_val=3, max_deg=3,
+                                                 series_terms=3)])
+def test_sampler_matches_listing_draw(field, budget):
+    K = parse_field(field)
+    for seed in range(200):
+        rng = random.Random((seed, K.describe()).__repr__())
+        assert sample(K, budget, seed).raw == \
+            _old_sample_raw(K, len(K.levels), budget, rng)

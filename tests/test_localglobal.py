@@ -1,14 +1,17 @@
 """Places of GF(p)(X), localization, Hilbert symbols, global isotropy."""
 
+import itertools
+
 import pytest
 
-from towerforms import errors
-from towerforms.fields import SampleBudget, sample
-from towerforms.localglobal import (FINITE, INFINITY, Place, hilbert_symbol,
-                                    is_isotropic_global,
+from towerforms import errors, polys
+from towerforms.fields import RATFUNC, SampleBudget, sample
+from towerforms.localglobal import (FINITE, INFINITY, Place, _isotropic_subsets,
+                                    hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
-                                    local_is_isotropic, places_for_elements,
-                                    places_of_interest, square_class_rep,
+                                    local_is_isotropic, place_split,
+                                    places_for_elements, places_of_interest,
+                                    residue_tower, square_class_rep,
                                     witt_decompose_global)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
 from towerforms.qforms import form, is_isotropic, isometric, witt_index
@@ -160,3 +163,69 @@ def test_non_prime_base_unsupported():
     T = tower(3, 2, ("X", RATFUNC))
     with pytest.raises(errors.ConfigUnsupported):
         is_isotropic_global(form(T, 1, -T.gen("X"), 1))
+
+
+def _ref_place_valuation(place, elem):
+    """Multiplicity of the place polynomial: test it divides, then divide."""
+    F = elem.tower.chain[0]
+    num, den = elem.raw
+    if place.kind == INFINITY:
+        return polys.deg(den) - polys.deg(num)
+    mult = 0
+    for f, sign in ((num, 1), (den, -1)):
+        while not polys.pmod(F, f, place.poly):
+            f = polys.pdivmod(F, f, place.poly)[0]
+            mult += sign
+    return mult
+
+
+def _ref_place_residue_unit(place, elem):
+    """Residue of elem / pi^v, with the residue tower built afresh."""
+    F = elem.tower.chain[0]
+    num, den = elem.raw
+    rt = residue_tower(elem.tower, place)
+    if place.kind == INFINITY:
+        return rt.element(num[-1]) / rt.element(den[-1])
+    parts = []
+    for f in (num, den):
+        while not polys.pmod(F, f, place.poly):
+            f = polys.pdivmod(F, f, place.poly)[0]
+        parts.append(polys.pmod(F, f, place.poly))
+    if place.degree == 1:
+        parts = [r[0] for r in parts]
+    return rt.element(parts[0]) / rt.element(parts[1])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_place_split_matches_reference_loops(p):
+    K = tower(p, 1, ("X", RATFUNC))
+    budget = SampleBudget(max_deg=4)
+    elems = [sample(K, budget, seed) for seed in range(40)]
+    places = places_for_elements(K, elems)
+    assert any(P.degree == 2 for P in places)
+    for P in places:
+        rt = residue_tower(K, P)
+        for a in elems:
+            v, r = place_split(P, rt, a)
+            assert v == _ref_place_valuation(P, a)
+            assert r == _ref_place_residue_unit(P, a)
+    with pytest.raises(errors.ZeroArgument):
+        place_split(places[0], residue_tower(K, places[0]), K.zero)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_isotropic_subsets_match_global_test(p):
+    K = tower(p, 1, ("X", RATFUNC))
+    budget = SampleBudget(max_deg=2)
+    degree_two_slots = 0
+    for seed in range(12):
+        n = 4 + seed % 3
+        q = form(K, *(sample(K, budget, (seed, i)) for i in range(n)))
+        degree_two_slots += any(max(map(polys.deg, d.raw)) == 2
+                                for d in q.diag)
+        comps = [localize(q, P) for P in places_of_interest(q)]
+        for k in (3, 4):
+            ref = [idx for idx in itertools.combinations(range(n), k)
+                   if is_isotropic_global(form(K, *(q.diag[i] for i in idx)))]
+            assert _isotropic_subsets(comps, k) == ref
+    assert degree_two_slots
