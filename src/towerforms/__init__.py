@@ -10,8 +10,8 @@ from .errors import (TowerFormsError, ParseError, ConfigUnsupported,
 from .fields import (FieldTower, LevelDescriptor, Element, SampleBudget,
                      LAURENT, RATFUNC, format_element, is_square, sample,
                      sample_unit, valuation, residue)
-from .qforms import (QuadraticForm, GramForm, form, diagonalize, is_isotropic,
-                     witt_decompose, witt_index, isometric, is_hyperbolic)
+from .qforms import (QuadraticForm, form, is_isotropic, witt_decompose,
+                     witt_index, isometric, is_hyperbolic)
 from .valuation import ValuationCtx, springer_decompose, residue_form
 from .pfister import (QuadraticPfisterSymbol, BilinearPfisterSymbol, expand,
                       expand_bilinear, rewrite, normalize_last_slot,

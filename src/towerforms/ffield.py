@@ -124,7 +124,17 @@ class Zp(_FiniteField):
 
 
 @lru_cache(maxsize=None)
-def _prime_field(p):
+def finite_field(p, k=1, modulus=None):
+    """GF(p^k), built and checked once per (p, k, modulus).
+
+    Zp when k = 1, where a given modulus must be monic of degree 1; Fq over
+    the modulus (the canonical one when None) otherwise, so a tower and all
+    its residue towers share one Fq and its irreducibility test.
+    """
+    if k > 1:
+        return Fq(p, k, modulus)
+    if modulus is not None:
+        Fq(p, 1, modulus)  # rejects a modulus that is not monic of degree 1
     return Zp(p)
 
 
@@ -169,7 +179,7 @@ def irreducibles(F, d):
 @lru_cache(maxsize=None)
 def canonical_modulus(p, k):
     """The lexicographically minimal monic irreducible of degree k over GF(p)."""
-    F = _prime_field(p)
+    F = finite_field(p)
     if k == 1:
         return (0, 1)
     for g in monic_polys(F, k, k):
@@ -186,7 +196,7 @@ class Fq(_FiniteField):
             raise TowerFormsError("even characteristic is not supported")
         self.p = p
         self.k = k
-        self.base = _prime_field(p)
+        self.base = finite_field(p)
         if modulus is None:
             modulus = canonical_modulus(p, k)
         modulus = polys.trim(self.base, modulus)

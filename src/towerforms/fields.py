@@ -18,7 +18,7 @@ from functools import cached_property
 from . import polys
 from .errors import (DivisionByZero, NotIntegralUnit, TowerFormsError,
                      TowerMismatch, UnsupportedLevel, ZeroArgument)
-from .ffield import Fq, _is_prime, _prime_field
+from .ffield import _is_prime, finite_field
 
 LAURENT = "laurent"
 RATFUNC = "ratfunc"
@@ -142,10 +142,8 @@ class FieldTower:
     @cached_property
     def chain(self):
         """Field objects from the base outward; chain[-1] is the element field."""
-        if self.base_degree == 1 and self.base_modulus is not None:
-            Fq(self.base_char, 1, self.base_modulus)  # rejects a bad modulus
-        fields = [Fq(self.base_char, self.base_degree, self.base_modulus)
-                  if self.base_degree > 1 else _prime_field(self.base_char)]
+        fields = [finite_field(self.base_char, self.base_degree,
+                               self.base_modulus)]
         for lv in self.levels:
             fields.append(FracField(fields[-1], lv.symbol))
         return fields

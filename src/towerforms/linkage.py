@@ -99,18 +99,14 @@ def is_linked_pair(q1, q2):
 
 
 def square_class_reps(tower):
-    """Small set of representatives of the square classes of the tower.
-
-    Finite: {1, nu}; each Laurent level doubles the set by the uniformizer.
-    """
+    """Representatives of the square classes of the tower: t^eps * {1, nu}
+    over the cosets of one full-rank split, nu a non-square of the finite
+    base, innermost uniformizer varying fastest."""
     if any(lv.kind == fl.RATFUNC for lv in tower.levels):
         raise ConfigUnsupported("square classes of GF(q)(X) are infinite")
-    if not tower.levels:
-        return [tower.one, qforms._finite_nonsquare(tower)]
-    inner = square_class_reps(tower.drop_outer())
-    t = tower.gen(tower.levels[-1].symbol)
-    lifted = [tower.embed(a) for a in inner]
-    return lifted + [t * a for a in lifted]
+    ctx = vmod.ValuationCtx(tower, len(tower.levels))
+    nu = tower.embed(qforms._finite_nonsquare(ctx.residue_tower))
+    return [pi * u for _, pi in ctx.coset_reps() for u in (tower.one, nu)]
 
 
 def _dedupe(elems, drop_zero=False):
@@ -187,10 +183,6 @@ def find_certificate(q1, q2, budget=256):
 # sampling helpers
 
 
-def _sample_nonzero(tower, budget, seed):
-    return fl.sample(tower, budget, seed)
-
-
 def _sample_b(tower, budget, seed):
     """An element usable as quadratic last slot: 1 + 4b != 0."""
     for k in range(32):
@@ -201,7 +193,7 @@ def _sample_b(tower, budget, seed):
 
 
 def sample_symbol(tower, fold, seed, budget=fl.SampleBudget()):
-    slots = tuple(_sample_nonzero(tower, budget, (seed, "slot", j))
+    slots = tuple(fl.sample(tower, budget, (seed, "slot", j))
                   for j in range(fold - 1))
     return pfister.QuadraticPfisterSymbol(tower, slots,
                                           _sample_b(tower, budget, seed))

@@ -4,7 +4,9 @@ A form over the rational function field is isotropic iff it is isotropic in
 every completion; since the residue fields are finite, each local check is a
 rank-1 Springer decomposition over GF(q^deg).  Forms of dimension >= 5 are
 always isotropic (the u-invariant of a global function field is 4), so only
-the places supporting some diagonal entry ever need to be inspected.
+the places supporting some diagonal entry ever need to be inspected.  The
+global Witt decomposition splits one hyperbolic plane per explicit isotropic
+vector off the diagonal.
 
 Place machinery is implemented for prime base fields GF(p)(X) only, whose
 numerators and denominators are int polynomials over ffield.Zp.  The residue
@@ -74,7 +76,7 @@ def _global_base(tower):
 @lru_cache(maxsize=None)
 def _factor_monic(p, f):
     """Factor a monic polynomial over GF(p) into {irreducible: multiplicity}."""
-    F = ffield._prime_field(p)
+    F = ffield.finite_field(p)
     out = {}
     rem = f
     d = 1
@@ -92,12 +94,12 @@ def _factor_monic(p, f):
 
 @lru_cache(maxsize=None)
 def _irreducibles(p, d):
-    return tuple(ffield.irreducibles(ffield._prime_field(p), d))
+    return tuple(ffield.irreducibles(ffield.finite_field(p), d))
 
 
 def factor(p, f):
     """Factor a nonzero GF(p)[X] polynomial: (leading unit, {irred: mult})."""
-    F = ffield._prime_field(p)
+    F = ffield.finite_field(p)
     f = polys.trim(F, f)
     if not f:
         raise ZeroArgument("cannot factor the zero polynomial")
@@ -392,23 +394,50 @@ def _mitm_search(p, F, sq, half, max_deg):
 
 
 def _poly_vectors(p, coords, max_deg):
-    F = ffield._prime_field(p)
+    F = ffield.finite_field(p)
     coeffs = list(itertools.product(range(p), repeat=max_deg + 1))
     single = [polys.trim(F, c) for c in coeffs]
     return itertools.product(single, repeat=coords)
 
 
+def _split_plane(q, z):
+    """The complement of a hyperbolic plane through an isotropic z, on the
+    diagonal; None when q is that plane.
+
+    With b_i = a_i z_i^2 on the support of z and running sums s_j, the
+    identity <x, y> = <x + y, xy(x + y)> for x + y != 0 (Lam, ch. I) gives
+    <b_1..b_j> = <s_j, c_2..c_j> with c_j = s_(j-1) b_j s_j.  At the first m with s_m = 0
+    the pair <s_(m-1), b_m> is hyperbolic, so the complement is the c_j for
+    j < m, the entries after position m and the entries off the support.
+    """
+    out, s = [], None
+    for i, (a, c) in enumerate(zip(q.diag, z)):
+        if c.is_zero():
+            out.append(a)
+            continue
+        b = a * c * c
+        if s is None:
+            s = b
+            continue
+        t = s + b
+        if t.is_zero():
+            out += q.diag[i + 1:]
+            return qforms.QuadraticForm(q.tower, tuple(out)) if out else None
+        out.append(s * b * t)
+        s = t
+    raise TowerFormsError("vector is not isotropic")
+
+
 def witt_decompose_global(q):
+    """Split off one hyperbolic plane per explicit witness until none is
+    left; after each split the entries become squarefree representatives
+    of their square classes."""
     index = 0
-    current = q
-    while current is not None and is_isotropic_global(current):
-        z = isotropic_vector_global(current)
-        current = qforms.split_hyperbolic(current, z)
-        if current is not None:
-            # keep entries small across rounds: squarefree representatives
-            current = qforms.QuadraticForm(
-                current.tower,
-                tuple(_embed_poly(q.tower, square_class_rep(q.tower, d)[0])
-                      for d in current.diag))
+    while q is not None and (z := isotropic_vector_global(q)) is not None:
+        q = _split_plane(q, z)
         index += 1
-    return qforms.WittDecomposition(current, index)
+        if q is not None:
+            q = qforms.QuadraticForm(q.tower, tuple(
+                _embed_poly(q.tower, square_class_rep(q.tower, d)[0])
+                for d in q.diag))
+    return qforms.WittDecomposition(q, index)

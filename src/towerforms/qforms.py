@@ -1,10 +1,11 @@
-"""Quadratic forms over a tower: diagonalization, isotropy, Witt theory.
+"""Quadratic forms over a tower: isotropy, Witt theory, isometry.
 
-Forms are stored diagonalized (characteristic is never 2 here); GramForm is
-accepted as an input format only.  Isotropy dispatches on the outermost
-level: dimension and discriminant over finite fields, one Springer split
-at full Laurent rank down to the finite base on iterated Laurent towers, and
-the local-global machinery over rational function fields.
+Every form is a diagonal QuadraticForm (characteristic is never 2 here),
+and every routine works on the diagonal entries.  Isotropy dispatches on
+the outermost level: dimension and discriminant over finite fields, one
+Springer split at full Laurent rank down to the finite base on iterated
+Laurent towers, and the local-global machinery over rational function
+fields, which splits hyperbolic planes off on the diagonal as well.
 """
 
 from dataclasses import dataclass
@@ -57,73 +58,6 @@ def form(tower, *entries):
     return QuadraticForm(tower, tuple(out))
 
 
-@dataclass(frozen=True)
-class GramForm:
-    tower: fl.FieldTower
-    gram: tuple  # tuple of row-tuples of Elements, symmetric
-
-    def __post_init__(self):
-        n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise TowerFormsError("gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise TowerFormsError("gram matrix must be symmetric")
-
-
-@dataclass(frozen=True)
-class Diagonalization:
-    form: QuadraticForm
-    basis: tuple  # T with T^t G T diagonal, columns = new basis vectors
-
-
-def diagonalize(g):
-    """Symmetric Gaussian congruence reduction; raises on singular input."""
-    tower = g.tower
-    n = len(g.gram)
-    M = [list(row) for row in g.gram]
-    T = [[tower.one if i == j else tower.zero for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, c):
-        # basis change e_dst += c * e_src, applied symmetrically
-        for i in range(n):
-            M[i][dst] = M[i][dst] + c * M[i][src]
-        for i in range(n):
-            M[dst][i] = M[dst][i] + c * M[src][i]
-        for i in range(n):
-            T[i][dst] = T[i][dst] + c * T[i][src]
-
-    def swap_cols(a, b):
-        for i in range(n):
-            M[i][a], M[i][b] = M[i][b], M[i][a]
-        for i in range(n):
-            M[a][i], M[b][i] = M[b][i], M[a][i]
-        for i in range(n):
-            T[i][a], T[i][b] = T[i][b], T[i][a]
-
-    for k in range(n):
-        if M[k][k].is_zero():
-            pivot = next((l for l in range(k + 1, n) if not M[l][l].is_zero()), None)
-            if pivot is not None:
-                swap_cols(k, pivot)
-            else:
-                off = next((l for l in range(k + 1, n)
-                            if not M[k][l].is_zero()), None)
-                if off is None:
-                    raise SingularForm("gram matrix is singular")
-                add_col(k, off, tower.one)
-        for l in range(k + 1, n):
-            if not M[k][l].is_zero():
-                add_col(l, k, -(M[k][l] / M[k][k]))
-    diag = tuple(M[i][i] for i in range(n))
-    if any(d.is_zero() for d in diag):
-        raise SingularForm("gram matrix is singular")
-    return Diagonalization(QuadraticForm(tower, diag),
-                           tuple(tuple(row) for row in T))
-
-
 # ---------------------------------------------------------------------------
 # combination
 
@@ -151,16 +85,6 @@ def tensor_bilinear(q, b_diag):
         for d in q.diag:
             out.append(b * d)
     return QuadraticForm(q.tower, tuple(out))
-
-
-def combine(q1, q2=None, op="orth_sum", c=None, b_diag=None):
-    if op == "orth_sum":
-        return orth_sum(q1, q2)
-    if op == "scale":
-        return scale(q1, c)
-    if op == "tensor_bilinear":
-        return tensor_bilinear(q1, b_diag)
-    raise TowerFormsError(f"unknown combination {op!r}")
 
 
 def neg(q):
@@ -268,83 +192,6 @@ def _witt_laurent(q):
     kdim = len(kernel_entries)
     kernel = QuadraticForm(q.tower, tuple(kernel_entries)) if kernel_entries else None
     return WittDecomposition(kernel, (q.dim - kdim) // 2)
-
-
-def split_hyperbolic(q, z):
-    """Split off the hyperbolic plane through an exact isotropic vector z.
-
-    Returns the rediagonalized complement form, or None if dim(q) == 2.
-    """
-    tower = q.tower
-    n = q.dim
-    if not q.evaluate(z).is_zero():
-        raise TowerFormsError("vector is not isotropic")
-    j = next((i for i, c in enumerate(z) if not c.is_zero()), None)
-    if j is None:
-        raise TowerFormsError("zero vector")
-    if n == 2:
-        return None
-
-    def bil(x, y):
-        total = tower.zero
-        for d, a, b in zip(q.diag, x, y):
-            total = total + 2 * d * a * b
-        return total
-
-    y = tuple(tower.one if i == j else tower.zero for i in range(n))
-    bzy = bil(z, y)
-    cy = q.evaluate(y) / bzy
-    y2 = tuple(yi - cy * zi for yi, zi in zip(y, z))
-    # project the standard basis onto the orthogonal complement of (z, y2)
-    cand = []
-    for i in range(n):
-        e = tuple(tower.one if k == i else tower.zero for k in range(n))
-        c1 = bil(e, y2) / bzy
-        c2 = bil(e, z) / bzy
-        w = tuple(ei - c1 * zi - c2 * y2i
-                  for ei, zi, y2i in zip(e, z, y2))
-        cand.append(w)
-    basis = _independent_subset(tower, cand, n - 2)
-    gram = tuple(tuple(bil(a, b) / 2 for b in basis) for a in basis)
-    return diagonalize(GramForm(tower, gram)).form
-
-
-def _independent_subset(tower, vectors, count):
-    chosen = []
-    rows = []
-    for v in vectors:
-        trial = rows + [list(v)]
-        if _rank(tower, [list(r) for r in trial]) == len(trial):
-            rows.append(list(v))
-            chosen.append(v)
-            if len(chosen) == count:
-                return chosen
-    raise TowerFormsError("internal: complement basis not found")
-
-
-def _rank(tower, rows):
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        pivot = next((i for i in range(r, len(rows))
-                      if not rows[i][col].is_zero()), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = tower.one / rows[r][col]
-        rows[r] = [inv * c for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def hensel_lift_isotropic(q, ctx, residue_witness, precision=16):
 
     x = tuple(tower.embed(c) for c in x_bar)
     y = tuple(tower.one if i == j else tower.zero for i in range(len(units)))
-    qx = _eval_diag(q, x)
+    qx = q.evaluate(x)
     qy = q.diag[j]
     bxy = 2 * q.diag[j] * x[j]
     if qx.is_zero():
@@ -237,7 +237,7 @@ def hensel_lift_isotropic(q, ctx, residue_witness, precision=16):
     T = (root - bxy) / (2 * qy)
     z = tuple(xi + T * yi for xi, yi in zip(x, y))
     if exact:
-        check = _eval_diag(q, z)
+        check = q.evaluate(z)
         if not check.is_zero():
             raise TowerFormsError("internal: exact lift failed")
         return LiftResult(z, True)
@@ -250,13 +250,6 @@ def _vanishes_in_residue(ctx, a):
         return True
     v = ctx.value_vector(a)
     return v > (0,) * ctx.rank
-
-
-def _eval_diag(q, vec):
-    total = q.tower.zero
-    for d, c in zip(q.diag, vec):
-        total = total + d * c * c
-    return total
 
 
 def compose(v_outer, v_inner):

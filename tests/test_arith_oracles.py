@@ -11,10 +11,11 @@ import random
 import pytest
 
 from conftest import tower
-from towerforms import errors, polys
+from towerforms import errors, ffield, polys
 from towerforms.ffield import Fq, Zp
 from towerforms.dsl import parse_field
 from towerforms.fields import LAURENT, FieldTower, SampleBudget, sample
+from towerforms.linkage import check_top_d_linked, verify_higher_local_d1
 
 
 def _brute_sqrt(F, a):
@@ -87,6 +88,26 @@ def test_prime_modulus_still_checked():
     with pytest.raises(errors.TowerFormsError):
         FieldTower(3, 1, base_modulus=(1, 2)).chain
     assert FieldTower(3, 1, base_modulus=(2, 1)).chain[0].order == 3
+
+
+def test_each_finite_field_is_built_once(monkeypatch):
+    """Residue towers share their base field: one Fq per quadratic place of
+    GF(3)(X), and one for a GF(9)((t)) tower and all its drop_outer()s."""
+    built = []
+    init = Fq.__init__
+
+    def counting_init(F, *args):
+        built.append(args)
+        init(F, *args)
+
+    monkeypatch.setattr(Fq, "__init__", counting_init)
+    ffield.finite_field.cache_clear()
+    assert verify_higher_local_d1(3, samples=150).passed
+    places = ffield.irreducibles(Zp(3), 2)
+    assert sorted(built) == sorted((3, 2, g) for g in places)
+    built.clear()
+    assert check_top_d_linked(tower(3, 2, ("t", LAURENT)), 2, 30).passed
+    assert built == [(3, 2, None)]
 
 
 def _make_by_gcd(f, num, den):

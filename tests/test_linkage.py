@@ -7,11 +7,12 @@ from towerforms.fields import LAURENT, SampleBudget, sample
 from towerforms.linkage import (NOT_FOUND, LinkageCertificate,
                                 check_top_d_linked, find_certificate,
                                 is_linked_pair, sample_symbol,
+                                square_class_reps,
                                 verify_higher_local_d1,
                                 verify_lifting_equivalence,
                                 verify_residue_transfer)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
-from towerforms.qforms import is_isotropic, isometric
+from towerforms.qforms import _finite_nonsquare, is_isotropic, isometric
 from conftest import tower
 
 
@@ -161,3 +162,27 @@ def test_report_json_schema(gf3):
                        "failures", "elapsed_ms"}
     assert js["failures"] == []
     assert js["samples"] == 5 and js["seed"] == 0
+
+
+def _ref_square_class_reps(T):
+    """One Laurent level at a time: the reps of drop_outer(), then t times
+    them."""
+    if not T.levels:
+        return [T.one, _finite_nonsquare(T)]
+    lifted = [T.embed(a) for a in _ref_square_class_reps(T.drop_outer())]
+    t = T.gen(T.levels[-1].symbol)
+    return lifted + [t * a for a in lifted]
+
+
+@pytest.mark.parametrize("T", [
+    tower(3), tower(3, 2), tower(3, 1, ("t", LAURENT)),
+    tower(3, 2, ("t", LAURENT)), tower(3, 1, ("t", LAURENT), ("u", LAURENT)),
+    tower(5, 1, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT))],
+    ids=lambda T: T.describe())
+def test_square_class_reps_match_level_recursion(T):
+    assert square_class_reps(T) == _ref_square_class_reps(T)
+
+
+def test_square_class_reps_refuse_rational_functions(gf3x):
+    with pytest.raises(errors.ConfigUnsupported):
+        square_class_reps(gf3x)

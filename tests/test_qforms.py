@@ -1,50 +1,15 @@
-"""Quadratic forms: diagonalization, isotropy, Witt decomposition, isometry."""
+"""Quadratic forms: isotropy, Witt decomposition, isometry."""
 
 import itertools
 
 import pytest
 
 from towerforms import errors, qforms
-from towerforms.fields import SampleBudget, is_square, sample, sample_unit
-from towerforms.qforms import (GramForm, QuadraticForm, combine, diagonalize,
-                               form, is_hyperbolic, is_isotropic, isometric,
-                               neg, orth_sum, scale, witt_decompose,
-                               witt_index)
+from towerforms.fields import SampleBudget, sample, sample_unit
+from towerforms.qforms import (QuadraticForm, form, is_hyperbolic,
+                               is_isotropic, isometric, neg, orth_sum, scale,
+                               witt_decompose, witt_index)
 from conftest import tower
-
-
-def _det(q):
-    d = q.tower.one
-    for e in q.diag:
-        d = d * e
-    return d
-
-
-def test_diagonalize_hyperbolic_gram(gf3):
-    g = GramForm(gf3, ((gf3.zero, gf3.one), (gf3.one, gf3.zero)))
-    dec = diagonalize(g)
-    assert dec.form.dim == 2
-    # det class must match det(G) = -1
-    assert is_square(gf3, _det(dec.form) * -gf3.one)
-    assert is_isotropic(dec.form)
-
-
-def test_diagonalize_already_diagonal(gf3):
-    g = GramForm(gf3, ((gf3.one, gf3.zero), (gf3.zero, gf3.one)))
-    assert diagonalize(g).form.diag == (gf3.one, gf3.one)
-
-
-def test_diagonalize_det_class():
-    gf5 = tower(5)
-    g = GramForm(gf5, ((gf5.one, gf5.one), (gf5.one, gf5.zero)))
-    dec = diagonalize(g)
-    assert is_square(gf5, _det(dec.form) * -gf5.one)
-
-
-def test_diagonalize_singular_raises(gf3):
-    g = GramForm(gf3, ((gf3.one, gf3.one), (gf3.one, gf3.one)))
-    with pytest.raises(errors.SingularForm):
-        diagonalize(g)
 
 
 def test_finite_isotropy_examples(gf3):
