@@ -152,7 +152,7 @@ def _cmd_certify(args):
     tower = dsl.parse_field(args.field)
     s1 = _parse_symbol(tower, args.p1, want=pfister.QuadraticPfisterSymbol)
     s2 = _parse_symbol(tower, args.p2, want=pfister.QuadraticPfisterSymbol)
-    cert = linkage.find_certificate(s1, s2, budget=args.budget)
+    cert = linkage.find_certificate(s1, s2)
     if cert == linkage.NOT_FOUND:
         _emit(args, {"field": tower.describe(), "p1": s1.describe(),
                      "p2": s2.describe(), "certificate": None},
@@ -274,8 +274,6 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--p1", required=True)
     p.add_argument("--p2", required=True)
-    p.add_argument("--budget", type=int, default=256,
-                   help="isometry-test budget for the search")
 
     p = add("verify", _cmd_verify, help="run a sampled verification harness")
     p.add_argument("theorem", choices=_THEOREMS)

@@ -11,6 +11,7 @@ transfer, lifting equivalence, and higher-local statements; they report
 "N samples, listed failures", never universal truth.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -21,6 +22,9 @@ from .errors import (BudgetExceeded, ConfigUnsupported, FoldMismatch,
                      IsotropicInput, TowerMismatch)
 
 NOT_FOUND = "not-found"
+
+# isometry tests one certificate search may make
+CERTIFICATE_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,11 @@ def _dedupe(elems, drop_zero=False):
     return out
 
 
-def find_certificate(q1, q2, budget=256):
+def find_certificate(q1, q2):
     """Search for a common-slot certificate; returns LinkageCertificate,
     NOT_FOUND when the candidate space is exhausted, and raises
-    BudgetExceeded when the isometry-check budget runs out first."""
+    BudgetExceeded when it would need more than CERTIFICATE_BUDGET
+    isometry tests (a fixed constant, not a parameter)."""
     if q1.tower != q2.tower:
         raise TowerMismatch("symbols over different towers")
     if q1.fold != q2.fold:
@@ -144,38 +149,28 @@ def find_certificate(q1, q2, budget=256):
     reps = _dedupe(reps, drop_zero=True)
     lasts = _dedupe(lasts)
     e1, e2 = pfister.expand(q1), pfister.expand(q2)
-    checks = 0
+    checks = itertools.count(1)
 
-    def shared_tuples(k):
-        if k == 0:
-            yield ()
-            return
-        for head in reps:
-            for tail in shared_tuples(k - 1):
-                yield (head,) + tail
+    def first_slot(target, shared, b):
+        """The first a in reps with <<a, shared; b]] isometric to target."""
+        for a in reps:
+            cand = pfister.QuadraticPfisterSymbol(tower, (a,) + shared, b)
+            if next(checks) > CERTIFICATE_BUDGET:
+                raise BudgetExceeded("certificate search budget exhausted")
+            if qforms.isometric(target, pfister.expand(cand)):
+                return a
+        return None
 
     for b in lasts:
         if (tower.one + 4 * b).is_zero():
             continue
-        for shared in shared_tuples(d - 2):
-            left1 = None
-            for a in reps:
-                cand = pfister.QuadraticPfisterSymbol(tower, (a,) + shared, b)
-                checks += 1
-                if checks > budget:
-                    raise BudgetExceeded("certificate search budget exhausted")
-                if qforms.isometric(e1, pfister.expand(cand)):
-                    left1 = a
-                    break
+        for shared in itertools.product(reps, repeat=d - 2):
+            left1 = first_slot(e1, shared, b)
             if left1 is None:
                 continue
-            for a in reps:
-                cand = pfister.QuadraticPfisterSymbol(tower, (a,) + shared, b)
-                checks += 1
-                if checks > budget:
-                    raise BudgetExceeded("certificate search budget exhausted")
-                if qforms.isometric(e2, pfister.expand(cand)):
-                    return LinkageCertificate(tower, left1, a, shared, b)
+            left2 = first_slot(e2, shared, b)
+            if left2 is not None:
+                return LinkageCertificate(tower, left1, left2, shared, b)
     return NOT_FOUND
 
 
@@ -193,6 +188,8 @@ def _sample_b(tower, budget, seed):
 
 
 def sample_symbol(tower, fold, seed, budget=fl.SampleBudget()):
+    if fold < 1:
+        raise ConfigUnsupported("a Pfister symbol needs fold >= 1")
     slots = tuple(fl.sample(tower, budget, (seed, "slot", j))
                   for j in range(fold - 1))
     return pfister.QuadraticPfisterSymbol(tower, slots,
@@ -201,6 +198,13 @@ def sample_symbol(tower, fold, seed, budget=fl.SampleBudget()):
 
 # ---------------------------------------------------------------------------
 # verification harnesses
+
+
+def _require_positive(samples, d=1):
+    """Refuse harness sizes that would check nothing or mislabel the fold."""
+    if samples < 1 or d < 1:
+        raise ConfigUnsupported(f"a sampled check needs samples >= 1 and "
+                                f"d >= 1, got samples={samples}, d={d}")
 
 
 def _report(theorem, tower, start, failures, samples, seed, d=None, n=None,
@@ -215,6 +219,7 @@ def check_top_d_linked(tower, d, samples=200, seed=0,
                        budget=fl.SampleBudget()):
     """Sampled check that the tower is top-d-linked: (d+1)-fold symbols are
     isotropic and pairs of d-fold symbols are linked."""
+    _require_positive(samples, d)
     start = time.perf_counter()
     failures = []
     for i in range(samples):
@@ -237,6 +242,7 @@ def verify_residue_transfer(tower, n, m, samples=200, seed=0,
     residue folds land in [n, n+m], the explicit lift hits every sampled
     n-fold residue symbol, and non-isometric residues give non-isometric
     lifts."""
+    _require_positive(samples)
     start = time.perf_counter()
     if n != 1:
         raise ConfigUnsupported(
@@ -305,6 +311,7 @@ def verify_lifting_equivalence(tower, d, m, samples=100, seed=0,
                                budget=fl.SampleBudget()):
     """Sampled check that top-d-linked for the residue tower and
     top-(d+m)-linked for the tower agree (henselian lifting equivalence)."""
+    _require_positive(samples, d)
     start = time.perf_counter()
     if m == 0:
         down = check_top_d_linked(tower, d, samples, seed, budget)
@@ -328,6 +335,7 @@ def verify_higher_local_d1(q_base, samples=500, seed=0):
     """Sampled check that GF(q)(X) is top-2-linked (higher-local at d = 1):
     3-fold symbols with small slots are isotropic (with explicit witnesses)
     and pairs of 2-fold symbols are linked."""
+    _require_positive(samples)
     start = time.perf_counter()
     tower = fl.FieldTower(q_base, 1, (fl.LevelDescriptor("X", fl.RATFUNC),))
     budget = fl.SampleBudget(max_deg=2)
@@ -335,18 +343,14 @@ def verify_higher_local_d1(q_base, samples=500, seed=0):
     for i in range(samples):
         s = sample_symbol(tower, 3, (seed, "iso", i), budget)
         q = pfister.expand(s)
-        if not localglobal.is_isotropic_global(q):
-            failures.append({"kind": "anisotropic-3-fold", "index": i,
-                             "symbol": s.describe()})
-            continue
         try:
             vec = localglobal.isotropic_vector_global(q)
+            kind = ("anisotropic-3-fold" if vec is None else
+                    None if q.evaluate(vec).is_zero() else "witness-invalid")
         except BudgetExceeded:
-            failures.append({"kind": "witness-budget", "index": i,
-                             "symbol": s.describe()})
-            continue
-        if vec is None or not q.evaluate(vec).is_zero():
-            failures.append({"kind": "witness-invalid", "index": i,
+            kind = "witness-budget"
+        if kind is not None:
+            failures.append({"kind": kind, "index": i,
                              "symbol": s.describe()})
     for i in range(samples):
         s1 = sample_symbol(tower, 2, (seed, "pair-a", i), budget)

@@ -1,12 +1,13 @@
 """Places of GF(q)(X), completions, and Hasse-Minkowski isotropy.
 
-A form over the rational function field is isotropic iff it is isotropic in
-every completion; since the residue fields are finite, each local check is a
-rank-1 Springer decomposition over GF(q^deg).  Forms of dimension >= 5 are
-always isotropic (the u-invariant of a global function field is 4), so only
-the places supporting some diagonal entry ever need to be inspected.  The
-global Witt decomposition splits one hyperbolic plane per explicit isotropic
-vector off the diagonal.
+The anisotropic dimension of a form over the rational function field is
+the largest local one (Hasse-Minkowski), or the parity/discriminant floor
+of its determinant; each local one is the finite rule of qforms applied to
+the two parts of a rank-1 Springer split over the residue field GF(q^deg),
+at the places supporting some diagonal entry.  Forms of dimension >= 5 are
+always isotropic (the u-invariant of a global function field is 4).  The
+global Witt decomposition splits one hyperbolic plane per explicit
+isotropic vector off the diagonal.
 
 Place machinery is implemented for prime base fields GF(p)(X) only, whose
 numerators and denominators are int polynomials over ffield.Zp.  The residue
@@ -172,16 +173,12 @@ def localize(q, place):
 
 
 def local_anisotropic_dimension(comp):
-    parts = {0: [], 1: []}
+    """The finite rule on the residues of the even and odd entries."""
+    parts = {}
     for v, r in comp.entries:
-        parts[v % 2].append(r)
-    return sum(qforms._witt_finite(qforms.QuadraticForm(
-        comp.residue_tower, tuple(part))).kernel_dim()
-        for part in parts.values() if part)
-
-
-def local_is_isotropic(comp):
-    return local_anisotropic_dimension(comp) < len(comp.entries)
+        parts.setdefault(v % 2, []).append(r)
+    return sum(len(qforms._finite_kernel(comp.residue_tower, part))
+               for part in parts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +186,7 @@ def local_is_isotropic(comp):
 
 
 def is_isotropic_global(q):
-    if q.dim >= 5:
-        return True
-    if q.dim == 1:
-        return False
-    if q.dim == 2:
-        return fl.is_square(q.tower, -(q.diag[0] * q.diag[1]))
-    return all(local_is_isotropic(localize(q, P))
-               for P in places_of_interest(q))
+    return q.dim >= 5 or anisotropic_dimension_global(q) < q.dim
 
 
 def anisotropic_dimension_global(q):
@@ -206,39 +196,17 @@ def anisotropic_dimension_global(q):
     maximum of the local ones: every anisotropic kernel of dimension >= 2
     stays anisotropic in some completion (dim >= 3 by Hasse-Minkowski, dim 2
     because a global non-square is a non-square at some place), and places
-    outside the support contribute at most the parity/discriminant floor
-    accounted for by the global discriminant test.
+    outside the support contribute at most the parity/discriminant floor,
+    which alone is exact in dimension <= 2 and needs no factoring.
     """
-    n = q.dim
-    best = n % 2
-    if n % 2 == 0:
-        det = q.det()
-        signed = det if (n // 2) % 2 == 0 else -det
-        if not fl.is_square(q.tower, signed):
-            best = 2
+    best = len(qforms._finite_kernel(q.tower, q.diag))
+    if q.dim <= 2:
+        return best
     for P in places_of_interest(q):
+        if best == q.dim:
+            break
         best = max(best, local_anisotropic_dimension(localize(q, P)))
     return best
-
-
-def witt_index_global(q):
-    return (q.dim - anisotropic_dimension_global(q)) // 2
-
-
-def global_isotropy_report(q):
-    places = []
-    for P in places_of_interest(q):
-        comp = localize(q, P)
-        places.append({
-            "place": P.describe(),
-            "degree": P.degree,
-            "isotropic": local_is_isotropic(comp),
-            "entries": [[v, fl.format_element(r)] for v, r in comp.entries],
-        })
-    return {"field": q.tower.describe(),
-            "dim": q.dim,
-            "isotropic": is_isotropic_global(q),
-            "places": places}
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +307,9 @@ def _isotropic_subsets(comps, k):
     make it isotropic (Chevalley-Warning plus Hensel)."""
     n = len(comps[0].entries)
     return [idx for idx in itertools.combinations(range(n), k)
-            if all(local_is_isotropic(replace(
-                c, entries=tuple(c.entries[i] for i in idx))) for c in comps)]
+            if all(local_anisotropic_dimension(replace(
+                c, entries=tuple(c.entries[i] for i in idx))) < k
+                for c in comps)]
 
 
 def _subform_witness(q, candidates):

@@ -1,13 +1,15 @@
 """Quadratic forms over a tower: isotropy, Witt theory, isometry.
 
 Every form is a diagonal QuadraticForm (characteristic is never 2 here),
-and every routine works on the diagonal entries.  Isotropy dispatches on
-the outermost level: dimension and discriminant over finite fields, one
-Springer split at full Laurent rank down to the finite base on iterated
-Laurent towers, and the local-global machinery over rational function
-fields, which splits hyperbolic planes off on the diagonal as well.
+and every routine works on the diagonal entries.  Isotropy, Witt index,
+hyperbolicity and isometry all read one number, anisotropic_dimension, built
+on one finite-field rule (_finite_kernel: parity and discriminant) applied
+over finite fields, to each part of one Springer split at full Laurent rank,
+or at each place of GF(p)(X), where witt_decompose also splits hyperbolic
+planes off on the diagonal.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import fields as fl
@@ -33,12 +35,6 @@ class QuadraticForm:
     @property
     def dim(self):
         return len(self.diag)
-
-    def det(self):
-        out = self.diag[0]
-        for d in self.diag[1:]:
-            out = out * d
-        return out
 
     def evaluate(self, vec):
         total = self.tower.zero
@@ -92,7 +88,7 @@ def neg(q):
 
 
 # ---------------------------------------------------------------------------
-# isotropy
+# the Witt decision
 
 
 def _outer_kind(tower):
@@ -101,16 +97,61 @@ def _outer_kind(tower):
     return tower.levels[-1].kind
 
 
-def is_isotropic(q):
+def _finite_kernel(tower, entries):
+    """Anisotropic kernel entries (at most 2) of the nonempty diagonal form
+    `entries` over a finite field of odd characteristic.
+
+    Such forms are classified by dimension and discriminant (Lam, ch. II):
+    with d = (-1)^(n//2) * det, dim odd gives <d>, and dim even gives the
+    zero form when d is a square and the binary norm form <1, -d> otherwise.
+    """
+    n = len(entries)
+    det = math.prod(entries[1:], start=entries[0])
+    signed = det if (n // 2) % 2 == 0 else -det
+    if n % 2:
+        return (signed,)
+    return () if fl.is_square(tower, signed) else (tower.one, -signed)
+
+
+def anisotropic_dimension(q):
+    """Dimension of the anisotropic kernel of q: the one Witt decision.
+
+    Every level of an iterated Laurent tower is henselian and non-dyadic, so
+    W(K) is 2^r copies of W(k) over the finite base k (Springer) and the
+    finite rule is summed over the parts of one split at full Laurent rank.
+    """
     kind = _outer_kind(q.tower)
     if kind == "finite":
-        return _witt_finite(q).witt_index > 0
-    if kind == fl.LAURENT:
-        return any(dec.witt_index for _, dec in _residue_witt(q)[1])
+        return len(_finite_kernel(q.tower, q.diag))
     if kind == fl.RATFUNC:
         from . import localglobal
+        return localglobal.anisotropic_dimension_global(q)
+    from . import valuation as vmod
+    ctx = vmod.ValuationCtx(q.tower, len(q.tower.levels))
+    return sum(len(_finite_kernel(ctx.residue_tower, [r for _, r in part]))
+               for part in vmod.raw_springer_split(q, ctx).values())
+
+
+def is_isotropic(q):
+    if _outer_kind(q.tower) == fl.RATFUNC:
+        from . import localglobal
         return localglobal.is_isotropic_global(q)
-    raise UnsupportedTower(f"unsupported outer level kind {kind!r}")
+    return anisotropic_dimension(q) < q.dim
+
+
+def witt_index(q):
+    return (q.dim - anisotropic_dimension(q)) // 2
+
+
+def is_hyperbolic(q):
+    return anisotropic_dimension(q) == 0
+
+
+def isometric(q1, q2):
+    if q1.tower != q2.tower:
+        raise TowerMismatch("forms over different towers")
+    return q1.dim == q2.dim and anisotropic_dimension(
+        orth_sum(q1, neg(q2))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -126,53 +167,23 @@ class WittDecomposition:
         return 0 if self.anisotropic_kernel is None else self.anisotropic_kernel.dim
 
 
+def _decomposition(q, entries):
+    kernel = QuadraticForm(q.tower, tuple(entries)) if entries else None
+    return WittDecomposition(kernel, (q.dim - len(entries)) // 2)
+
+
 def witt_decompose(q):
     kind = _outer_kind(q.tower)
     if kind == "finite":
         return _witt_finite(q)
-    if kind == fl.LAURENT:
-        return _witt_laurent(q)
     if kind == fl.RATFUNC:
         from . import localglobal
         return localglobal.witt_decompose_global(q)
-    raise UnsupportedTower(f"unsupported outer level kind {kind!r}")
+    return _witt_laurent(q)
 
 
 def _witt_finite(q):
-    """Witt decomposition over a finite field of odd characteristic.
-
-    Forms are classified by dimension and determinant class, and anisotropic
-    forms have dimension at most 2, so the kernel can be written down from
-    the discriminant: dim odd gives <det * (-1)^((n-1)/2)>; dim even gives
-    the zero form when the discriminant det * (-1)^(n/2) is a square and the
-    binary norm form <1, -disc> otherwise.
-    """
-    n = q.dim
-    det = q.det()
-    if n % 2:
-        kd = det if ((n - 1) // 2) % 2 == 0 else -det
-        return WittDecomposition(QuadraticForm(q.tower, (kd,)), (n - 1) // 2)
-    disc = det if (n // 2) % 2 == 0 else -det
-    if fl.is_square(q.tower, disc):
-        return WittDecomposition(None, n // 2)
-    kernel = QuadraticForm(q.tower, (q.tower.one, -disc))
-    return WittDecomposition(kernel, (n - 2) // 2)
-
-
-def _residue_witt(q):
-    """One Springer split of q at full Laurent rank.
-
-    Returns (ctx, [(eps, Witt decomposition of the residue form of the
-    entries with value vector = eps mod 2)]), eps sorted outermost first.
-    Every level of an iterated Laurent tower is henselian and non-dyadic, so
-    W(K) is the sum of 2^r copies of W(k) over the finite base k.
-    """
-    from . import valuation as vmod
-    ctx = vmod.ValuationCtx(q.tower, len(q.tower.levels))
-    parts = vmod.raw_springer_split(q, ctx)
-    return ctx, [(eps, _witt_finite(QuadraticForm(
-        ctx.residue_tower, tuple(r for _, r in parts[eps]))))
-        for eps in sorted(parts)]
+    return _decomposition(q, _finite_kernel(q.tower, q.diag))
 
 
 def _witt_laurent(q):
@@ -182,29 +193,20 @@ def _witt_laurent(q):
     henselian non-dyadic field are classified by their residue forms, so any
     unit lifts of the residue kernels represent the kernel.
     """
-    ctx, decs = _residue_witt(q)
+    from . import valuation as vmod
+    ctx = vmod.ValuationCtx(q.tower, len(q.tower.levels))
+    parts = vmod.raw_springer_split(q, ctx)
     kernel_entries = []
-    for eps, dec in decs:
-        if dec.anisotropic_kernel is not None:
+    for eps in sorted(parts):
+        kernel = _finite_kernel(ctx.residue_tower, [r for _, r in parts[eps]])
+        if kernel:
             pi = ctx.monomial(eps)
-            for r in dec.anisotropic_kernel.diag:
-                kernel_entries.append(pi * q.tower.embed(r))
-    kdim = len(kernel_entries)
-    kernel = QuadraticForm(q.tower, tuple(kernel_entries)) if kernel_entries else None
-    return WittDecomposition(kernel, (q.dim - kdim) // 2)
+            kernel_entries += [pi * q.tower.embed(r) for r in kernel]
+    return _decomposition(q, kernel_entries)
 
 
 # ---------------------------------------------------------------------------
-# isometry
-
-
-def witt_index(q):
-    """Witt index, computed without necessarily constructing the kernel."""
-    kind = _outer_kind(q.tower)
-    if kind == fl.RATFUNC:
-        from . import localglobal
-        return localglobal.witt_index_global(q)
-    return witt_decompose(q).witt_index
+# square classes
 
 
 def _finite_nonsquare(tower):
@@ -217,8 +219,7 @@ def _finite_nonsquare(tower):
 
 def _square_class_monomial(tower, a):
     """The representative t^(w mod 2) * {1, nu} of a's square class over an
-    iterated-Laurent tower, read from one full-rank split; cuts fraction
-    sizes down before the Witt decomposition."""
+    iterated-Laurent tower, read from one full-rank split."""
     from . import valuation as vmod
     ctx = vmod.ValuationCtx(tower, len(tower.levels))
     w, r = ctx.split(a)
@@ -229,22 +230,13 @@ def _square_class_monomial(tower, a):
 
 def reduce_square_classes(q):
     """An isometric form whose entries are canonical square-class
-    representatives (iterated-Laurent towers only; others pass through)."""
+    representatives (iterated-Laurent towers only; others pass through).
+
+    No decision needs it; it is kept as a public helper and as a reference
+    that the oracle tests compare square classes against."""
     tower = q.tower
     if any(lv.kind != fl.LAURENT for lv in tower.levels):
         return q
     return QuadraticForm(tower, tuple(_square_class_monomial(tower, d)
                                       for d in q.diag))
 
-
-def isometric(q1, q2):
-    if q1.tower != q2.tower:
-        raise TowerMismatch("forms over different towers")
-    if q1.dim != q2.dim:
-        return False
-    q1, q2 = reduce_square_classes(q1), reduce_square_classes(q2)
-    return witt_index(orth_sum(q1, neg(q2))) == q1.dim
-
-
-def is_hyperbolic(q):
-    return q.dim % 2 == 0 and witt_index(q) == q.dim // 2

@@ -95,9 +95,6 @@ class ResidueDecomposition:
                 return form
         return None
 
-    def nonzero_parts(self):
-        return [(e, rep, form) for e, rep, form in self.entries if form is not None]
-
     def to_json(self):
         out = []
         for eps, rep, form in self.entries:
@@ -127,9 +124,8 @@ def springer_decompose(q, ctx):
     """Residue decomposition of the anisotropic kernel of q."""
     if q.tower != ctx.tower:
         raise TowerMismatch("form and valuation live on different towers")
-    q_an = q
-    if qforms.is_isotropic(q):
-        q_an = qforms.witt_decompose(q).anisotropic_kernel
+    dec = qforms.witt_decompose(q)
+    q_an = q if dec.witt_index == 0 else dec.anisotropic_kernel
     entries = []
     split = raw_springer_split(q_an, ctx) if q_an is not None else {}
     for eps, rep in ctx.coset_reps():

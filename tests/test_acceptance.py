@@ -291,7 +291,7 @@ def test_criterion_9_certificate_soundness_and_mutation():
         seed += 1
         s1 = sample_symbol(T, 2, (seed, "a"), budget)
         s2 = sample_symbol(T, 2, (seed, "b"), budget)
-        cert = find_certificate(s1, s2, budget=512)
+        cert = find_certificate(s1, s2)
         if cert == NOT_FOUND:
             continue
         if emitted < 100:

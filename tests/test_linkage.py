@@ -63,7 +63,7 @@ def test_certificate_implies_linked(gf3t):
     for seed in range(10):
         s1 = sample_symbol(gf3t, 2, (seed, "a"), budget)
         s2 = sample_symbol(gf3t, 2, (seed, "b"), budget)
-        cert = find_certificate(s1, s2, budget=512)
+        cert = find_certificate(s1, s2)
         if cert != NOT_FOUND:
             assert is_linked_pair(s1, s2)
             assert cert.verify(s1, s2)
@@ -111,7 +111,7 @@ def test_mutated_certificates_fail(gf3t):
         seed += 1
         s1 = sample_symbol(gf3t, 2, (seed, "a"), budget)
         s2 = sample_symbol(gf3t, 2, (seed, "b"), budget)
-        cert = find_certificate(s1, s2, budget=512)
+        cert = find_certificate(s1, s2)
         if cert == NOT_FOUND:
             continue
         bad = mutate_certificate(cert)

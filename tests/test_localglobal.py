@@ -10,7 +10,7 @@ from towerforms.localglobal import (FINITE, INFINITY, Place, _isotropic_subsets,
                                     _split_plane,
                                     hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
-                                    local_is_isotropic, place_split,
+                                    place_split,
                                     places_for_elements, places_of_interest,
                                     residue_tower, square_class_rep,
                                     witt_decompose_global)
