@@ -17,8 +17,8 @@ modulus, whose raws are the int-tuple remainders mod that polynomial.
 """
 
 import itertools
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from . import fields as fl
 from . import ffield, polys, qforms
@@ -165,6 +165,15 @@ class Completion:
     residue_tower: fl.FieldTower
     entries: tuple  # per diagonal entry: (valuation, unit residue Element)
 
+    @cached_property
+    def square_class_bits(self):
+        """(-1 is a non-square, per entry (valuation mod 2, the residue is a
+        non-square)) in the residue field: all any subform's local
+        anisotropic dimension depends on."""
+        F = self.residue_tower.ops
+        return (not F.is_square(F.neg(F.one)),
+                tuple((v % 2, not F.is_square(r.raw)) for v, r in self.entries))
+
 
 def localize(q, place):
     rt = residue_tower(q.tower, place)
@@ -172,13 +181,23 @@ def localize(q, place):
                                        for d in q.diag))
 
 
+def _subform_dimension(bits, idx):
+    """Local anisotropic dimension of the subform on positions idx: the
+    finite rule, on square-class bits, for the residues of its even and of
+    its odd entries."""
+    minus_one, entries = bits
+    count, det = [0, 0], [False, False]
+    for i in idx:
+        v, nonsquare = entries[i]
+        count[v] += 1
+        det[v] ^= nonsquare
+    return sum(qforms._finite_kernel_dim(count[v], det[v], minus_one)
+               for v in (0, 1))
+
+
 def local_anisotropic_dimension(comp):
     """The finite rule on the residues of the even and odd entries."""
-    parts = {}
-    for v, r in comp.entries:
-        parts.setdefault(v % 2, []).append(r)
-    return sum(len(qforms._finite_kernel(comp.residue_tower, part))
-               for part in parts.values())
+    return _subform_dimension(comp.square_class_bits, range(len(comp.entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +218,21 @@ def anisotropic_dimension_global(q):
     outside the support contribute at most the parity/discriminant floor,
     which alone is exact in dimension <= 2 and needs no factoring.
     """
+    return _anisotropic_dimension_global(q, [])
+
+
+def _anisotropic_dimension_global(q, comps):
+    """anisotropic_dimension_global, appending each completion it reads to
+    comps: when the answer is below dim q, every place of interest is
+    there, in order."""
     best = len(qforms._finite_kernel(q.tower, q.diag))
     if q.dim <= 2:
         return best
     for P in places_of_interest(q):
+        comps.append(localize(q, P))
+        best = max(best, local_anisotropic_dimension(comps[-1]))
         if best == q.dim:
             break
-        best = max(best, local_anisotropic_dimension(localize(q, P)))
     return best
 
 
@@ -238,57 +265,99 @@ def hilbert_symbol(a, b, v):
 
 
 def square_class_rep(tower, elem):
-    """(s, c) with elem = s*c^2 and s a squarefree-polynomial representative."""
+    """(s, c) with elem = s*c^2 and s a squarefree-polynomial representative.
+
+    Both are read off the factorization lc * prod g^m / prod h^m of elem: s
+    is the product of the g and h of odd multiplicity, and
+    c = sqrt(lc) * prod g^(m//2) / prod h^ceil(m/2).  When lc is a
+    non-square, s is scaled by the first non-square nu of GF(p) and
+    sqrt(lc / nu) replaces sqrt(lc); the root is the first one in GF(p)
+    order, the one fields.try_sqrt takes.
+    """
     p, F, _ = _global_base(tower)
     if elem.is_zero():
         raise ZeroArgument("square class of zero")
     num, den = elem.raw
-    support = {}
-    for f, sign in ((num, 1), (den, -1)):
-        _, fac = factor(p, f)
-        for g, m in fac.items():
-            support[g] = support.get(g, 0) + sign * m
+    lc, num_fac = factor(p, num)
+    _, den_fac = factor(p, den)
     s = (1,)
-    for g in sorted(g for g, m in support.items() if m % 2):
+    for g in sorted(g for fac in (num_fac, den_fac)
+                    for g, m in fac.items() if m % 2):
         s = polys.pmul(F, s, g)
-    s_elem = _embed_poly(tower, s)
-    root = fl.try_sqrt(tower, elem / s_elem)
+    root = F.sqrt(lc)
     if root is None:
         nu = qforms._finite_nonsquare(fl.FieldTower(p)).raw
         s = polys.pscale(F, s, nu)
-        s_elem = _embed_poly(tower, s)
-        root = fl.try_sqrt(tower, elem / s_elem)
-        if root is None:
-            raise TowerFormsError("internal: square class reduction failed")
-    return s, root
+        root = F.sqrt(F.div(lc, nu))
+    c_num, c_den = (root,), (1,)
+    for g, m in num_fac.items():
+        for _ in range(m // 2):
+            c_num = polys.pmul(F, c_num, g)
+    for h, m in den_fac.items():
+        for _ in range((m + 1) // 2):
+            c_den = polys.pmul(F, c_den, h)
+    return s, tower.element((c_num, c_den))
 
 
 def _embed_poly(tower, f):
     return tower.element((tuple(f), (1,)))
 
 
+def _pairs_square_at_infinity(q):
+    """The pairs i < j, in combinations order, for which -a_j/a_i has the
+    leading term of a square at infinity: even degree, then even values and
+    a square residue for its leading coefficient down the Laurent levels.
+    Every hyperbolic pair <a_i, a_j> is among them, and they are read
+    without factoring: the square classes of the finite base field are F2,
+    so each entry gives its parities and one non-square bit."""
+    chain = q.tower.chain
+    base, coeffs = chain[0], chain[-1].inner
+    minus_one = not base.is_square(base.neg(base.one))
+    lead = []
+    for d in q.diag:
+        num, den = d.raw
+        w, r = fl.leading_term(chain[-2:0:-1], coeffs.div(num[-1], den[-1]))
+        lead.append(((polys.deg(num) - polys.deg(den)) % 2,
+                     tuple(v % 2 for v in w), not base.is_square(r)))
+    return [(i, j) for i, j in itertools.combinations(range(q.dim), 2)
+            if lead[i][:2] == lead[j][:2]
+            and lead[i][2] ^ lead[j][2] == minus_one]
+
+
 def isotropic_vector_global(q):
     """An explicit nontrivial zero over GF(p)(X), or None if q is anisotropic.
 
-    Small isotropic subforms are tried first (binary ones give exact
-    square-root witnesses, and any 5-dimensional subform is isotropic), then
-    a meet-in-the-middle search over polynomial vectors of growing degree on
-    the chosen subform.  Raises BudgetExceeded if the form is isotropic but
-    no witness appears within WITNESS_DEGREE_CAP / WITNESS_SIDE_CAP.
+    A hyperbolic binary subform <a_i, a_j> gives an exact square-root
+    witness; fields.try_sqrt runs only on the pairs for which -a_j/a_i is a
+    square at infinity, so the first pair with a root is the same as over
+    all pairs, and nothing is factored before it.  Otherwise the isotropic
+    3- (else 4-) subforms are picked on square-class bits of the
+    completions (a dim-4 form decides its own isotropy on the same
+    completions, so each place is localized once), any 5-dimensional
+    subform being isotropic, and a meet-in-the-middle search runs over
+    polynomial vectors of growing degree on the chosen subforms.  Raises
+    BudgetExceeded if the form is isotropic but no witness appears within
+    WITNESS_DEGREE_CAP / WITNESS_SIDE_CAP.
     """
-    if not is_isotropic_global(q):
-        return None
     n = q.dim
+    comps = []
+    if n == 4:
+        isotropic = _anisotropic_dimension_global(q, comps) < n
+    else:
+        isotropic = is_isotropic_global(q)
+    if not isotropic:
+        return None
     tower = q.tower
-    for i, j in itertools.combinations(range(n), 2):
+    for i, j in _pairs_square_at_infinity(q):
         root = fl.try_sqrt(tower, -(q.diag[j] / q.diag[i]))
         if root is not None:
             vec = [tower.zero] * n
             vec[i], vec[j] = root, tower.one
             return tuple(vec)
+    if n >= 5:
+        comps = [localize(q, P) for P in places_of_interest(q)]
     candidates = []
     if n >= 4:
-        comps = [localize(q, P) for P in places_of_interest(q)]
         candidates = _isotropic_subsets(comps, 3) or \
             _isotropic_subsets(comps, 4)
     if n >= 5:
@@ -302,38 +371,51 @@ def isotropic_vector_global(q):
 
 def _isotropic_subsets(comps, k):
     """The k-subsets (k >= 3) of diagonal positions whose subform is
-    isotropic, decided on the completions of the whole form: the subform's
-    places lie among the form's, and at any other place its k unit entries
-    make it isotropic (Chevalley-Warning plus Hensel)."""
+    isotropic, decided on the square-class bits of the completions of the
+    whole form: the subform's places lie among the form's, and at any other
+    place its k unit entries make it isotropic (Chevalley-Warning plus
+    Hensel)."""
     n = len(comps[0].entries)
+    bits = [c.square_class_bits for c in comps]
     return [idx for idx in itertools.combinations(range(n), k)
-            if all(local_anisotropic_dimension(replace(
-                c, entries=tuple(c.entries[i] for i in idx))) < k
-                for c in comps)]
+            if all(_subform_dimension(b, idx) < k for b in bits)]
 
 
 def _subform_witness(q, candidates):
+    """A zero of q supported on one candidate subform, from the square-class
+    representatives (s_i, c_i) of its entries, each computed once: a
+    polynomial y with sum s_i*y_i^2 = 0 gives the witness y_i / c_i.
+
+    Degrees D = 0, 1, ... are tried in turn, on every candidate whose
+    meet-in-the-middle side of (p^(D+1))^ceil(k/2) vectors stays within
+    WITNESS_SIDE_CAP, up to WITNESS_DEGREE_CAP.  At each D the coordinates
+    y and their squares are built once, and each entry's column s_i*y^2 once,
+    shared by every candidate that holds the entry.
+    """
     p, F, _ = _global_base(q.tower)
     reps = {i: square_class_rep(q.tower, q.diag[i])
             for i in set().union(*candidates)}
-    preps = {idx: [reps[i] for i in idx] for idx in candidates}
+    width = max(polys.deg(s) for s, _ in reps.values())
     exhausted = True
     for D in range(WITNESS_DEGREE_CAP + 1):
         exhausted = True
+        columns = {}
         for idx in candidates:
-            reps = preps[idx]
-            sq = [s for s, _ in reps]
-            k = len(idx)
-            half = (k + 1) // 2
+            half = (len(idx) + 1) // 2
             if (p ** (D + 1)) ** half > WITNESS_SIDE_CAP:
                 continue
             exhausted = False
-            vec = _mitm_search(p, F, sq, half, D)
-            if vec is not None:
+            ys, squares = _coordinates(p, D)
+            for i in idx:
+                if i not in columns:
+                    columns[i] = _column(F, reps[i][0], squares,
+                                         width + 2 * D + 1)
+            found = _mitm_search(p, [columns[i] for i in idx], half)
+            if found is not None:
                 out = [q.tower.zero] * q.dim
-                for pos, (s, c), y in zip(idx, reps, vec):
+                for pos, y in zip(idx, found):
                     if y:
-                        out[pos] = _embed_poly(q.tower, y) / c
+                        out[pos] = _embed_poly(q.tower, ys[y]) / reps[pos][1]
                 return tuple(out)
         if exhausted:
             break
@@ -342,31 +424,66 @@ def _subform_witness(q, candidates):
     raise BudgetExceeded(f"no witness up to degree {WITNESS_DEGREE_CAP}")
 
 
-def _mitm_search(p, F, sq, half, max_deg):
-    """Find polynomial y with sum sq[i]*y_i^2 = 0, each deg(y_i) <= max_deg."""
+@lru_cache(maxsize=None)
+def _coordinates(p, max_deg):
+    """The polynomials of degree <= max_deg over GF(p), in the
+    itertools.product order of their coefficient vectors (the zero
+    polynomial first), and their squares."""
+    F = ffield.finite_field(p)
+    ys = tuple(polys.trim(F, c)
+               for c in itertools.product(range(p), repeat=max_deg + 1))
+    return ys, tuple(polys.pmul(F, y, y) for y in ys)
+
+
+def _column(F, s, squares, length):
+    """s * y^2 for every square y^2, as coefficient tuples of one length."""
+    out = []
+    for y2 in squares:
+        c = polys.pmul(F, s, y2)
+        out.append(c + (0,) * (length - len(c)))
+    return out
+
+
+def _mitm_search(p, cols, half):
+    """The first nonzero index vector y with sum cols[i][y_i] = 0 mod p, or
+    None.
+
+    The right side (the last len(cols) - half columns) fills a table of
+    negated sums, keeping the first vector of each sum in itertools.product
+    order; the left side is then scanned in the same order.
+    """
     table = {}
-    for right in _poly_vectors(p, len(sq) - half, max_deg):
-        acc = ()
-        for s, y in zip(sq[half:], right):
-            acc = polys.padd(F, acc, polys.pmul(F, s, polys.pmul(F, y, y)))
-        table.setdefault(polys.pneg(F, acc), right)
-    for left in _poly_vectors(p, half, max_deg):
-        acc = ()
-        for s, y in zip(sq, left):
-            acc = polys.padd(F, acc, polys.pmul(F, s, polys.pmul(F, y, y)))
-        right = table.get(acc)
-        if right is not None:
-            vec = left + right
-            if any(vec):
-                return vec
+    for r, key in enumerate(_column_sums(p, cols[half:])):
+        table.setdefault(key, r)
+    outer, inner = cols[0], list(_column_sums(p, cols[1:half]))
+    for a, ca in enumerate(outer):
+        for b, cb in enumerate(inner):
+            r = table.get(tuple([(-x - y) % p for x, y in zip(ca, cb)]))
+            if r is not None and (a or b or r):
+                return _digits(a * len(inner) + b, len(outer), half) + \
+                    _digits(r, len(outer), len(cols) - half)
     return None
 
 
-def _poly_vectors(p, coords, max_deg):
-    F = ffield.finite_field(p)
-    coeffs = list(itertools.product(range(p), repeat=max_deg + 1))
-    single = [polys.trim(F, c) for c in coeffs]
-    return itertools.product(single, repeat=coords)
+def _column_sums(p, cols):
+    """Every sum mod p of one entry per column (one or more columns), in
+    itertools.product order."""
+    if len(cols) == 1:
+        yield from cols[0]
+        return
+    rest = list(_column_sums(p, cols[1:]))
+    for a in cols[0]:
+        for b in rest:
+            yield tuple([(x + y) % p for x, y in zip(a, b)])
+
+
+def _digits(index, base, count):
+    """index as count digits in base, most significant first."""
+    out = []
+    for _ in range(count):
+        index, d = divmod(index, base)
+        out.append(d)
+    return tuple(reversed(out))
 
 
 def _split_plane(q, z):

@@ -6,7 +6,8 @@ hyperbolicity and isometry all read one number, anisotropic_dimension, built
 on one finite-field rule (_finite_kernel: parity and discriminant) applied
 over finite fields, to each part of one Springer split at full Laurent rank,
 or at each place of GF(p)(X), where witt_decompose also splits hyperbolic
-planes off on the diagonal.
+planes off on the diagonal.  The places of GF(p)(X) read the same rule on
+square-class bits (_finite_kernel_dim).
 """
 
 import math
@@ -104,6 +105,8 @@ def _finite_kernel(tower, entries):
     Such forms are classified by dimension and discriminant (Lam, ch. II):
     with d = (-1)^(n//2) * det, dim odd gives <d>, and dim even gives the
     zero form when d is a square and the binary norm form <1, -d> otherwise.
+    _finite_kernel_dim is the same rule on square-class bits, for callers
+    that need only the dimension.
     """
     n = len(entries)
     det = math.prod(entries[1:], start=entries[0])
@@ -111,6 +114,21 @@ def _finite_kernel(tower, entries):
     if n % 2:
         return (signed,)
     return () if fl.is_square(tower, signed) else (tower.one, -signed)
+
+
+def _finite_kernel_dim(n, det_nonsquare, minus_one_nonsquare):
+    """len(_finite_kernel(tower, entries)) for n = len(entries) >= 0 entries,
+    read off square-class bits alone.
+
+    GF(q)^* / GF(q)^*2 is F2, so det is a non-square iff the XOR of the
+    entries' non-square bits (det_nonsquare) is set, and the sign of
+    d = (-1)^(n//2) * det adds the bit of -1 when n//2 is odd.  An odd part
+    leaves one entry, an even part none or two as d is a square or not, and
+    the empty part none.
+    """
+    if n % 2:
+        return 1
+    return 2 if det_nonsquare ^ (minus_one_nonsquare and (n // 2) % 2) else 0
 
 
 def anisotropic_dimension(q):

@@ -1,0 +1,284 @@
+"""Oracle tests for the kernels of the GF(p)(X) witness search.
+
+The references below are the routines those kernels replaced: the
+meet-in-the-middle search over polynomial vectors with one product per
+coordinate and row, the square-class representative by division and an
+exact square root, and the finite rule on Element products.  Each new
+kernel must give the identical answer, so the witnesses built from them
+stay byte-identical.  The filter that picks the binary subforms worth a
+square root is checked against the completion at infinity and against
+fields.try_sqrt.
+"""
+
+import functools
+import itertools
+import operator
+import random
+
+import pytest
+
+from conftest import tower
+from towerforms import dsl, ffield, polys, qforms
+from towerforms import fields as fl
+from towerforms import localglobal as lg
+from towerforms.fields import RATFUNC, SampleBudget, sample
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def old_poly_vectors(p, coords, max_deg):
+    F = ffield.finite_field(p)
+    coeffs = list(itertools.product(range(p), repeat=max_deg + 1))
+    single = [polys.trim(F, c) for c in coeffs]
+    return itertools.product(single, repeat=coords)
+
+
+def old_mitm_search(p, F, sq, half, max_deg):
+    """Find polynomial y with sum sq[i]*y_i^2 = 0, each deg(y_i) <= max_deg."""
+    table = {}
+    for right in old_poly_vectors(p, len(sq) - half, max_deg):
+        acc = ()
+        for s, y in zip(sq[half:], right):
+            acc = polys.padd(F, acc, polys.pmul(F, s, polys.pmul(F, y, y)))
+        table.setdefault(polys.pneg(F, acc), right)
+    for left in old_poly_vectors(p, half, max_deg):
+        acc = ()
+        for s, y in zip(sq, left):
+            acc = polys.padd(F, acc, polys.pmul(F, s, polys.pmul(F, y, y)))
+        right = table.get(acc)
+        if right is not None:
+            vec = left + right
+            if any(vec):
+                return vec
+    return None
+
+
+def old_square_class_rep(tower, elem):
+    """(s, c) with elem = s*c^2: s from the odd part of the factorization,
+    c = sqrt(elem / s), rescaling s by a non-square when that fails."""
+    p, F, _ = lg._global_base(tower)
+    num, den = elem.raw
+    support = {}
+    for f, sign in ((num, 1), (den, -1)):
+        for g, m in lg.factor(p, f)[1].items():
+            support[g] = support.get(g, 0) + sign * m
+    s = (1,)
+    for g in sorted(g for g, m in support.items() if m % 2):
+        s = polys.pmul(F, s, g)
+    root = fl.try_sqrt(tower, elem / lg._embed_poly(tower, s))
+    if root is None:
+        nu = qforms._finite_nonsquare(fl.FieldTower(p)).raw
+        s = polys.pscale(F, s, nu)
+        root = fl.try_sqrt(tower, elem / lg._embed_poly(tower, s))
+    return s, root
+
+
+def old_local_dimension(comp):
+    parts = {}
+    for v, r in comp.entries:
+        parts.setdefault(v % 2, []).append(r)
+    return sum(len(qforms._finite_kernel(comp.residue_tower, part))
+               for part in parts.values())
+
+
+def new_search(p, sq, half, max_deg):
+    """The new search on the columns _subform_witness would build."""
+    F = ffield.finite_field(p)
+    ys, squares = lg._coordinates(p, max_deg)
+    length = max(map(polys.deg, sq)) + 2 * max_deg + 1
+    found = lg._mitm_search(p, [lg._column(F, s, squares, length)
+                                for s in sq], half)
+    return None if found is None else tuple(ys[i] for i in found)
+
+
+def _ratfunc(p):
+    return tower(p, 1, ("X", RATFUNC))
+
+
+# ---------------------------------------------------------------------------
+# meet-in-the-middle search
+
+
+@pytest.mark.parametrize("p,max_deg,forms", [
+    (3, 0, 12), (3, 1, 12), (3, 2, 8), (5, 0, 12), (5, 1, 8), (5, 2, 3)])
+def test_mitm_search_matches_old_search(p, max_deg, forms):
+    K = _ratfunc(p)
+    budget = SampleBudget(max_deg=2)
+    found = 0
+    for seed in range(forms):
+        for k in (3, 4):
+            sq = [lg.square_class_rep(K, sample(K, budget, ("mitm", seed, i)))[0]
+                  for i in range(k)]
+            half = (k + 1) // 2
+            expected = old_mitm_search(p, ffield.finite_field(p), sq, half,
+                                       max_deg)
+            assert new_search(p, sq, half, max_deg) == expected, sq
+            found += expected is not None
+    assert found >= forms // 2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_mitm_search_keeps_first_solution_of_many(p):
+    """<1, 1, 1, 1> and <1, -1, X, -X> have many zeros at degree 1: the
+    first one in product order must come back."""
+    F = ffield.finite_field(p)
+    for sq in ([(1,)] * 4, [(1,), (p - 1,), (0, 1), (0, p - 1)],
+               [(1,), (0, 1), (1, 1)]):
+        for half in {(len(sq) + 1) // 2, len(sq) - 1}:
+            for max_deg in (0, 1):
+                assert new_search(p, sq, half, max_deg) == \
+                    old_mitm_search(p, F, sq, half, max_deg)
+
+
+# ---------------------------------------------------------------------------
+# square-class representatives and binary subforms
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_square_class_rep_matches_division_and_sqrt(p):
+    K = _ratfunc(p)
+    F = K.chain[0]
+    budget = SampleBudget(max_deg=3)
+    nonsquare_leads = 0
+    for seed in range(170):
+        a, b = (sample(K, budget, ("rep", seed, i)) for i in range(2))
+        elem = (a, a * b * b, a * b ** 3)[seed % 3]
+        s, c = lg.square_class_rep(K, elem)
+        s_old, c_old = old_square_class_rep(K, elem)
+        assert (s, c.raw) == (s_old, c_old.raw), elem
+        nonsquare_leads += not F.is_square(elem.raw[0][-1])
+    assert nonsquare_leads >= 20
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pairs_square_at_infinity_keep_every_hyperbolic_pair(p):
+    """Every pair of 70 forms per field, each extended by <-a c^2, a c^2>
+    for its first entry a: the kept pairs are those where -a_j/a_i has even
+    valuation and a square residue at infinity, and they include every pair
+    with a square root."""
+    K = _ratfunc(p)
+    infinity = lg.Place(lg.INFINITY)
+    rt = lg.residue_tower(K, infinity)
+    budget = SampleBudget(max_deg=2)
+    hyperbolic = dropped = kept_without_root = 0
+    for seed in range(70):
+        entries = [sample(K, budget, ("pair", seed, i))
+                   for i in range(2 + seed % 3)]
+        c = sample(K, budget, ("pair", seed, "c"))
+        entries += [-entries[0] * c * c, entries[0] * c * c]
+        kept = lg._pairs_square_at_infinity(
+            qforms.QuadraticForm(K, tuple(entries)))
+        for i, j in itertools.combinations(range(len(entries)), 2):
+            ratio = -(entries[j] / entries[i])
+            v, r = lg.place_split(infinity, rt, ratio)
+            square_at_infinity = v % 2 == 0 and fl.is_square(rt, r)
+            root = fl.try_sqrt(K, ratio) is not None
+            assert ((i, j) in kept) == square_at_infinity, (entries, i, j)
+            assert square_at_infinity or not root, (entries, i, j)
+            hyperbolic += root
+            dropped += not square_at_infinity
+            kept_without_root += square_at_infinity and not root
+    assert hyperbolic >= 70 and dropped >= 200 and kept_without_root >= 1
+
+
+@pytest.mark.parametrize("field,form,expected", [
+    # -1 is a non-square in GF(3): t*X with -t*X^3, 1 with 2, 2 with X^2
+    ("GF(3)((t))(X)", "diag[t*X, 1, X + t, -t*X^3, 2, X^2]",
+     [(0, 3), (1, 4), (4, 5)]),
+    # -1 is a square in GF(5); 2 and 3 are not: only 2*t*X with 3*t*X^3
+    ("GF(5)((t))(X)", "diag[t, 2*t*X, 1, X + t, 3*t*X^3]", [(1, 4)]),
+    # GF(3) lies in the squares of GF(9): pairs of one degree parity,
+    # (1, 2) among them without a root
+    ("GF(9)(X)", "diag[1, X, 1 + X, 2, 1, X]",
+     [(0, 3), (0, 4), (1, 2), (1, 5), (2, 5), (3, 4)]),
+])
+def test_pairs_square_at_infinity_over_other_coefficient_fields(
+        field, form, expected):
+    """Over a Laurent or non-prime coefficient field the pairs are read off
+    the leading terms down the levels; each pair with a square root of
+    -a_j/a_i is among them."""
+    K = dsl.parse_field(field)
+    q = dsl.parse_form(K, form)
+    kept = lg._pairs_square_at_infinity(q)
+    assert kept == expected
+    for i, j in itertools.combinations(range(q.dim), 2):
+        if fl.try_sqrt(K, -(q.diag[j] / q.diag[i])) is not None:
+            assert (i, j) in kept
+
+
+def test_witness_needs_no_factoring_before_a_hyperbolic_pair(monkeypatch):
+    """Binary forms, and larger ones with a hyperbolic pair, take their
+    witness without factoring: over GF(9)(X) and GF(5)((t))(X), which have
+    no place machinery, and over GF(p)(X), where factoring over a large p
+    lists the irreducibles of degree 1."""
+    def no_factoring(p, f):
+        raise AssertionError(f"factored {f} over GF({p})")
+
+    monkeypatch.setattr(lg, "factor", no_factoring)
+    for field, form, vec in [
+            ("GF(9)(X)", "diag[1, -1]", ["1", "1"]),
+            ("GF(5)((t))(X)", "diag[X, -X]", ["1", "1"]),
+            ("GF(9)(X)", "diag[X, -X, 1, X + 1, X^2 + 1]",
+             ["1", "1", "0", "0", "0"]),
+            ("GF(1000000007)(X)", "diag[X^2 + 1, -X^2 - 1]", ["1", "1"]),
+            ("GF(5)(X)", "diag[X, X^2 + 2, 1 + X, 3*X, 2, 2*X^3]",
+             ["0", "0", "0", "X", "0", "1"])]:
+        K = dsl.parse_field(field)
+        q = dsl.parse_form(K, form)
+        assert [fl.format_element(c)
+                for c in lg.isotropic_vector_global(q)] == vec, form
+    K = dsl.parse_field("GF(9)(X)")
+    assert qforms.witt_decompose(dsl.parse_form(K, "diag[1, -1]")) \
+        .witt_index == 1
+
+
+# ---------------------------------------------------------------------------
+# the finite rule on square-class bits
+
+
+def _bit_dimension(T, entries):
+    det_nonsquare = functools.reduce(
+        operator.xor, (not fl.is_square(T, e) for e in entries), False)
+    return qforms._finite_kernel_dim(len(entries), det_nonsquare,
+                                     not fl.is_square(T, -T.one))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_bit_rule_matches_finite_kernel_exhaustively(q):
+    T = tower(q)
+    units = [T.element(r) for r in T.ops.elements() if r]
+    assert _bit_dimension(T, ()) == 0
+    for n in range(1, 5):
+        for entries in itertools.product(units, repeat=n):
+            assert _bit_dimension(T, entries) == \
+                len(qforms._finite_kernel(T, entries)), entries
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_bit_rule_matches_finite_kernel_on_samples(p):
+    T = tower(p, 2)
+    rng = random.Random(p)
+    for _ in range(500):
+        entries = [T.element(T.ops.nth(rng.randrange(1, T.q)))
+                   for _ in range(rng.randint(1, 6))]
+        assert _bit_dimension(T, entries) == \
+            len(qforms._finite_kernel(T, entries)), entries
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_completion_bits_match_residues(p):
+    K = _ratfunc(p)
+    budget = SampleBudget(max_deg=3)
+    for seed in range(20):
+        q = qforms.QuadraticForm(K, tuple(
+            sample(K, budget, ("bits", seed, i)) for i in range(5)))
+        for P in lg.places_of_interest(q):
+            comp = lg.localize(q, P)
+            rt = comp.residue_tower
+            assert comp.square_class_bits == (
+                not fl.is_square(rt, -rt.one),
+                tuple((v % 2, not fl.is_square(rt, r))
+                      for v, r in comp.entries))
+            assert lg.local_anisotropic_dimension(comp) == \
+                old_local_dimension(comp)
