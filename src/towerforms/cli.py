@@ -16,7 +16,7 @@ import sys
 
 from . import dsl, linkage, pfister, qforms, valuation
 from .errors import TowerFormsError
-from .fields import SampleBudget, format_element, is_square
+from .fields import format_element, is_square
 
 
 def _emit(args, payload, lines):
@@ -32,11 +32,6 @@ def _ctx(tower, args):
     if rank is None:
         rank = min(1, tower.laurent_rank())
     return valuation.ValuationCtx(tower, rank)
-
-
-def _budget(args):
-    deg = getattr(args, "budget_degree", None)
-    return SampleBudget() if deg is None else SampleBudget(max_deg=deg, max_val=deg)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +151,7 @@ def _cmd_certify(args):
     if cert == linkage.NOT_FOUND:
         _emit(args, {"field": tower.describe(), "p1": s1.describe(),
                      "p2": s2.describe(), "certificate": None},
-              ["no certificate found within budget"])
+              ["no certificate found among the candidate slots"])
         return 0
     _emit(args, {"field": tower.describe(), "p1": s1.describe(),
                  "p2": s2.describe(), "certificate": cert.to_json()},
@@ -182,7 +177,6 @@ def _cmd_verify(args):
         if args.field is None:
             raise TowerFormsError(f"verify {args.theorem} needs --field")
         tower = dsl.parse_field(args.field)
-        kwargs["budget"] = _budget(args)
         if args.theorem == "top-linked":
             if args.d is None:
                 raise TowerFormsError("verify top-linked needs --d")
@@ -284,8 +278,6 @@ def build_parser():
     p.add_argument("--m", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-degree", type=int,
-                   help="sampling degree/valuation bound")
 
     return top
 

@@ -21,10 +21,6 @@ class UnsupportedLevel(TowerFormsError):
     pass
 
 
-class UnsupportedTower(TowerFormsError):
-    pass
-
-
 class NotIntegralUnit(TowerFormsError):
     pass
 
@@ -46,10 +42,6 @@ class RuleNotApplicable(TowerFormsError):
 
 
 class PreconditionSpanViolated(TowerFormsError):
-    pass
-
-
-class WitnessInvalid(TowerFormsError):
     pass
 
 

@@ -9,7 +9,7 @@ is Fq, whose raws are little-endian int tuples of length <= k with no
 trailing zeros (the zero element is the empty tuple).
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import polys
 from .errors import DivisionByZero, TowerFormsError
@@ -48,6 +48,12 @@ class _FiniteField:
         """Euler criterion; a must be nonzero."""
         return self.eq(self.pow_(a, (self.order - 1) // 2), self.one)
 
+    @cached_property
+    def nonsquare(self):
+        """The first nonzero non-square in elements() order."""
+        return next(z for z in self.elements()
+                    if not self.is_zero(z) and not self.is_square(z))
+
     def sqrt(self, a):
         """The square root of a that comes first in elements() order, or None.
 
@@ -65,9 +71,7 @@ class _FiniteField:
         c = None
         while not self.eq(b, self.one):
             if c is None:
-                z = next(z for z in self.elements()
-                         if not self.is_zero(z) and not self.is_square(z))
-                c = self.pow_(z, m)
+                c = self.pow_(self.nonsquare, m)
             i, t = 0, b
             while not self.eq(t, self.one):
                 i, t = i + 1, self.mul(t, t)

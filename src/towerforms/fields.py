@@ -396,38 +396,6 @@ def _try_sqrt_raw(tower, depth, raw):
     return f.mul(f.make(rn, rd), f.const(rl))
 
 
-def newton_sqrt(tower, a, precision):
-    """An element s of the tower with val(s^2 - a) >= precision.
-
-    a must be a square under henselian semantics with even valuation at the
-    outermost Laurent level.  Iteration happens in exact field arithmetic;
-    only the agreement with the true square root is truncated.
-    """
-    exact = try_sqrt(tower, a)
-    if exact is not None:
-        return exact
-    if not tower.levels or tower.levels[-1].kind != LAURENT:
-        raise TowerFormsError("newton_sqrt needs an outermost Laurent level")
-    t = tower.gen(tower.levels[-1].symbol)
-    v = valuation(tower, a)[0]
-    if v % 2:
-        raise TowerFormsError("odd valuation: not a square")
-    unit = a * t ** (-v)
-    r0 = residue(tower, unit)
-    rt = _residue_tower(tower)
-    s_res = try_sqrt(rt, r0)
-    if s_res is None:
-        s_res = newton_sqrt(rt, r0, precision)
-    s = tower.embed(s_res)
-    two = tower.from_int(2)
-    while True:
-        err = s * s - unit
-        if err.is_zero() or valuation(tower, err)[0] >= precision:
-            break
-        s = (s + unit / s) / two
-    return s * t ** (v // 2)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

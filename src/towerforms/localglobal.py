@@ -1,10 +1,11 @@
 """Places of GF(q)(X), completions, and Hasse-Minkowski isotropy.
 
 The anisotropic dimension of a form over the rational function field is
-the largest local one (Hasse-Minkowski), or the parity/discriminant floor
-of its determinant; each local one is the finite rule of qforms applied to
-the two parts of a rank-1 Springer split over the residue field GF(q^deg),
-at the places supporting some diagonal entry.  Forms of dimension >= 5 are
+the largest local one (Hasse-Minkowski); each local one is the finite rule
+of qforms applied to the two parts of a rank-1 Springer split over the
+residue field GF(q^deg), at the places supporting some diagonal entry.  The
+parity/discriminant floor of the determinant is read only in dimension
+<= 2, where it is exact without factoring.  Forms of dimension >= 5 are
 always isotropic (the u-invariant of a global function field is 4).  The
 global Witt decomposition splits one hyperbolic plane per explicit
 isotropic vector off the diagonal.
@@ -121,12 +122,6 @@ def places_of_interest(q):
     return places
 
 
-def places_for_elements(tower, elems):
-    """Support of a list of field elements (used by the product formula)."""
-    diag = tuple(e for e in elems if not e.is_zero())
-    return places_of_interest(qforms.QuadraticForm(tower, diag))
-
-
 # ---------------------------------------------------------------------------
 # localization
 
@@ -215,8 +210,14 @@ def anisotropic_dimension_global(q):
     maximum of the local ones: every anisotropic kernel of dimension >= 2
     stays anisotropic in some completion (dim >= 3 by Hasse-Minkowski, dim 2
     because a global non-square is a non-square at some place), and places
-    outside the support contribute at most the parity/discriminant floor,
-    which alone is exact in dimension <= 2 and needs no factoring.
+    outside the support contribute at most the parity/discriminant floor.
+    In dimension <= 2 that floor alone is exact and needs no factoring.  In
+    dimension >= 3 the maximum over the places of interest already reaches
+    it: for odd n every local dimension is odd, and for even n a signed
+    determinant that is a global non-square either has odd valuation at a
+    finite place of the support or is lc * square with lc a non-square, and
+    so a non-square at infinity; either completion has anisotropic
+    dimension >= 2.
     """
     return _anisotropic_dimension_global(q, [])
 
@@ -225,9 +226,9 @@ def _anisotropic_dimension_global(q, comps):
     """anisotropic_dimension_global, appending each completion it reads to
     comps: when the answer is below dim q, every place of interest is
     there, in order."""
-    best = len(qforms._finite_kernel(q.tower, q.diag))
     if q.dim <= 2:
-        return best
+        return len(qforms._finite_kernel(q.tower, q.diag))
+    best = 0
     for P in places_of_interest(q):
         comps.append(localize(q, P))
         best = max(best, local_anisotropic_dimension(comps[-1]))
@@ -286,9 +287,8 @@ def square_class_rep(tower, elem):
         s = polys.pmul(F, s, g)
     root = F.sqrt(lc)
     if root is None:
-        nu = qforms._finite_nonsquare(fl.FieldTower(p)).raw
-        s = polys.pscale(F, s, nu)
-        root = F.sqrt(F.div(lc, nu))
+        s = polys.pscale(F, s, F.nonsquare)
+        root = F.sqrt(F.div(lc, F.nonsquare))
     c_num, c_den = (root,), (1,)
     for g, m in num_fac.items():
         for _ in range(m // 2):

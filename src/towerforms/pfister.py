@@ -159,18 +159,6 @@ def expand_bilinear(symbol):
     return qforms.QuadraticForm(symbol.tower, tuple(diag))
 
 
-def reduce_slots(symbol):
-    """The same symbol with each slot replaced by its canonical square-class
-    monomial (iterated-Laurent towers).  Each slot enters the expansion only
-    through <1, -a>, so the isometry class is unchanged; this keeps fraction
-    sizes small after merges."""
-    slots = tuple(qforms._square_class_monomial(symbol.tower, a)
-                  for a in symbol.slots)
-    if isinstance(symbol, QuadraticPfisterSymbol):
-        return QuadraticPfisterSymbol(symbol.tower, slots, symbol.last)
-    return BilinearPfisterSymbol(symbol.tower, slots)
-
-
 def expand(symbol):
     """The 2^d-dimensional diagonal quadratic form of a quadratic symbol."""
     c = symbol.tower.one + 4 * symbol.last

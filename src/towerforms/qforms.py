@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import fields as fl
-from .errors import (SingularForm, TowerFormsError, TowerMismatch,
-                     UnsupportedTower, ZeroScalar)
+from .errors import SingularForm, TowerFormsError, TowerMismatch, ZeroScalar
 
 
 @dataclass(frozen=True)
@@ -71,17 +70,6 @@ def scale(q, c):
     if c.is_zero():
         raise ZeroScalar("cannot scale a form by zero")
     return QuadraticForm(q.tower, tuple(c * d for d in q.diag))
-
-
-def tensor_bilinear(q, b_diag):
-    """Kronecker product with a diagonal bilinear form."""
-    out = []
-    for b in b_diag:
-        if b.is_zero():
-            raise ZeroScalar("bilinear factor entry must be nonzero")
-        for d in q.diag:
-            out.append(b * d)
-    return QuadraticForm(q.tower, tuple(out))
 
 
 def neg(q):
@@ -228,11 +216,8 @@ def _witt_laurent(q):
 
 
 def _finite_nonsquare(tower):
-    for raw in tower.ops.elements():
-        a = fl.Element(tower, raw)
-        if not a.is_zero() and not fl.is_square(tower, a):
-            return a
-    raise UnsupportedTower("finite field with no nonsquare")
+    """The first non-square of a finite tower, in elements() order."""
+    return fl.Element(tower, tower.ops.nonsquare)
 
 
 def _square_class_monomial(tower, a):

@@ -1,8 +1,7 @@
 """Discrete-valuation machinery for Laurent levels of a tower.
 
 Covers Springer decomposition into residue forms, residue-form extraction at
-arbitrary nonzero elements, henselian lifting of isotropic vectors, F2
-linear algebra on value vectors, and composition of valuations.  Rank-r
+arbitrary nonzero elements, and F2 linear algebra on value vectors.  Rank-r
 contexts view the outermost r Laurent levels as one composed valuation with
 lexicographic value group Z^r.
 """
@@ -13,7 +12,7 @@ from functools import cached_property
 from . import fields as fl
 from . import qforms
 from .errors import (NotIntegralUnit, TowerFormsError, TowerMismatch,
-                     WitnessInvalid, ZeroArgument)
+                     ZeroArgument)
 
 
 @dataclass(frozen=True)
@@ -177,79 +176,3 @@ def f2_solve(vectors, target):
     if t:
         return None
     return [i for i in range(len(vectors)) if combo >> i & 1]
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    vector: tuple  # Elements of ctx.tower
-    exact: bool
-    precision: int | None = None
-
-
-def hensel_lift_isotropic(q, ctx, residue_witness, precision=16):
-    """Lift an isotropic vector of the residue form of a unit-diagonal form.
-
-    The residue witness x must satisfy q-bar(x) = 0, x != 0.  The lifted
-    vector z satisfies q(z) = 0 exactly when the relevant discriminant has a
-    square root in the represented subfield; otherwise z is Newton-refined
-    and q(z) vanishes to at least the stated precision at the outermost
-    uniformizer.
-    """
-    tower = ctx.tower
-    rt = ctx.residue_tower
-    units = []
-    for d in q.diag:
-        w, r = ctx.split(d)
-        if any(w):
-            raise TowerFormsError("diagonal entries must be units")
-        units.append(r)
-    x_bar = tuple(residue_witness)
-    if len(x_bar) != len(units) or all(c.is_zero() for c in x_bar):
-        raise WitnessInvalid("witness must be a nonzero vector of matching length")
-    val = rt.zero
-    for u, c in zip(units, x_bar):
-        val = val + u * c * c
-    if not val.is_zero():
-        raise WitnessInvalid("witness is not a zero of the residue form")
-    j = next((i for i, c in enumerate(x_bar) if not (units[i] * c).is_zero()), None)
-    if j is None:
-        raise WitnessInvalid("residue form is singular at the witness")
-
-    x = tuple(tower.embed(c) for c in x_bar)
-    y = tuple(tower.one if i == j else tower.zero for i in range(len(units)))
-    qx = q.evaluate(x)
-    qy = q.diag[j]
-    bxy = 2 * q.diag[j] * x[j]
-    if qx.is_zero():
-        return LiftResult(x, True)
-    disc = bxy * bxy - 4 * qx * qy
-    root = fl.try_sqrt(tower, disc)
-    exact = root is not None
-    if not exact:
-        root = fl.newton_sqrt(tower, disc, precision)
-    if not _vanishes_in_residue(ctx, root - bxy):
-        root = -root
-    # T = (-bxy + root)/(2 qy) is the root with residue 0
-    T = (root - bxy) / (2 * qy)
-    z = tuple(xi + T * yi for xi, yi in zip(x, y))
-    if exact:
-        check = q.evaluate(z)
-        if not check.is_zero():
-            raise TowerFormsError("internal: exact lift failed")
-        return LiftResult(z, True)
-    return LiftResult(z, False, precision)
-
-
-def _vanishes_in_residue(ctx, a):
-    """True if a maps to 0 in the residue tower (zero or lex-positive value)."""
-    if a.is_zero():
-        return True
-    v = ctx.value_vector(a)
-    return v > (0,) * ctx.rank
-
-
-def compose(v_outer, v_inner):
-    """Compose with a valuation on the residue tower; ranks add."""
-    if v_inner.tower != v_outer.residue_tower:
-        raise TowerMismatch("inner valuation must live on the residue tower")
-    return ValuationCtx(v_outer.tower, v_outer.rank + v_inner.rank)

@@ -20,8 +20,9 @@ from towerforms.linkage import (NOT_FOUND, check_top_d_linked,
                                 verify_residue_transfer)
 from towerforms.localglobal import hilbert_symbol
 from towerforms.pfister import (BilinearPfisterSymbol, expand_bilinear,
-                                normalize_last_slot, reduce_slots)
-from towerforms.qforms import (QuadraticForm, form, is_isotropic, isometric)
+                                normalize_last_slot)
+from towerforms.qforms import (QuadraticForm, _square_class_monomial, form,
+                               is_isotropic, isometric)
 from towerforms.valuation import ValuationCtx, raw_springer_split, springer_decompose
 
 
@@ -196,6 +197,15 @@ def _symbol_in_span(T, ctx, fold, seed, budget):
     return BilinearPfisterSymbol(T, tuple(slots) + (last,))
 
 
+def _reduce_slots(symbol):
+    """The same bilinear symbol with each slot replaced by its canonical
+    square-class monomial.  Each slot enters the expansion only through
+    <1, -a>, so the isometry class is unchanged; this keeps fraction sizes
+    small after merges."""
+    return BilinearPfisterSymbol(symbol.tower, tuple(
+        _square_class_monomial(symbol.tower, a) for a in symbol.slots))
+
+
 def test_criterion_5_slot_normalization():
     start = time.perf_counter()
     failures = 0
@@ -212,8 +222,8 @@ def test_criterion_5_slot_normalization():
             out, trace = normalize_last_slot(s, ctx)
             count += 1
             unit = ctx.value_vector(out.slots[-1]) == (0,) * rank
-            same = isometric(expand_bilinear(reduce_slots(s)),
-                             expand_bilinear(reduce_slots(out)))
+            same = isometric(expand_bilinear(_reduce_slots(s)),
+                             expand_bilinear(_reduce_slots(out)))
             if not (unit and same):
                 failures += 1
     elapsed = time.perf_counter() - start

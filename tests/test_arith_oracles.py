@@ -59,6 +59,8 @@ def test_sqrt_is_first_root_in_element_order(F):
         assert F.sqrt(a) == _brute_sqrt(F, a)
         squares += F.sqrt(a) is not None
     assert squares == (F.order + 1) // 2
+    assert F.nonsquare == next(a for a in F.elements()
+                               if not F.is_zero(a) and _brute_sqrt(F, a) is None)
 
 
 @pytest.mark.parametrize("field", ["GF(9)", "GF(3)((t))((u))", "GF(5)(X)"])

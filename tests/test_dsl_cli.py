@@ -171,6 +171,19 @@ def test_cli_certify(capsys):
     assert json.loads(out)["certificate"] is not None
 
 
+def test_cli_certify_not_found_names_no_budget(capsys):
+    # the candidate slots run out before the isometry-test budget does, so
+    # the text answer must not blame the budget; the pair is still linked
+    pair = ("--field", "GF(3)(X)", "--p1", "<<(2 + 2*X)/(2 + X); 2*X]]",
+            "--p2", "<<2 + X; 2/X]]")
+    code, out, _ = run_cli(capsys, "certify", *pair)
+    assert code == 0
+    assert out == "no certificate found among the candidate slots\n"
+    assert "budget" not in out
+    code, out, _ = run_cli(capsys, "link", *pair)
+    assert code == 0 and out.strip() == "linked"
+
+
 def test_cli_verify_pass_and_flags(capsys):
     code, out, _ = run_cli(capsys, "verify", "top-linked", "--field", "GF(3)",
                            "--d", "1", "--samples", "10", "--seed", "42",

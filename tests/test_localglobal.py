@@ -11,11 +11,12 @@ from towerforms.localglobal import (FINITE, INFINITY, Place, _isotropic_subsets,
                                     hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
                                     place_split,
-                                    places_for_elements, places_of_interest,
+                                    places_of_interest,
                                     residue_tower, square_class_rep,
                                     witt_decompose_global)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
-from towerforms.qforms import form, is_isotropic, isometric, witt_index
+from towerforms.qforms import (QuadraticForm, form, is_isotropic, isometric,
+                               witt_index)
 from towerforms.valuation import ValuationCtx
 from conftest import tower
 
@@ -101,7 +102,7 @@ def test_hilbert_product_formula(gf3x):
         a = sample(gf3x, budget, (seed, "a"))
         b = sample(gf3x, budget, (seed, "b"))
         prod = 1
-        for place in places_for_elements(gf3x, [a, b]):
+        for place in places_of_interest(QuadraticForm(gf3x, (a, b))):
             prod *= hilbert_symbol(a, b, place)
         assert prod == 1
 
@@ -245,7 +246,7 @@ def test_place_split_matches_reference_loops(p):
     K = tower(p, 1, ("X", RATFUNC))
     budget = SampleBudget(max_deg=4)
     elems = [sample(K, budget, seed) for seed in range(40)]
-    places = places_for_elements(K, elems)
+    places = places_of_interest(QuadraticForm(K, tuple(elems)))
     assert any(P.degree == 2 for P in places)
     for P in places:
         rt = residue_tower(K, P)

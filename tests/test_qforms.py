@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from towerforms import errors, qforms
+from towerforms import errors
 from towerforms.fields import SampleBudget, sample, sample_unit
 from towerforms.qforms import (QuadraticForm, form, is_hyperbolic,
                                is_isotropic, isometric, neg, orth_sum, scale,
@@ -70,9 +70,6 @@ def test_isometric_tower_mismatch(gf3, gf3t):
 def test_combine_examples(gf3):
     assert orth_sum(form(gf3, 1), form(gf3, 2)).diag == form(gf3, 1, 2).diag
     assert scale(form(gf3, 1, 2), gf3.from_int(2)).diag == form(gf3, 2, 1).diag
-    a, b = gf3.from_int(1), gf3.from_int(2)
-    q = qforms.tensor_bilinear(form(gf3, 1, -a), (gf3.one, -b))
-    assert q.diag == (gf3.one, -a, -b, a * b)
 
 
 def test_zero_entry_rejected(gf3):

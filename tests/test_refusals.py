@@ -27,10 +27,13 @@ def test_certificate_budget_is_a_constant(monkeypatch, gf3t):
 
 
 def test_certify_has_no_budget_flag(capsys):
-    line = ("certify --field 'GF(3)((t))' --p1 '<<t; 1]]' --p2 '<<t; 1]]' "
-            "--budget 5")
-    assert main(shlex.split(line)) == 2
-    assert "--budget" in capsys.readouterr().err
+    lines = [("certify --field 'GF(3)((t))' --p1 '<<t; 1]]' --p2 '<<t; 1]]' "
+              "--budget 5", "--budget"),
+             ("verify top-linked --field 'GF(3)' --d 1 --samples 5 "
+              "--budget-degree 1", "--budget-degree")]
+    for line, flag in lines:
+        assert main(shlex.split(line)) == 2, line
+        assert flag in capsys.readouterr().err, line
 
 
 def test_sample_symbol_refuses_fold_below_one(gf3t):

@@ -1,12 +1,11 @@
-"""Valuation contexts, Springer decomposition, residue forms, Hensel lifting."""
+"""Valuation contexts, Springer decomposition, residue forms, F2 solving."""
 
 import pytest
 
 from towerforms import errors
 from towerforms.fields import SampleBudget, sample_unit, valuation as val
 from towerforms.qforms import QuadraticForm, form, is_isotropic
-from towerforms.valuation import (ValuationCtx, compose, f2_solve,
-                                  hensel_lift_isotropic, raw_springer_split,
+from towerforms.valuation import (ValuationCtx, f2_solve, raw_springer_split,
                                   residue_form, springer_decompose)
 
 
@@ -65,47 +64,6 @@ def test_residue_form_zero_pi_raises(gf3t):
         residue_form(form(gf3t, 1), ValuationCtx(gf3t), gf3t.zero)
 
 
-def test_hensel_lift_examples(gf3t, gf5t):
-    ctx = ValuationCtx(gf3t)
-    q = form(gf3t, 1, -1)
-    res = hensel_lift_isotropic(q, ctx, [ctx.residue_tower.one,
-                                         ctx.residue_tower.one])
-    assert q.evaluate(list(res.vector)).is_zero()
-
-    # sqrt(1+t) exists in GF(5)((t)) but not in the GF(5)(t) representation:
-    # the lift is Newton-refined to the configured precision instead of exact
-    t = gf5t.gen("t")
-    ctx5 = ValuationCtx(gf5t)
-    q5 = form(gf5t, 1, -(1 + t))
-    res5 = hensel_lift_isotropic(q5, ctx5, [ctx5.residue_tower.one,
-                                            ctx5.residue_tower.one])
-    value = q5.evaluate(list(res5.vector))
-    if res5.exact:
-        assert value.is_zero()
-    else:
-        assert val(gf5t, value)[0] >= res5.precision
-
-
-def test_hensel_lift_constant_zero():
-    from conftest import tower
-    from towerforms.fields import LAURENT
-    gf7t = tower(7, 1, ("t", LAURENT))
-    ctx = ValuationCtx(gf7t)
-    q = form(gf7t, 1, 1, 1)
-    wit = [ctx.residue_tower.from_int(c) for c in (1, 2, 3)]
-    assert (1 + 4 + 9) % 7 == 0
-    res = hensel_lift_isotropic(q, ctx, wit)
-    assert q.evaluate(list(res.vector)).is_zero()
-
-
-def test_hensel_lift_invalid_witness(gf3t):
-    ctx = ValuationCtx(gf3t)
-    q = form(gf3t, 1, 1)  # anisotropic residue
-    with pytest.raises(errors.WitnessInvalid):
-        hensel_lift_isotropic(q, ctx, [ctx.residue_tower.one,
-                                       ctx.residue_tower.one])
-
-
 def test_f2_span_examples():
     # span membership is f2_solve(...) is not None
     assert f2_solve([(1,)], (3,)) is not None
@@ -120,9 +78,8 @@ def test_f2_solve_returns_index_set():
 
 
 def test_compose_examples(gf3tu):
-    outer = ValuationCtx(gf3tu, 1)
-    inner = ValuationCtx(gf3tu.drop_outer(), 1)
-    c = compose(outer, inner)
+    # the rank-2 context is the composite of the u-adic and t-adic valuations
+    c = ValuationCtx(gf3tu, 2)
     assert c.rank == 2
     assert c.residue_tower.describe() == "GF(3)"
     t, u = gf3tu.gen("t"), gf3tu.gen("u")

@@ -16,7 +16,8 @@ import pytest
 from conftest import tower
 from towerforms import fields as fl
 from towerforms.fields import LAURENT, RATFUNC, SampleBudget, sample
-from towerforms.localglobal import localize, places_of_interest
+from towerforms.localglobal import (anisotropic_dimension_global, localize,
+                                    places_of_interest)
 from towerforms.qforms import (QuadraticForm, is_hyperbolic, is_isotropic,
                                isometric, reduce_square_classes,
                                witt_decompose, witt_index)
@@ -27,6 +28,7 @@ LOCAL = [tower(3), tower(3, 2), tower(3, 1, ("t", LAURENT)),
          tower(3, 1, ("t", LAURENT), ("u", LAURENT))]
 GLOBAL = [tower(3, 1, ("X", RATFUNC)), tower(5, 1, ("X", RATFUNC))]
 FORMS_PER_TOWER = 90  # 7 towers: 630 forms
+FLOOR_FORMS_PER_FIELD = 360  # GF(3)(X), GF(5)(X), GF(7)(X): 1080 forms
 GLOBAL_BUDGET = SampleBudget(max_deg=2)
 
 
@@ -174,3 +176,20 @@ def test_isometric_matches_old_route(T):
         assert isometric(q1, q2) == expected, (q1, q2)
         same += expected
     assert same >= FORMS_PER_TOWER // 3
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_global_dimension_needs_no_floor_above_dim_two(p):
+    """From dim 3 on, the maximum over the places of interest reaches the
+    parity/discriminant floor, so dropping the floor changes no answer."""
+    T = tower(p, 1, ("X", RATFUNC))
+    floor_two = 0
+    for seed in range(FLOOR_FORMS_PER_FIELD):
+        dim = 3 + seed % 4
+        q = QuadraticForm(T, tuple(sample(T, GLOBAL_BUDGET, ("floor", seed, i))
+                                   for i in range(dim)))
+        assert anisotropic_dimension_global(q) == ref_global_dim(q), q
+        floor_two += ref_finite_kernel_dim(T, q.diag) == 2
+    # even forms with a non-square signed determinant are the case the
+    # argument covers; the samples must hold some
+    assert floor_two >= FLOOR_FORMS_PER_FIELD // 8
