@@ -24,6 +24,7 @@ an equal value.
 """
 
 from .errors import ParseError, TowerFormsError
+from .ffield import prime_power
 from .fields import (FieldTower, LevelDescriptor, LAURENT, RATFUNC,
                      format_element)
 from . import qforms, pfister
@@ -89,31 +90,12 @@ class _Scanner:
 # field towers
 
 
-def _prime_power(n):
-    """(p, k) with n = p^k for p prime, else None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
-
-
 def parse_field(text):
     sc = _Scanner(text)
     sc.expect("GF", "'GF'")
     sc.expect("(")
     q = sc.integer()
-    pk = _prime_power(q)
+    pk = prime_power(q)
     if pk is None:
         sc.fail(f"GF({q}): order must be a prime power")
     p, k = pk

@@ -12,18 +12,72 @@ trailing zeros (the zero element is the empty tuple).
 from functools import cached_property, lru_cache
 
 from . import polys
-from .errors import DivisionByZero, TowerFormsError
+from .errors import ConfigUnsupported, DivisionByZero, TowerFormsError
+
+
+# The first 13 primes, and the least n that is a strong pseudoprime to all
+# of them (Sorenson and Webster, Math. Comp. 86, 2017): below it, passing
+# Miller-Rabin on these bases proves n prime.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n):
+    """Exact primality: deterministic Miller-Rabin on _MR_BASES.
+
+    A base that witnesses compositeness proves it at any size; passing all
+    13 bases proves primality for n < _MR_BOUND (about 3.3 * 10^24).  An
+    n >= _MR_BOUND that passes them all is refused with ConfigUnsupported
+    rather than guessed.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= _MR_BOUND:
+        raise ConfigUnsupported(
+            f"primality of {n} is exact only below {_MR_BOUND}")
     return True
+
+
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 1: Newton's iteration on integers, from a
+    power of two above the root, stops at the first step that does not
+    decrease."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(n):
+    """(p, k) with n = p^k and p prime, else None.
+
+    Each k <= log2 n is tried from the largest down, by an integer k-th
+    root, so n itself goes through _is_prime only when it is no perfect
+    power of a prime; the cap of _is_prime applies.
+    """
+    for k in range(n.bit_length() - 1, 0, -1):
+        r = _iroot(n, k)
+        if r ** k == n and _is_prime(r):
+            return r, k
+    return None
 
 
 class _FiniteField:
@@ -128,18 +182,10 @@ class Zp(_FiniteField):
 
 
 @lru_cache(maxsize=None)
-def finite_field(p, k=1, modulus=None):
-    """GF(p^k), built and checked once per (p, k, modulus).
-
-    Zp when k = 1, where a given modulus must be monic of degree 1; Fq over
-    the modulus (the canonical one when None) otherwise, so a tower and all
-    its residue towers share one Fq and its irreducibility test.
-    """
-    if k > 1:
-        return Fq(p, k, modulus)
-    if modulus is not None:
-        Fq(p, 1, modulus)  # rejects a modulus that is not monic of degree 1
-    return Zp(p)
+def finite_field(p, k=1):
+    """GF(p^k), built once per (p, k): Zp when k = 1, else Fq, so a tower
+    and all its drop_outer()s share one Fq."""
+    return Fq(p, k) if k > 1 else Zp(p)
 
 
 def irreducible_over(F, poly):
@@ -193,22 +239,15 @@ def canonical_modulus(p, k):
 
 
 class Fq(_FiniteField):
-    """GF(p^k) as GF(p)[X]/(modulus); raws are little-endian int tuples."""
+    """GF(p^k) as GF(p)[X]/(canonical_modulus(p, k)), its one modulus."""
 
-    def __init__(self, p, k, modulus=None):
+    def __init__(self, p, k):
         if p == 2:
             raise TowerFormsError("even characteristic is not supported")
         self.p = p
         self.k = k
         self.base = finite_field(p)
-        if modulus is None:
-            modulus = canonical_modulus(p, k)
-        modulus = polys.trim(self.base, modulus)
-        if polys.deg(modulus) != k or not self.base.eq(modulus[-1], 1):
-            raise TowerFormsError("modulus must be monic of the stated degree")
-        if k > 1 and not irreducible_over(self.base, modulus):
-            raise TowerFormsError("modulus is not irreducible")
-        self.modulus = modulus
+        self.modulus = canonical_modulus(p, k)
         self.order = p ** k
         self.zero = ()
         self.one = (1,)

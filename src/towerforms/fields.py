@@ -124,7 +124,6 @@ class FieldTower:
     base_char: int
     base_degree: int = 1
     levels: tuple = ()
-    base_modulus: tuple = None
 
     def __post_init__(self):
         if self.base_char == 2 or not _is_prime(self.base_char):
@@ -142,8 +141,7 @@ class FieldTower:
     @cached_property
     def chain(self):
         """Field objects from the base outward; chain[-1] is the element field."""
-        fields = [finite_field(self.base_char, self.base_degree,
-                               self.base_modulus)]
+        fields = [finite_field(self.base_char, self.base_degree)]
         for lv in self.levels:
             fields.append(FracField(fields[-1], lv.symbol))
         return fields
@@ -158,8 +156,8 @@ class FieldTower:
 
     def drop_outer(self, n=1):
         """The tower with the outermost n levels removed."""
-        return FieldTower(self.base_char, self.base_degree, self.levels[:-n] if n else self.levels,
-                          self.base_modulus)
+        return FieldTower(self.base_char, self.base_degree,
+                          self.levels[:-n] if n else self.levels)
 
     def laurent_rank(self):
         return sum(1 for lv in self.levels if lv.kind == LAURENT)
@@ -191,8 +189,8 @@ class FieldTower:
     def embed(self, elem):
         """Embed an element of an inner prefix tower into this tower."""
         inner = elem.tower
-        if (inner.base_char, inner.base_degree, inner.base_modulus) != \
-                (self.base_char, self.base_degree, self.base_modulus) or \
+        if (inner.base_char, inner.base_degree) != \
+                (self.base_char, self.base_degree) or \
                 inner.levels != self.levels[:len(inner.levels)]:
             raise TowerMismatch("not an inner prefix tower")
         raw = elem.raw

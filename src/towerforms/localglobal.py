@@ -11,15 +11,15 @@ global Witt decomposition splits one hyperbolic plane per explicit
 isotropic vector off the diagonal.
 
 Place machinery is implemented for prime base fields GF(p)(X) only, whose
-numerators and denominators are int polynomials over ffield.Zp.  The residue
-field at a degree-1 place (infinity included) is GF(p) with int raws; at a
-degree-m place, m > 1, it is GF(p^m) with the place polynomial as defining
-modulus, whose raws are the int-tuple remainders mod that polynomial.
+numerators and denominators are int polynomials over ffield.Zp.  A
+completion holds only square-class bits: per entry the parity of its
+valuation and whether its unit residue is a non-square in GF(p^deg), read
+off the factorization by Legendre symbols.  No residue field is built.
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import fields as fl
 from . import ffield, polys, qforms
@@ -106,7 +106,7 @@ def factor(p, f):
     if not f:
         raise ZeroArgument("cannot factor the zero polynomial")
     lc = f[-1]
-    return lc, _factor_monic(p, polys.pmonic(F, f))
+    return lc, _factor_monic(p, f if lc == 1 else polys.pmonic(F, f))
 
 
 def places_of_interest(q):
@@ -126,54 +126,55 @@ def places_of_interest(q):
 # localization
 
 
-def residue_tower(tower, place):
-    p, _, _ = _global_base(tower)
-    if place.degree == 1:
-        return fl.FieldTower(p, 1)
-    return fl.FieldTower(p, place.degree, base_modulus=place.poly)
+@lru_cache(maxsize=None)
+def _legendre_nonsquare(p, g, P):
+    """Whether g is a non-square modulo the monic irreducible P, g coprime
+    to P: Euler's criterion g^((p^m - 1)/2) = -1 in GF(p)[X]/(P), m = deg P."""
+    F = ffield.finite_field(p)
+    return polys.ppowmod(F, g, (p ** polys.deg(P) - 1) // 2, P) != (1,)
 
 
-def place_split(place, rt, elem):
-    """(v, r): the valuation of a nonzero element at place, and the residue
-    of its unit part elem / pi^v in the residue tower rt, read off with one
-    division by pi per step."""
+def place_split(place, elem):
+    """(v, nonsquare): the valuation of a nonzero element at place, and
+    whether the residue of its unit part elem / pi^v is a non-square.
+
+    At infinity v = deg den - deg num, and the residue is lc(num)/lc(den).
+    At P of degree m, v is the multiplicity of P in num minus that in den,
+    read off factor.  The residue is lc times the other irreducible factors
+    g^(+-e) mod P, so its bit is the XOR of theirs: an even power adds
+    nothing, an odd one the Legendre symbol of g mod P, and lc its bit in
+    GF(p) iff m is odd, as c^((p^m - 1)/2) = (c^((p - 1)/2))^(1 + p + ... +
+    p^(m - 1)) and that exponent has the parity of m.
+    """
     if elem.is_zero():
         raise ZeroArgument("valuation of zero")
+    p, F, _ = _global_base(elem.tower)
     num, den = elem.raw
     if place.kind == INFINITY:
-        return polys.deg(den) - polys.deg(num), rt.element(
-            rt.ops.div(num[-1], den[-1]))
-    F = elem.tower.chain[0]
-    parts = []
-    for f in (num, den):
-        k, (quo, rem) = 0, polys.pdivmod(F, f, place.poly)
-        while not rem:
-            k, (quo, rem) = k + 1, polys.pdivmod(F, quo, place.poly)
-        parts.append((k, rem if place.degree > 1 else rem[0]))
-    (vn, rn), (vd, rd) = parts
-    return vn - vd, rt.element(rt.ops.div(rn, rd))
+        return polys.deg(den) - polys.deg(num), \
+            not F.is_square(F.mul(num[-1], den[-1]))
+    (lc, num_fac), (_, den_fac) = factor(p, num), factor(p, den)
+    nonsquare = place.degree % 2 == 1 and not F.is_square(lc)
+    for g, e in itertools.chain(num_fac.items(), den_fac.items()):
+        if e % 2 and g != place.poly:
+            nonsquare ^= _legendre_nonsquare(p, g, place.poly)
+    return num_fac.get(place.poly, 0) - den_fac.get(place.poly, 0), nonsquare
 
 
 @dataclass(frozen=True)
 class Completion:
-    place: Place
-    residue_tower: fl.FieldTower
-    entries: tuple  # per diagonal entry: (valuation, unit residue Element)
+    """A diagonal form at a place, as square_class_bits: (-1 is a non-square
+    in the residue field, per entry (valuation mod 2, the unit residue is a
+    non-square)), all any subform's local anisotropic dimension reads."""
 
-    @cached_property
-    def square_class_bits(self):
-        """(-1 is a non-square, per entry (valuation mod 2, the residue is a
-        non-square)) in the residue field: all any subform's local
-        anisotropic dimension depends on."""
-        F = self.residue_tower.ops
-        return (not F.is_square(F.neg(F.one)),
-                tuple((v % 2, not F.is_square(r.raw)) for v, r in self.entries))
+    place: Place
+    square_class_bits: tuple
 
 
 def localize(q, place):
-    rt = residue_tower(q.tower, place)
-    return Completion(place, rt, tuple(place_split(place, rt, d)
-                                       for d in q.diag))
+    return Completion(place, (place_split(place, -q.tower.one)[1], tuple(
+        (v % 2, nonsquare) for v, nonsquare in
+        (place_split(place, d) for d in q.diag))))
 
 
 def _subform_dimension(bits, idx):
@@ -192,7 +193,8 @@ def _subform_dimension(bits, idx):
 
 def local_anisotropic_dimension(comp):
     """The finite rule on the residues of the even and odd entries."""
-    return _subform_dimension(comp.square_class_bits, range(len(comp.entries)))
+    bits = comp.square_class_bits
+    return _subform_dimension(bits, range(len(bits[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +244,14 @@ def _anisotropic_dimension_global(q, comps):
 
 
 def hilbert_symbol(a, b, v):
+    """(a, b)_v: 1 iff (-1)^(v_a v_b) a^(v_b) b^(-v_a) has a square residue,
+    that is iff (v_a v_b and m) xor (v_b and n_a) xor (v_a and n_b) is 0,
+    with m, n_a, n_b the non-square bits of -1 and of the unit residues."""
     if a.is_zero() or b.is_zero():
         raise ZeroArgument("Hilbert symbol needs nonzero arguments")
     if isinstance(v, Place):
-        rt = residue_tower(a.tower, v)
-        va, ra = place_split(v, rt, a)
-        vb, rb = place_split(v, rt, b)
+        (va, na), (vb, nb), (_, minus_one) = (
+            place_split(v, x) for x in (a, b, -a.tower.one))
     else:
         if v.rank != 1:
             raise ConfigUnsupported("Hilbert symbol needs a rank-1 valuation")
@@ -256,9 +260,11 @@ def hilbert_symbol(a, b, v):
             raise ConfigUnsupported("Hilbert symbol needs a finite residue field")
         (va,), ra = v.split(a)
         (vb,), rb = v.split(b)
-    sign = rt.one if (va * vb) % 2 == 0 else -rt.one
-    sym = sign * ra ** vb * rb ** (-va)
-    return 1 if fl.is_square(rt, sym) else -1
+        na, nb, minus_one = (not fl.is_square(rt, x)
+                             for x in (ra, rb, -rt.one))
+    nonsquare = (va * vb % 2 and minus_one) ^ (vb % 2 and na) ^ \
+        (va % 2 and nb)
+    return -1 if nonsquare else 1
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +381,8 @@ def _isotropic_subsets(comps, k):
     whole form: the subform's places lie among the form's, and at any other
     place its k unit entries make it isotropic (Chevalley-Warning plus
     Hensel)."""
-    n = len(comps[0].entries)
     bits = [c.square_class_bits for c in comps]
+    n = len(bits[0][1])
     return [idx for idx in itertools.combinations(range(n), k)
             if all(_subform_dimension(b, idx) < k for b in bits)]
 

@@ -83,6 +83,16 @@ def pmod(F, a, b):
     return pdivmod(F, a, b)[1]
 
 
+def ppowmod(F, a, n, m):
+    """a^n mod m for n >= 0, by square-and-multiply."""
+    result = pmod(F, (F.one,), m)
+    while n:
+        if n & 1:
+            result = pmod(F, pmul(F, result, a), m)
+        a, n = pmod(F, pmul(F, a, a), m), n >> 1
+    return result
+
+
 def pgcd(F, a, b):
     while b:
         a, b = b, pmod(F, a, b)

@@ -1,11 +1,101 @@
+import itertools
+from functools import lru_cache
+
 import pytest
 
+from towerforms import polys
+from towerforms.ffield import finite_field
 from towerforms.fields import FieldTower, LevelDescriptor, LAURENT, RATFUNC
+from towerforms.localglobal import INFINITY
 
 
 def tower(p, k=1, *levels):
     """Shorthand: tower(3, 1, ("t", LAURENT), ("u", LAURENT))."""
     return FieldTower(p, k, tuple(LevelDescriptor(s, kind) for s, kind in levels))
+
+
+@lru_cache(maxsize=None)
+def _squares_mod(p, modulus):
+    """Every nonzero y^2 mod modulus, y running over the polynomials of
+    degree < deg modulus."""
+    F = finite_field(p)
+    ys = (polys.trim(F, c)
+          for c in itertools.product(range(p), repeat=polys.deg(modulus)))
+    return frozenset(polys.pmod(F, polys.pmul(F, y, y), modulus)
+                     for y in ys if y)
+
+
+class RefPlace:
+    """Reference local data at a place of GF(p)(X), kept apart from
+    localglobal: the residue of the unit part by dividing out the place
+    polynomial one step at a time, and squareness in the residue field
+    GF(p)[X]/(P) by listing every square.  At infinity the residue is the
+    constant lc(num)/lc(den), taken mod X."""
+
+    def __init__(self, p, place):
+        self.F = finite_field(p)
+        self.p = p
+        self.place = place
+        self.modulus = (0, 1) if place.kind == INFINITY else place.poly
+
+    def split(self, elem):
+        """(v, r): the valuation of elem and the residue of its unit part,
+        a nonzero polynomial reduced mod the place polynomial."""
+        F, m = self.F, self.modulus
+        num, den = elem.raw
+        if self.place.kind == INFINITY:
+            return polys.deg(den) - polys.deg(num), (F.div(num[-1], den[-1]),)
+        v, parts = 0, []
+        for f, sign in ((num, 1), (den, -1)):
+            while not polys.pmod(F, f, m):
+                f = polys.pdivmod(F, f, m)[0]
+                v += sign
+            parts.append(polys.pmod(F, f, m))
+        return v, self.mul(parts[0], self.power(parts[1], -1))
+
+    def mul(self, a, b):
+        return polys.pmod(self.F, polys.pmul(self.F, a, b), self.modulus)
+
+    def power(self, a, n):
+        if n < 0:
+            g, a, _ = polys.pxgcd(self.F, a, self.modulus)
+            assert g == (1,)
+            n = -n
+        out = (1,)
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+    def is_square(self, r):
+        return r in _squares_mod(self.p, self.modulus)
+
+    def kernel_dim(self, residues):
+        """Witt's classification over the residue field: an odd form leaves
+        a line, an even one a plane unless (-1)^(n/2) det is a square."""
+        n = len(residues)
+        if n % 2:
+            return 1
+        disc = self.power((self.p - 1,), n // 2)
+        for r in residues:
+            disc = self.mul(disc, r)
+        return 0 if self.is_square(disc) else 2
+
+    def local_dimension(self, diag):
+        """The anisotropic dimension of <diag> in the completion: the
+        classification on the residues of its even and of its odd entries."""
+        parts = ([], [])
+        for d in diag:
+            v, r = self.split(d)
+            parts[v % 2].append(r)
+        return sum(self.kernel_dim(part) for part in parts if part)
+
+    def hilbert_symbol(self, a, b):
+        """1 or -1: whether the residue of (-1)^(v_a v_b) a^(v_b) b^(-v_a)
+        is a square."""
+        (va, ra), (vb, rb) = self.split(a), self.split(b)
+        sym = self.mul(self.power((self.p - 1,), (va * vb) % 2),
+                       self.mul(self.power(ra, vb), self.power(rb, -va)))
+        return 1 if self.is_square(sym) else -1
 
 
 @pytest.fixture

@@ -2,19 +2,21 @@
 
 Each test keeps the slow route as the reference: GF(p) as the 1-tuple field
 Fq(p, 1), square roots by brute force in elements() order, powers by
-repeated products, fraction normalization through the gcd, and the sampler
-that lists every base element and multiplies t in one factor at a time.
+repeated products, fraction normalization through the gcd, the sampler
+that lists every base element and multiplies t in one factor at a time, and
+sympy's primality and factoring (test-only).
 """
 
 import random
 
 import pytest
+import sympy
 
 from conftest import tower
 from towerforms import errors, ffield, polys
 from towerforms.ffield import Fq, Zp
 from towerforms.dsl import parse_field
-from towerforms.fields import LAURENT, FieldTower, SampleBudget, sample
+from towerforms.fields import LAURENT, SampleBudget, sample
 from towerforms.linkage import check_top_d_linked, verify_higher_local_d1
 
 
@@ -84,17 +86,9 @@ def test_pow_matches_repeated_product(field):
             ref = F.mul(ref, a)
 
 
-def test_prime_modulus_still_checked():
-    with pytest.raises(errors.TowerFormsError):
-        FieldTower(3, 1, base_modulus=(1, 1, 1)).chain
-    with pytest.raises(errors.TowerFormsError):
-        FieldTower(3, 1, base_modulus=(1, 2)).chain
-    assert FieldTower(3, 1, base_modulus=(2, 1)).chain[0].order == 3
-
-
 def test_each_finite_field_is_built_once(monkeypatch):
-    """Residue towers share their base field: one Fq per quadratic place of
-    GF(3)(X), and one for a GF(9)((t)) tower and all its drop_outer()s."""
+    """Places build no residue field, so over a prime base no Fq is built
+    at all; a GF(9)((t)) tower and all its drop_outer()s share one Fq."""
     built = []
     init = Fq.__init__
 
@@ -105,11 +99,45 @@ def test_each_finite_field_is_built_once(monkeypatch):
     monkeypatch.setattr(Fq, "__init__", counting_init)
     ffield.finite_field.cache_clear()
     assert verify_higher_local_d1(3, samples=150).passed
-    places = ffield.irreducibles(Zp(3), 2)
-    assert sorted(built) == sorted((3, 2, g) for g in places)
-    built.clear()
+    assert verify_higher_local_d1(5, samples=60).passed
+    assert built == []
     assert check_top_d_linked(tower(3, 2, ("t", LAURENT)), 2, 30).passed
-    assert built == [(3, 2, None)]
+    assert built == [(3, 2)]
+
+
+def _sympy_prime_power(n):
+    if n < 2:
+        return None
+    factors = sympy.factorint(n)
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+def test_primality_matches_sympy():
+    """Miller-Rabin on the 13 bases against sympy: every n < 10^5, seeded
+    40-80-bit n and prime powers, and strong pseudoprimes to many small
+    bases; a number that passes every base above the proven bound is
+    refused."""
+    for n in range(10 ** 5):
+        assert ffield._is_prime(n) == sympy.isprime(n), n
+        assert ffield.prime_power(n) == _sympy_prime_power(n), n
+    rng = random.Random(2017)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(40, 80)) | 1
+        assert ffield._is_prime(n) == sympy.isprime(n), n
+        p = sympy.nextprime(rng.getrandbits(rng.randint(20, 40)))
+        k = rng.randint(1, 4)
+        assert ffield.prime_power(p ** k) == (p, k)
+        assert ffield.prime_power(p ** k * 3) is None
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not sympy.isprime(n)
+        assert not ffield._is_prime(n) and ffield.prime_power(n) is None
+    assert ffield._is_prime(2 ** 61 - 1)
+    with pytest.raises(errors.ConfigUnsupported):
+        ffield._is_prime(ffield._MR_BOUND)  # a strong pseudoprime to all 13
+    with pytest.raises(errors.ConfigUnsupported):
+        ffield.prime_power(2 ** 89 - 1)
+    assert ffield.prime_power(10 ** 30) is None
 
 
 def _make_by_gcd(f, num, den):

@@ -9,7 +9,9 @@ is hyperbolic, and its witness must come from one square root, not from
 factoring X^2 + 1, which lists the irreducibles of degree 1.  The dim-6
 form over GF(5)(X) (Witt index 2) exercises the slow tail of the witness
 search, which once took 15 s on it by recomputing every s*y^2 product per
-table row.
+table row.  The fields over the prime 10^18 + 3 once ran past 15 s in two
+trial-division loops up to its square root, one checking the order and one
+the prime.
 """
 
 import shlex
@@ -29,6 +31,9 @@ BOUND_S = 5.0
     "verify top-linked --field 'GF(1000003)' --d 1 --samples 3",
     "witt --field 'GF(5)(X)' --form 'diag[(2 + 4*X + 2*X^2)/(2 + X), 2, "
     "3/(3 + 4*X + X^2), 1/(1 + X + X^2), (3 + 4*X)/X, 2 + 3*X]' --json",
+    "square --field 'GF(1000000000000000003)' --elem 3",
+    "square --field 'GF(1000000000000000003)(X)' --elem 3",
+    "square --field 'GF(1000000000000000003)((t))' --elem 3",
 ])
 def test_cli_line_within_bound(line, capsys):
     start = time.perf_counter()

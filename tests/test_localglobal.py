@@ -12,13 +12,13 @@ from towerforms.localglobal import (FINITE, INFINITY, Place, _isotropic_subsets,
                                     isotropic_vector_global, localize,
                                     place_split,
                                     places_of_interest,
-                                    residue_tower, square_class_rep,
+                                    square_class_rep,
                                     witt_decompose_global)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
 from towerforms.qforms import (QuadraticForm, form, is_isotropic, isometric,
                                witt_index)
 from towerforms.valuation import ValuationCtx
-from conftest import tower
+from conftest import RefPlace, tower
 
 
 def _place_names(q):
@@ -38,18 +38,12 @@ def test_places_of_interest_examples(gf3x):
 def test_localize_examples(gf3x):
     X = gf3x.gen("X")
     at_x = Place(FINITE, (0, 1))
-
-    comp = localize(form(gf3x, X), at_x)
-    (v, r), = comp.entries
-    assert v == 1 and r == comp.residue_tower.one
-
-    comp = localize(form(gf3x, X + 1), at_x)
-    (v, r), = comp.entries
-    assert v == 0 and r == comp.residue_tower.one
-
-    comp = localize(form(gf3x, X), Place(INFINITY, None))
-    (v, r), = comp.entries
-    assert v == -1 and r == comp.residue_tower.one
+    # each unit residue is 1; -1 is a non-square of GF(3)
+    for elem, place, v in [(X, at_x, 1), (X + 1, at_x, 0),
+                           (X, Place(INFINITY, None), -1)]:
+        assert RefPlace(3, place).split(elem) == (v, (1,))
+        comp = localize(form(gf3x, elem), place)
+        assert comp.square_class_bits == (True, ((v % 2, False),))
 
 
 def test_global_isotropy_examples(gf3x):
@@ -96,15 +90,26 @@ def test_hilbert_symbol_matches_springer(gf5t):
         assert (hilbert_symbol(a, b, ctx) == 1) == is_isotropic(q)
 
 
-def test_hilbert_product_formula(gf3x):
-    budget = SampleBudget()
-    for seed in range(20):
-        a = sample(gf3x, budget, (seed, "a"))
-        b = sample(gf3x, budget, (seed, "b"))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_hilbert_product_formula(p):
+    """The symbols over all places multiply to 1, and each place symbol is
+    the reference one, read off the residues by brute-force squares; over
+    GF(5)(X) and GF(7)(X) on 100 pairs with places of degree up to 4."""
+    K = tower(p, 1, ("X", RATFUNC))
+    budget, pairs = (SampleBudget(), 20) if p == 3 else \
+        (SampleBudget(max_deg=4), 100)
+    max_degree = 0
+    for seed in range(pairs):
+        a = sample(K, budget, (seed, "a"))
+        b = sample(K, budget, (seed, "b"))
         prod = 1
-        for place in places_of_interest(QuadraticForm(gf3x, (a, b))):
-            prod *= hilbert_symbol(a, b, place)
+        for place in places_of_interest(QuadraticForm(K, (a, b))):
+            symbol = hilbert_symbol(a, b, place)
+            assert symbol == RefPlace(p, place).hilbert_symbol(a, b)
+            prod *= symbol
+            max_degree = max(max_degree, place.degree)
         assert prod == 1
+    assert max_degree >= 2
 
 
 def test_square_class_rep(gf3x):
@@ -210,52 +215,24 @@ def test_non_prime_base_unsupported():
         is_isotropic_global(form(T, 1, -T.gen("X"), 1))
 
 
-def _ref_place_valuation(place, elem):
-    """Multiplicity of the place polynomial: test it divides, then divide."""
-    F = elem.tower.chain[0]
-    num, den = elem.raw
-    if place.kind == INFINITY:
-        return polys.deg(den) - polys.deg(num)
-    mult = 0
-    for f, sign in ((num, 1), (den, -1)):
-        while not polys.pmod(F, f, place.poly):
-            f = polys.pdivmod(F, f, place.poly)[0]
-            mult += sign
-    return mult
-
-
-def _ref_place_residue_unit(place, elem):
-    """Residue of elem / pi^v, with the residue tower built afresh."""
-    F = elem.tower.chain[0]
-    num, den = elem.raw
-    rt = residue_tower(elem.tower, place)
-    if place.kind == INFINITY:
-        return rt.element(num[-1]) / rt.element(den[-1])
-    parts = []
-    for f in (num, den):
-        while not polys.pmod(F, f, place.poly):
-            f = polys.pdivmod(F, f, place.poly)[0]
-        parts.append(polys.pmod(F, f, place.poly))
-    if place.degree == 1:
-        parts = [r[0] for r in parts]
-    return rt.element(parts[0]) / rt.element(parts[1])
-
-
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_place_split_matches_reference_loops(p):
+    """The valuation and non-square bit from the factorization against the
+    division loop and the listed squares of the residue field, on at least
+    1000 (element, place) pairs per field with places of degree 1-4."""
     K = tower(p, 1, ("X", RATFUNC))
     budget = SampleBudget(max_deg=4)
-    elems = [sample(K, budget, seed) for seed in range(40)]
+    elems = [sample(K, budget, seed) for seed in range(60)]
     places = places_of_interest(QuadraticForm(K, tuple(elems)))
-    assert any(P.degree == 2 for P in places)
+    assert {P.degree for P in places} == {1, 2, 3, 4}
+    assert len(places) * len(elems) >= 1000
     for P in places:
-        rt = residue_tower(K, P)
+        ref = RefPlace(p, P)
         for a in elems:
-            v, r = place_split(P, rt, a)
-            assert v == _ref_place_valuation(P, a)
-            assert r == _ref_place_residue_unit(P, a)
+            v, r = ref.split(a)
+            assert place_split(P, a) == (v, not ref.is_square(r)), (P, a)
     with pytest.raises(errors.ZeroArgument):
-        place_split(places[0], residue_tower(K, places[0]), K.zero)
+        place_split(places[0], K.zero)
 
 
 @pytest.mark.parametrize("p", [3, 5])

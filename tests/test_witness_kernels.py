@@ -3,11 +3,11 @@
 The references below are the routines those kernels replaced: the
 meet-in-the-middle search over polynomial vectors with one product per
 coordinate and row, the square-class representative by division and an
-exact square root, and the finite rule on Element products.  Each new
-kernel must give the identical answer, so the witnesses built from them
-stay byte-identical.  The filter that picks the binary subforms worth a
-square root is checked against the completion at infinity and against
-fields.try_sqrt.
+exact square root, and the finite rule on the residues of
+conftest.RefPlace.  Each new kernel must give the identical answer, so the
+witnesses built from them stay byte-identical.  The filter that picks the
+binary subforms worth a square root is checked against the reference
+residues at infinity and against fields.try_sqrt.
 """
 
 import functools
@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from conftest import tower
+from conftest import RefPlace, tower
 from towerforms import dsl, ffield, polys, qforms
 from towerforms import fields as fl
 from towerforms import localglobal as lg
@@ -72,14 +72,6 @@ def old_square_class_rep(tower, elem):
         s = polys.pscale(F, s, nu)
         root = fl.try_sqrt(tower, elem / lg._embed_poly(tower, s))
     return s, root
-
-
-def old_local_dimension(comp):
-    parts = {}
-    for v, r in comp.entries:
-        parts.setdefault(v % 2, []).append(r)
-    return sum(len(qforms._finite_kernel(comp.residue_tower, part))
-               for part in parts.values())
 
 
 def new_search(p, sq, half, max_deg):
@@ -158,8 +150,7 @@ def test_pairs_square_at_infinity_keep_every_hyperbolic_pair(p):
     valuation and a square residue at infinity, and they include every pair
     with a square root."""
     K = _ratfunc(p)
-    infinity = lg.Place(lg.INFINITY)
-    rt = lg.residue_tower(K, infinity)
+    infinity = RefPlace(p, lg.Place(lg.INFINITY))
     budget = SampleBudget(max_deg=2)
     hyperbolic = dropped = kept_without_root = 0
     for seed in range(70):
@@ -171,8 +162,8 @@ def test_pairs_square_at_infinity_keep_every_hyperbolic_pair(p):
             qforms.QuadraticForm(K, tuple(entries)))
         for i, j in itertools.combinations(range(len(entries)), 2):
             ratio = -(entries[j] / entries[i])
-            v, r = lg.place_split(infinity, rt, ratio)
-            square_at_infinity = v % 2 == 0 and fl.is_square(rt, r)
+            v, r = infinity.split(ratio)
+            square_at_infinity = v % 2 == 0 and infinity.is_square(r)
             root = fl.try_sqrt(K, ratio) is not None
             assert ((i, j) in kept) == square_at_infinity, (entries, i, j)
             assert square_at_infinity or not root, (entries, i, j)
@@ -275,10 +266,10 @@ def test_completion_bits_match_residues(p):
             sample(K, budget, ("bits", seed, i)) for i in range(5)))
         for P in lg.places_of_interest(q):
             comp = lg.localize(q, P)
-            rt = comp.residue_tower
+            ref = RefPlace(p, P)
+            splits = [ref.split(d) for d in q.diag]
             assert comp.square_class_bits == (
-                not fl.is_square(rt, -rt.one),
-                tuple((v % 2, not fl.is_square(rt, r))
-                      for v, r in comp.entries))
+                not ref.is_square((p - 1,)),
+                tuple((v % 2, not ref.is_square(r)) for v, r in splits))
             assert lg.local_anisotropic_dimension(comp) == \
-                old_local_dimension(comp)
+                ref.local_dimension(q.diag)

@@ -5,18 +5,19 @@ The package reads isotropy, Witt index, hyperbolicity and isometry off
 replaced: the finite-field kernel written out per dimension, the rank-1
 level recursion on Laurent towers, the old Hasse-Minkowski isotropy test
 over GF(p)(X) (dim-2 square test, every place checked) with the Witt index
-from the discriminant floor and the local data, and isometry through
-square-class monomials plus a Witt decomposition.
+from the discriminant floor and the local data of conftest.RefPlace
+(residues by division, listed squares), and isometry through square-class
+monomials plus a Witt decomposition.
 """
 
 import random
 
 import pytest
 
-from conftest import tower
+from conftest import RefPlace, tower
 from towerforms import fields as fl
 from towerforms.fields import LAURENT, RATFUNC, SampleBudget, sample
-from towerforms.localglobal import (anisotropic_dimension_global, localize,
+from towerforms.localglobal import (anisotropic_dimension_global,
                                     places_of_interest)
 from towerforms.qforms import (QuadraticForm, is_hyperbolic, is_isotropic,
                                isometric, reduce_square_classes,
@@ -60,11 +61,8 @@ def ref_local_dim(q):
                for part in raw_springer_split(q, ctx).values())
 
 
-def ref_completion_dim(comp):
-    even = [r for v, r in comp.entries if v % 2 == 0]
-    odd = [r for v, r in comp.entries if v % 2]
-    return sum(ref_finite_kernel_dim(comp.residue_tower, part)
-               for part in (even, odd) if part)
+def ref_completion_dim(q, P):
+    return RefPlace(q.tower.base_char, P).local_dimension(q.diag)
 
 
 def ref_global_isotropic(q):
@@ -74,14 +72,14 @@ def ref_global_isotropic(q):
         return False
     if q.dim == 2:
         return fl.is_square(q.tower, -(q.diag[0] * q.diag[1]))
-    return all(ref_completion_dim(localize(q, P)) < q.dim
+    return all(ref_completion_dim(q, P) < q.dim
                for P in places_of_interest(q))
 
 
 def ref_global_dim(q):
     best = ref_finite_kernel_dim(q.tower, q.diag)
     for P in places_of_interest(q):
-        best = max(best, ref_completion_dim(localize(q, P)))
+        best = max(best, ref_completion_dim(q, P))
     return best
 
 
