@@ -11,6 +11,7 @@ print ``elapsed_ms`` as null in JSON mode to keep that guarantee).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -282,8 +283,15 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parse_args keeps no state from
+    one call to the next, and building it costs more than most queries."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -38,8 +38,13 @@ class FracField:
     """Field of fractions of polynomials over an inner field object.
 
     Raws are (num, den) pairs of coefficient tuples; den is monic and
-    coprime to num, zero is ((), (one,)).  A constant den needs no gcd: it
-    is a unit, so make only scales by its inverse.
+    coprime to num, zero is ((), (one,)).  A monomial den = c*X^k needs no
+    Euclid: the monic divisors of X^k are the X^j, so gcd(num, X^k) is
+    X^min(k, ord num), with ord num the number of leading zero coefficients
+    of num.  make divides both by that power, a shift, and scales by 1/c;
+    for a constant den (k = 0) only the scaling is left.  This is the
+    common case at a Laurent level, where a nonzero element is a unit part
+    times a power of the uniformizer.  Any other den goes through pgcd.
     """
 
     def __init__(self, inner, symbol):
@@ -58,10 +63,15 @@ class FracField:
         if not num:
             return self.zero
         if len(den) > 1:
-            g = polys.pgcd(F, num, den)
-            if polys.deg(g) > 0:
-                num = polys.pdivmod(F, num, g)[0]
-                den = polys.pdivmod(F, den, g)[0]
+            k = polys.pshift_order(F, den)
+            if k == len(den) - 1:
+                s = min(k, polys.pshift_order(F, num))
+                num, den = num[s:], den[s:]
+            else:
+                g = polys.pgcd(F, num, den)
+                if polys.deg(g) > 0:
+                    num = polys.pdivmod(F, num, g)[0]
+                    den = polys.pdivmod(F, den, g)[0]
         lead = den[-1]
         if not F.eq(lead, F.one):
             inv = F.inv(lead)
@@ -300,7 +310,8 @@ def leading_term(fracs, raw):
 
     Walks the Laurent levels whose fraction fields are listed in `fracs`,
     outermost first; at each level the raw becomes the leading coefficient
-    of its unit part one level down.
+    of its unit part one level down.  A lowest den coefficient of 1 needs
+    no division; a monomial den, being monic, always has one.
     """
     out = []
     for f in fracs:
@@ -308,7 +319,8 @@ def leading_term(fracs, raw):
         F = f.inner
         on, od = polys.pshift_order(F, num), polys.pshift_order(F, den)
         out.append(on - od)
-        raw = F.div(num[on], den[od])
+        lead = den[od]
+        raw = num[on] if F.eq(lead, F.one) else F.div(num[on], lead)
     return tuple(out), raw
 
 

@@ -2,9 +2,12 @@
 
 Two d-fold Pfister symbols are linked when they share a (d-1)-fold Pfister
 subform, which is decided by the Witt index of the difference of their
-expansions being at least 2^{d-1}.  Certificates exhibit an explicit common
-presentation <<a1, shared...; b]] / <<a1', shared...; b]] and re-verify by
-isometry of expansions.
+expansions being at least 2^{d-1}; over Laurent towers that index is read
+off the slots' square classes (pfister.expansion_classes).  Certificates
+exhibit an explicit common presentation <<a1, shared...; b]] /
+<<a1', shared...; b]], found by isometry tests of expansions (over Laurent
+towers, of presentations whose slots are square-class representatives),
+and re-verify by isometry of the expanded symbols themselves.
 
 The verify_* functions are seeded sampling harnesses for the residue
 transfer, lifting equivalence, and higher-local statements; they report
@@ -60,10 +63,9 @@ class LinkageCertificate:
     last: object         # b
 
     def __post_init__(self):
-        prod = self.left1 * self.left2 * (self.tower.one + 4 * self.last)
-        for a in self.shared:
-            prod = prod * a
-        if prod.is_zero():
+        # a product of field elements is zero iff a factor is
+        factors = (self.left1, self.left2, self.tower.one + 4 * self.last)
+        if any(x.is_zero() for x in factors + self.shared):
             raise ConfigUnsupported("degenerate certificate data")
 
     def symbol1(self):
@@ -98,8 +100,9 @@ def is_linked_pair(q1, q2):
         raise TowerMismatch("symbols over different towers")
     if q1.fold != q2.fold:
         raise FoldMismatch("symbols of different fold")
-    diff = qforms.orth_sum(pfister.expand(q1), qforms.neg(pfister.expand(q2)))
-    return qforms.witt_index(diff) >= 2 ** (q1.fold - 1)
+    # the Witt index of the 2^(d+1)-dimensional difference
+    index = (2 ** (q1.fold + 1) - pfister.difference_dimension(q1, q2)) // 2
+    return index >= 2 ** (q1.fold - 1)
 
 
 def square_class_reps(tower):
@@ -147,23 +150,23 @@ def find_certificate(q1, q2):
     reps += classes
     lasts += [(s - 1) / 4 for s in classes]  # 1 + 4b covers every class
     reps = _dedupe(reps, drop_zero=True)
-    lasts = _dedupe(lasts)
-    e1, e2 = pfister.expand(q1), pfister.expand(q2)
+    lasts = [(b, c) for b in _dedupe(lasts)
+             if not (c := tower.one + 4 * b).is_zero()]
+    present = _class_presentation(tower, classes, reps, lasts)
+    e1, e2 = (pfister.expand(present(q.slots, q.last)) for q in (q1, q2))
     checks = itertools.count(1)
 
     def first_slot(target, shared, b):
         """The first a in reps with <<a, shared; b]] isometric to target."""
         for a in reps:
-            cand = pfister.QuadraticPfisterSymbol(tower, (a,) + shared, b)
+            cand = present((a,) + shared, b)
             if next(checks) > CERTIFICATE_BUDGET:
                 raise BudgetExceeded("certificate search budget exhausted")
             if qforms.isometric(target, pfister.expand(cand)):
                 return a
         return None
 
-    for b in lasts:
-        if (tower.one + 4 * b).is_zero():
-            continue
+    for b, _ in lasts:
         for shared in itertools.product(reps, repeat=d - 2):
             left1 = first_slot(e1, shared, b)
             if left1 is None:
@@ -172,6 +175,29 @@ def find_certificate(q1, q2):
             if left2 is not None:
                 return LinkageCertificate(tower, left1, left2, shared, b)
     return NOT_FOUND
+
+
+def _class_presentation(tower, classes, reps, lasts):
+    """present(slots, b): a symbol isometric to <<slots; b]], for slots
+    from reps and (b, 1 + 4b) pairs in lasts, which the search expands.
+
+    With classes, the representatives of every square class, each slot is
+    replaced by the representative of its class and b by the b' whose
+    1 + 4b' represents the class of 1 + 4b: <1, -x> depends on the class of
+    x only up to isometry, so every isometry test answers as for the
+    symbol's own data, while the expansion multiplies monomials.  Without
+    (over GF(p)(X)) it is <<slots; b]] itself.
+    """
+    if not classes:
+        return lambda slots, b: pfister.QuadraticPfisterSymbol(tower, slots, b)
+    by_class = {qforms.square_class(tower, s): s for s in classes}
+
+    def rep(x):
+        return by_class[qforms.square_class(tower, x)]
+    slot = {a: rep(a) for a in reps}
+    last = {b: b if (s := rep(c)) == c else (s - 1) / 4 for b, c in lasts}
+    return lambda slots, b: pfister.QuadraticPfisterSymbol(
+        tower, tuple(slot[a] for a in slots), last[b])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +250,7 @@ def check_top_d_linked(tower, d, samples=200, seed=0,
     failures = []
     for i in range(samples):
         s = sample_symbol(tower, d + 1, (seed, "iso", i), budget)
-        if not qforms.is_isotropic(pfister.expand(s)):
+        if not pfister.symbol_isotropic(s):
             failures.append({"kind": "anisotropic-(d+1)-fold", "index": i,
                              "symbol": s.describe()})
     for i in range(samples):
@@ -278,12 +304,11 @@ def verify_residue_transfer(tower, n, m, samples=200, seed=0,
         try:
             rep = pfister.pfister_residues(lift, ctx)
         except IsotropicInput:
-            if not qforms.is_isotropic(pfister.expand(r)):
+            if not pfister.symbol_isotropic(r):
                 failures.append({"kind": "lift-lost-anisotropy", "index": i,
                                  "symbol": r.describe()})
             continue
-        if not qforms.isometric(pfister.expand(rep.first_residue),
-                                pfister.expand(r)):
+        if not pfister.symbols_isometric(rep.first_residue, r):
             failures.append({"kind": "lift-residue-mismatch", "index": i,
                              "symbol": r.describe(),
                              "residue": rep.first_residue.describe()})
@@ -291,8 +316,8 @@ def verify_residue_transfer(tower, n, m, samples=200, seed=0,
     # (c) injectivity on consecutive sample pairs
     for i in range(len(lifts) - 1):
         (r1, l1), (r2, l2) = lifts[i], lifts[i + 1]
-        same_res = qforms.isometric(pfister.expand(r1), pfister.expand(r2))
-        same_lift = qforms.isometric(pfister.expand(l1), pfister.expand(l2))
+        same_res = pfister.symbols_isometric(r1, r2)
+        same_lift = pfister.symbols_isometric(l1, l2)
         if same_res != same_lift:
             failures.append({"kind": "injectivity-break", "index": i,
                              "symbols": [r1.describe(), r2.describe()]})

@@ -179,22 +179,16 @@ def localize(q, place):
 
 def _subform_dimension(bits, idx):
     """Local anisotropic dimension of the subform on positions idx: the
-    finite rule, on square-class bits, for the residues of its even and of
-    its odd entries."""
+    square-class rule of qforms, the key of an entry being its valuation
+    mod 2."""
     minus_one, entries = bits
-    count, det = [0, 0], [False, False]
-    for i in idx:
-        v, nonsquare = entries[i]
-        count[v] += 1
-        det[v] ^= nonsquare
-    return sum(qforms._finite_kernel_dim(count[v], det[v], minus_one)
-               for v in (0, 1))
+    return qforms.bits_dimension(minus_one, [entries[i] for i in idx])
 
 
 def local_anisotropic_dimension(comp):
     """The finite rule on the residues of the even and odd entries."""
-    bits = comp.square_class_bits
-    return _subform_dimension(bits, range(len(bits[1])))
+    minus_one, entries = comp.square_class_bits
+    return qforms.bits_dimension(minus_one, entries)
 
 
 # ---------------------------------------------------------------------------

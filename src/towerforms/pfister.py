@@ -9,6 +9,7 @@ from a normalized presentation.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import fields as fl
 from . import qforms
@@ -33,8 +34,13 @@ class QuadraticPfisterSymbol:
                 raise ZeroArgument("zero Pfister slot")
         if self.last.tower != self.tower:
             raise TowerMismatch("last slot from a different tower")
-        if (self.tower.one + 4 * self.last).is_zero():
+        if self.c.is_zero():
             raise ZeroArgument("1 + 4b must be nonzero")
+
+    @cached_property
+    def c(self):
+        """1 + 4b: the symbol expands to <1, -c> x <1, -a_1> x ..."""
+        return self.tower.one + 4 * self.last
 
     @property
     def fold(self):
@@ -161,11 +167,71 @@ def expand_bilinear(symbol):
 
 def expand(symbol):
     """The 2^d-dimensional diagonal quadratic form of a quadratic symbol."""
-    c = symbol.tower.one + 4 * symbol.last
-    diag = [symbol.tower.one, -c]
+    diag = [symbol.tower.one, -symbol.c]
     for a in symbol.slots:
         diag.extend([-a * d for d in diag])
     return qforms.QuadraticForm(symbol.tower, tuple(diag))
+
+
+# ---------------------------------------------------------------------------
+# decisions on square classes
+#
+# Over a tower whose levels are all Laurent the square classes form an
+# F2-space and qforms.square_class is linear, so the entry -x_1 * ... * -x_k
+# of <1, -c> x <1, -a_1> x ... has the XOR of the classes of -c, -a_i: the
+# 2^d classes of an expansion come from d + 1 leading-term reads, and no
+# entry is multiplied out.  Over GF(p)(X) the decisions expand.
+
+
+def negated_class(tower, x):
+    """qforms.square_class of -x."""
+    return qforms.square_class(tower, x) ^ qforms.minus_one_class(tower)
+
+
+def class_span(gens):
+    """The classes of the entries of <1, -x_1> x ... x <1, -x_k>, in
+    expand's order, from gens = [negated_class(x_i)]."""
+    out = [0]
+    for g in gens:
+        out += [e ^ g for e in out]
+    return out
+
+
+def expansion_classes(symbol):
+    """The square classes of the entries of expand(symbol), in its order;
+    None when the tower has a RationalFunction level."""
+    tower = symbol.tower
+    if tower.laurent_rank() < len(tower.levels):
+        return None
+    return class_span([negated_class(tower, x)
+                       for x in (symbol.c,) + symbol.slots])
+
+
+def difference_dimension(s1, s2):
+    """Anisotropic dimension of expand(s1) _|_ -expand(s2), for symbols
+    over one tower; on expansion_classes where they exist, so it expands
+    only over GF(p)(X)."""
+    c1, c2 = expansion_classes(s1), expansion_classes(s2)
+    if c1 is None:
+        return qforms.anisotropic_dimension(
+            qforms.orth_sum(expand(s1), qforms.neg(expand(s2))))
+    sign = qforms.minus_one_class(s1.tower)
+    return qforms.class_dimension(s1.tower, c1 + [c ^ sign for c in c2])
+
+
+def symbol_isotropic(symbol):
+    """Whether expand(symbol) is isotropic."""
+    classes = expansion_classes(symbol)
+    if classes is None:
+        return qforms.is_isotropic(expand(symbol))
+    return qforms.class_dimension(symbol.tower, classes) < len(classes)
+
+
+def symbols_isometric(s1, s2):
+    """Whether expand(s1) and expand(s2) are isometric."""
+    if s1.tower != s2.tower:
+        raise TowerMismatch("symbols over different towers")
+    return s1.fold == s2.fold and difference_dimension(s1, s2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +329,13 @@ def good_slot_presentation(symbol, ctx):
     presentation exists for them in general).
     """
     tower = symbol.tower
-    b = symbol.last
-    c = tower.one + 4 * b
+    b, c = symbol.last, symbol.c
     if ctx.rank == 0:
         return symbol
     if not b.is_zero() and not any(ctx.value_vector(b)) \
             and not any(ctx.value_vector(c)):
         return symbol
-    if qforms.is_isotropic(expand(symbol)):
+    if symbol_isotropic(symbol):
         return QuadraticPfisterSymbol(tower, symbol.slots, tower.zero)
     if not symbol.slots:
         raise ConfigUnsupported(
@@ -385,7 +450,7 @@ def pfister_residues(symbol, ctx):
     rt = ctx.residue_tower
     res_slots = tuple(ctx.residue(a) for a in slots[m:])
     first = QuadraticPfisterSymbol(rt, res_slots, ctx.residue(good.last))
-    if qforms.is_isotropic(expand(first)):
+    if symbol_isotropic(first):
         raise IsotropicInput(
             "symbol expands isotropically: all residue forms are zero")
     entries = []

@@ -2,12 +2,17 @@
 
 Every form is a diagonal QuadraticForm (characteristic is never 2 here),
 and every routine works on the diagonal entries.  Isotropy, Witt index,
-hyperbolicity and isometry all read one number, anisotropic_dimension, built
-on one finite-field rule (_finite_kernel: parity and discriminant) applied
-over finite fields, to each part of one Springer split at full Laurent rank,
-or at each place of GF(p)(X), where witt_decompose also splits hyperbolic
-planes off on the diagonal.  The places of GF(p)(X) read the same rule on
-square-class bits (_finite_kernel_dim).
+hyperbolicity and isometry all read one number, anisotropic_dimension.
+It rests on one finite-field rule (parity and discriminant, _finite_kernel
+on elements, _finite_kernel_dim on square-class bits), and one routine,
+bits_dimension, sums that rule over the parts of a diagonal form given as
+square-class bits: the -1 bit, and per entry a parity key and the
+non-square bit of its residue.  Over a finite field or an iterated Laurent
+tower the bits come from one fields.leading_term read per entry
+(square_class), the key being the value vector mod 2; at a place of
+GF(p)(X) (localglobal) the key is the valuation mod 2.  Over GF(p)(X) the
+global dimension is the largest local one, and witt_decompose also splits
+hyperbolic planes off on the diagonal.
 """
 
 import math
@@ -119,23 +124,68 @@ def _finite_kernel_dim(n, det_nonsquare, minus_one_nonsquare):
     return 2 if det_nonsquare ^ (minus_one_nonsquare and (n // 2) % 2) else 0
 
 
+def bits_dimension(minus_one, entries):
+    """Anisotropic dimension of a diagonal form over a henselian field with
+    finite residue field, from square-class bits: minus_one, whether -1 is
+    a non-square, and per entry a pair (key, nonsquare).
+
+    The entries with one key form one residue form (Springer: W(K) is a sum
+    of copies of W(k), one per key), whose residues have the XOR of their
+    non-square bits as the determinant's bit, so the finite rule is summed
+    over the keys.  A finite field is the case with one key.
+    """
+    parts = {}  # key -> (entries, XOR of their non-square bits)
+    for key, nonsquare in entries:
+        n, det = parts.get(key, (0, False))
+        parts[key] = (n + 1, det ^ nonsquare)
+    total = 0
+    for n, det in parts.values():
+        total += _finite_kernel_dim(n, det, minus_one)
+    return total
+
+
+def square_class(tower, a):
+    """The square class of a nonzero a over a tower whose levels are all
+    Laurent, as one int: bit 0 is set iff the leading coefficient of a in
+    the finite base is a non-square, and bit i + 1 is the parity of the
+    i-th value (outermost level first).
+
+    Every level is henselian and non-dyadic, so a is a square iff all its
+    values are even and its leading coefficient is a square.  The
+    leading-term map is multiplicative, so the class of a product is the
+    XOR of the classes.
+    """
+    w, r = fl.leading_term(tower.chain[:0:-1], a.raw)
+    bits = 0 if tower.chain[0].is_square(r) else 1
+    for i, v in enumerate(w):
+        bits |= (v & 1) << (i + 1)
+    return bits
+
+
+def minus_one_class(tower):
+    """square_class(tower, -1): 0 or 1, as -1 is a unit."""
+    base = tower.chain[0]
+    return 0 if base.is_square(base.neg(base.one)) else 1
+
+
+def class_dimension(tower, classes):
+    """Anisotropic dimension of the diagonal form whose entries have the
+    given square classes (square_class) over a tower of Laurent levels."""
+    return bits_dimension(minus_one_class(tower),
+                          [(c >> 1, c & 1) for c in classes])
+
+
 def anisotropic_dimension(q):
     """Dimension of the anisotropic kernel of q: the one Witt decision.
 
-    Every level of an iterated Laurent tower is henselian and non-dyadic, so
-    W(K) is 2^r copies of W(k) over the finite base k (Springer) and the
-    finite rule is summed over the parts of one split at full Laurent rank.
+    Over a finite field or an iterated Laurent tower it reads one square
+    class per entry; over GF(p)(X) it is the largest local dimension
+    (localglobal).
     """
-    kind = _outer_kind(q.tower)
-    if kind == "finite":
-        return len(_finite_kernel(q.tower, q.diag))
-    if kind == fl.RATFUNC:
+    if _outer_kind(q.tower) == fl.RATFUNC:
         from . import localglobal
         return localglobal.anisotropic_dimension_global(q)
-    from . import valuation as vmod
-    ctx = vmod.ValuationCtx(q.tower, len(q.tower.levels))
-    return sum(len(_finite_kernel(ctx.residue_tower, [r for _, r in part]))
-               for part in vmod.raw_springer_split(q, ctx).values())
+    return class_dimension(q.tower, [square_class(q.tower, d) for d in q.diag])
 
 
 def is_isotropic(q):

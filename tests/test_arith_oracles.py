@@ -2,7 +2,8 @@
 
 Each test keeps the slow route as the reference: GF(p) as the 1-tuple field
 Fq(p, 1), square roots by brute force in elements() order, powers by
-repeated products, fraction normalization through the gcd, the sampler
+repeated products, fraction normalization through the gcd at every level
+of a tower, the sampler
 that lists every base element and multiplies t in one factor at a time, and
 sympy's primality and factoring (test-only).
 """
@@ -16,7 +17,7 @@ from conftest import tower
 from towerforms import errors, ffield, polys
 from towerforms.ffield import Fq, Zp
 from towerforms.dsl import parse_field
-from towerforms.fields import LAURENT, SampleBudget, sample
+from towerforms.fields import LAURENT, FracField, SampleBudget, sample
 from towerforms.linkage import check_top_d_linked, verify_higher_local_d1
 
 
@@ -173,6 +174,42 @@ def test_make_constant_denominator_matches_gcd(levels):
         assert f.make(num, den) == _make_by_gcd(f, num, den)
         assert f.make(num, den + (f.inner.zero,) * 2) == \
             _make_by_gcd(f, num, den)
+
+
+class _EuclidFrac(FracField):
+    """FracField whose make reduces every fraction by pgcd, monomial
+    denominators included."""
+
+    def make(self, num, den):
+        return _make_by_gcd(self, num, den)
+
+
+# sampled pairs per tower, by depth: Euclid over three nested fraction
+# fields is the slow route this oracle keeps, at about 0.1 s per pair
+EUCLID_PAIRS = {1: 200, 2: 120, 3: 20}  # x 2 primes x 3 operations: 2040
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_make_matches_euclid_at_every_level(p, depth):
+    """Products, sums and quotients agree with a tower whose every level
+    normalizes through the gcd, on sampled elements whose denominators are
+    c*X^k and, after sums and quotients, often not."""
+    K = tower(p, 1, *[(s, LAURENT) for s in "tuw"[:depth]])
+    euclid = K.chain[0]
+    for lv in K.levels:
+        euclid = _EuclidFrac(euclid, lv.symbol)
+    budget = SampleBudget(max_val=1, series_terms=1)
+    f = K.ops
+    for seed in range(EUCLID_PAIRS[depth]):
+        a = sample(K, budget, ("a", seed)).raw
+        b = sample(K, budget, ("b", seed)).raw
+        if seed % 3 == 0:
+            b = f.add(b, f.one)
+        if f.is_zero(b):
+            continue
+        for op in ("mul", "add", "div"):
+            assert getattr(f, op)(a, b) == getattr(euclid, op)(a, b), (op, a, b)
 
 
 def _old_sample_raw(tower, depth, budget, rng):

@@ -11,7 +11,11 @@ form over GF(5)(X) (Witt index 2) exercises the slow tail of the witness
 search, which once took 15 s on it by recomputing every s*y^2 product per
 table row.  The fields over the prime 10^18 + 3 once ran past 15 s in two
 trial-division loops up to its square root, one checking the order and one
-the prime.
+the prime.  Over GF(3)((t))((u))((w)) every product once ran Euclid on its
+c*w^k denominators over the nested fraction fields below, and every
+linkage decision multiplied out its symbols' expansions: link and certify
+below took 14 s and more than 60 s, and the pfister-expand line more than
+10 s.
 """
 
 import shlex
@@ -19,9 +23,15 @@ import time
 
 import pytest
 
+from towerforms import dsl
 from towerforms.cli import main
+from towerforms.linkage import sample_symbol
 
 BOUND_S = 5.0
+
+DEPTH3 = "GF(3)((t))((u))((w))"
+DEPTH3_PAIR = ("--p1 '<<1/(1+t+w) + u/(1+u*w), (1+t)/(1+u+w); 1/(1+t*u*w)]]' "
+               "--p2 '<<t/(1+u) + w/(2+t), u; w/(1+t)]]'")
 
 
 @pytest.mark.parametrize("line", [
@@ -34,6 +44,9 @@ BOUND_S = 5.0
     "square --field 'GF(1000000000000000003)' --elem 3",
     "square --field 'GF(1000000000000000003)(X)' --elem 3",
     "square --field 'GF(1000000000000000003)((t))' --elem 3",
+    f"link --field '{DEPTH3}' {DEPTH3_PAIR}",
+    f"certify --field '{DEPTH3}' {DEPTH3_PAIR}",
+    f"verify top-linked --field '{DEPTH3}' --d 4 --samples 20",
 ])
 def test_cli_line_within_bound(line, capsys):
     start = time.perf_counter()
@@ -42,3 +55,10 @@ def test_cli_line_within_bound(line, capsys):
     capsys.readouterr()
     assert code == 0
     assert elapsed < BOUND_S, f"{line}: {elapsed:.1f} s"
+
+
+def test_depth_three_expansion_within_bound(capsys):
+    symbol = sample_symbol(dsl.parse_field(DEPTH3), 3, seed=4)
+    test_cli_line_within_bound(
+        f"pfister-expand --field '{DEPTH3}' --pfister '{symbol.describe()}'",
+        capsys)

@@ -1,8 +1,11 @@
 """DSL parsing, formatting round trips, CLI exit codes and JSON determinism."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,8 @@ from towerforms import dsl, errors
 from towerforms.cli import main
 from towerforms.fields import SampleBudget, format_element, sample
 from towerforms.pfister import BilinearPfisterSymbol, QuadraticPfisterSymbol
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_parse_field():
@@ -226,8 +231,30 @@ def test_cli_json_determinism(capsys):
 
 
 
+def test_cli_calls_in_one_process_match_fresh_processes(capsys):
+    """main builds its parser once per process; successive calls with
+    different subcommands, a usage error among them, still print what a
+    fresh interpreter prints for each."""
+    lines = [
+        ("link", "--field", "GF(3)((t))", "--p1", "<<t; 1]]",
+         "--p2", "<<1 + t; t]]", "--json"),
+        ("witt", "--field", "GF(5)((t))", "--form", "diag[1, 1, t, 2*t]"),
+        ("link", "--field", "GF(3)((t))", "--p1", "<<t; 1]]"),
+        ("certify", "--field", "GF(3)((t))", "--p1", "<<t; 1]]",
+         "--p2", "<<t, 2; 1 + t]]"),
+        ("square", "--field", "GF(7)", "--elem", "3", "--json"),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in lines:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "towerforms.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert run_cli(capsys, *argv) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 def test_readme_cli_block_runs(capsys):
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     block = readme.read_text().split("## CLI", 1)[1]
     block = block.split("```sh", 1)[1].split("```", 1)[0]
     lines = [ln for ln in block.splitlines() if ln.startswith("towerforms ")]
