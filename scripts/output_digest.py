@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Print one sha256 per group of program outputs, to show that a change to
+the arithmetic leaves every answer byte-identical.
+
+Usage (from the repository root; the program is imported from ./src):
+    python3 scripts/output_digest.py
+
+Groups:
+  verifications    scripts/run_verifications.py --samples 60 --json, one
+                   line per harness, each without its elapsed_ms
+  cli-certify      exit code, stdout and stderr of cli.main on the first
+                   120 argv lists of the cli-certify workload, seeds 1-3
+  global-witness   the first 32 ops of seeds 1-3: the 3-fold expansion,
+                   its global isotropy, its isotropic vector and the
+                   2-fold linkage answer
+  laurent-linkage  the first 16 ops of seeds 1-3: the 4-fold expansion and
+                   its isotropy, or the 3-fold linkage answer
+
+The op inputs come from perfbench/gen.py, which is only imported.  Run the
+script on two checkouts and compare the lines.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
+
+import gen  # noqa: E402
+from towerforms import cli, dsl, linkage, localglobal, pfister, qforms  # noqa: E402
+from towerforms.fields import format_element  # noqa: E402
+
+SEEDS = (1, 2, 3)
+OPS = {"cli-certify": 120, "global-witness": 32, "laurent-linkage": 16}
+
+
+def _sha(records):
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def verifications():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_verifications.py"),
+         "--samples", "60", "--json"],
+        env=env, capture_output=True, text=True, check=False).stdout
+    reports = [json.loads(line) for line in out.splitlines() if line.strip()]
+    for rep in reports:
+        rep.pop("elapsed_ms", None)
+    return reports
+
+
+def _ops(workload):
+    for seed in SEEDS:
+        yield from gen.generate(workload, seed, OPS[workload])
+
+
+def cli_certify():
+    records = []
+    for op in _ops("cli-certify"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(op["argv"]))
+        records.append([code, out.getvalue(), err.getvalue()])
+    return records
+
+
+def _symbols(op):
+    tower = dsl.parse_field(op["field"])
+    return [dsl.parse_pfister(tower, s) for s in op["symbols"]]
+
+
+def global_witness():
+    records = []
+    for op in _ops("global-witness"):
+        s3, s2a, s2b = _symbols(op)
+        q = pfister.expand(s3)
+        vec = localglobal.isotropic_vector_global(q)
+        records.append([dsl.format_form(q), localglobal.is_isotropic_global(q),
+                        None if vec is None else [format_element(c) for c in vec],
+                        linkage.is_linked_pair(s2a, s2b)])
+    return records
+
+
+def laurent_linkage():
+    records = []
+    for op in _ops("laurent-linkage"):
+        symbols = _symbols(op)
+        if len(symbols) == 1:
+            q = pfister.expand(symbols[0])
+            records.append([dsl.format_form(q), qforms.is_isotropic(q)])
+        else:
+            records.append([linkage.is_linked_pair(*symbols)])
+    return records
+
+
+def main():
+    for name, group in (("verifications", verifications),
+                        ("cli-certify", cli_certify),
+                        ("global-witness", global_witness),
+                        ("laurent-linkage", laurent_linkage)):
+        records = group()
+        print(f"{name:16s} {len(records):4d} {_sha(records)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -136,9 +136,17 @@ class _FiniteField:
 
 
 class Zp(_FiniteField):
-    """Prime field GF(p); raws are ints in [0, p)."""
+    """Prime field GF(p); raws are ints in [0, p).
+
+    Every raw is canonical: from_int, elements() and every operation return
+    an int in [0, p), and the parser and the sampler build raws only through
+    them.  So zero is exactly 0, two raws are equal exactly when the ints
+    are, and polys runs its int kernels on them (``_int_raws``), whose zero
+    tests and trims rely on this.
+    """
 
     k = 1
+    _int_raws = True
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -161,15 +169,15 @@ class Zp(_FiniteField):
         return (a * b) % self.p
 
     def inv(self, a):
-        if a % self.p == 0:
+        if not a:
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
     def eq(self, a, b):
-        return a % self.p == b % self.p
+        return a == b
 
     def is_zero(self, a):
-        return a % self.p == 0
+        return a == 0
 
     def from_int(self, n):
         return n % self.p

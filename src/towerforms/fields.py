@@ -41,10 +41,17 @@ class FracField:
     coprime to num, zero is ((), (one,)).  A monomial den = c*X^k needs no
     Euclid: the monic divisors of X^k are the X^j, so gcd(num, X^k) is
     X^min(k, ord num), with ord num the number of leading zero coefficients
-    of num.  make divides both by that power, a shift, and scales by 1/c;
-    for a constant den (k = 0) only the scaling is left.  This is the
-    common case at a Laurent level, where a nonzero element is a unit part
-    times a power of the uniformizer.  Any other den goes through pgcd.
+    of num.  make scales by 1/c and divides both by that power, a shift
+    (_over_x_power); for a constant den (k = 0) only the scaling is left.
+    This is the common case at a Laurent level, where a nonzero element is
+    a unit part times a power of the uniformizer.  Any other den goes
+    through pgcd.
+
+    add and mul of two raws with dens X^i and X^j multiply no den: the
+    product is num_a*num_b over X^(i+j), and the sum shifts num_a up by
+    max(i, j) - i and num_b by max(i, j) - j and adds them over X^max(i, j).
+    The den is already monic, so only the shift by X^min(k, ord num) is
+    left, and make is not called.  Any other pair goes through make.
     """
 
     def __init__(self, inner, symbol):
@@ -62,28 +69,44 @@ class FracField:
             raise DivisionByZero("zero denominator")
         if not num:
             return self.zero
-        if len(den) > 1:
-            k = polys.pshift_order(F, den)
-            if k == len(den) - 1:
-                s = min(k, polys.pshift_order(F, num))
-                num, den = num[s:], den[s:]
-            else:
-                g = polys.pgcd(F, num, den)
-                if polys.deg(g) > 0:
-                    num = polys.pdivmod(F, num, g)[0]
-                    den = polys.pdivmod(F, den, g)[0]
         lead = den[-1]
         if not F.eq(lead, F.one):
             inv = F.inv(lead)
             num = polys.pscale(F, num, inv)
             den = polys.pscale(F, den, inv)
+        k = self._x_power(den)
+        if k is not None:
+            return self._over_x_power(num, k)
+        g = polys.pgcd(F, num, den)
+        if polys.deg(g) > 0:
+            num = polys.pdivmod(F, num, g)[0]
+            den = polys.pdivmod(F, den, g)[0]
         return (num, den)
+
+    def _x_power(self, den):
+        """k if the monic den is X^k, else None."""
+        k = len(den) - 1
+        return k if not k or polys.pshift_order(self.inner, den) == k \
+            else None
+
+    def _over_x_power(self, num, k):
+        """The reduced raw of num / X^k, for num != 0: both divided by
+        gcd(num, X^k) = X^min(k, ord num)."""
+        F = self.inner
+        s = min(k, polys.pshift_order(F, num)) if k else 0
+        return (num[s:], (F.zero,) * (k - s) + (F.one,))
 
     def add(self, a, b):
         F = self.inner
-        return self.make(
-            polys.padd(F, polys.pmul(F, a[0], b[1]), polys.pmul(F, b[0], a[1])),
-            polys.pmul(F, a[1], b[1]))
+        (an, ad), (bn, bd) = a, b
+        i, j = self._x_power(ad), self._x_power(bd)
+        if i is None or j is None:
+            return self.make(polys.padd(F, polys.pmul(F, an, bd),
+                                        polys.pmul(F, bn, ad)),
+                             polys.pmul(F, ad, bd))
+        k = max(i, j)
+        num = polys.padd(F, (F.zero,) * (k - i) + an, (F.zero,) * (k - j) + bn)
+        return self._over_x_power(num, k) if num else self.zero
 
     def neg(self, a):
         return (polys.pneg(self.inner, a[0]), a[1])
@@ -93,7 +116,12 @@ class FracField:
 
     def mul(self, a, b):
         F = self.inner
-        return self.make(polys.pmul(F, a[0], b[0]), polys.pmul(F, a[1], b[1]))
+        (an, ad), (bn, bd) = a, b
+        i, j = self._x_power(ad), self._x_power(bd)
+        if i is None or j is None:
+            return self.make(polys.pmul(F, an, bn), polys.pmul(F, ad, bd))
+        num = polys.pmul(F, an, bn)
+        return self._over_x_power(num, i + j) if num else self.zero
 
     def inv(self, a):
         if not a[0]:

@@ -4,16 +4,29 @@ Polynomials are tuples of coefficient raws, little-endian, with no trailing
 zeros; the zero polynomial is the empty tuple.  Every function takes the
 coefficient field object F first; F must provide zero/one/add/neg/sub/mul/
 inv/div/eq/is_zero over its raw element type.
+
+When F's class sets ``_int_raws`` (only ffield.Zp does), the raws are ints
+in [0, p) and trim, padd, pneg, pmul, pscale, pshift_order and pdivmod work
+on them directly: a zero test is a truth test, a sum or product is reduced
+by one ``% p`` (pmul sums every product of an output coefficient first),
+and no field method is called per coefficient.  pmod, pgcd, ppowmod and
+pxgcd reach that path through them.  Every other field (Fq, FracField)
+takes the generic path, which also serves the tests as the reference for
+the int path; both return the same tuples.
 """
 
 from .errors import DivisionByZero
 
 
 def trim(F, coeffs):
-    c = list(coeffs)
-    while c and F.is_zero(c[-1]):
-        c.pop()
-    return tuple(c)
+    n = len(coeffs)
+    if getattr(F, "_int_raws", False):
+        while n and not coeffs[n - 1]:
+            n -= 1
+    else:
+        while n and F.is_zero(coeffs[n - 1]):
+            n -= 1
+    return tuple(coeffs[:n])
 
 
 def deg(a):
@@ -26,6 +39,13 @@ def const(F, x):
 
 
 def padd(F, a, b):
+    if getattr(F, "_int_raws", False):
+        p = F.p
+        if len(a) < len(b):
+            a, b = b, a
+        out = [(x + y) % p for x, y in zip(a, b)]
+        out += a[len(b):]
+        return trim(F, out)
     n = max(len(a), len(b))
     out = []
     for i in range(n):
@@ -36,6 +56,9 @@ def padd(F, a, b):
 
 
 def pneg(F, a):
+    if getattr(F, "_int_raws", False):
+        p = F.p
+        return tuple([-x % p for x in a])
     return tuple(F.neg(x) for x in a)
 
 
@@ -46,6 +69,13 @@ def psub(F, a, b):
 def pmul(F, a, b):
     if not a or not b:
         return ()
+    if getattr(F, "_int_raws", False):
+        p, n = F.p, len(b)
+        out = [0] * (len(a) + n - 1)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + n] = [z + x * y for z, y in zip(out[i:i + n], b)]
+        return trim(F, [z % p for z in out])
     out = [F.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if F.is_zero(x):
@@ -56,27 +86,45 @@ def pmul(F, a, b):
 
 
 def pscale(F, a, c):
+    if getattr(F, "_int_raws", False):
+        p = F.p
+        return trim(F, [x * c % p for x in a])
     return trim(F, [F.mul(x, c) for x in a])
 
 
 def pdivmod(F, a, b):
+    """(q, r) with a = q*b + r and deg r < deg b.
+
+    Each step removes the leading term of the remainder, which cancels
+    exactly, and trims the zeros that the subtraction left below it.  The
+    top quotient coefficient is a product of two nonzero raws, so q needs
+    no trim.
+    """
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    q = [F.zero] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
     inv_lead = F.inv(b[-1])
-    while len(r) >= len(b) and not all(F.is_zero(x) for x in r):
-        # strip exact trailing zeros first
+    r = list(trim(F, a))
+    m = len(b) - 1
+    q = [F.zero] * max(len(r) - m, 0)
+    if getattr(F, "_int_raws", False):
+        p = F.p
+        while len(r) > m:
+            c = r.pop() * inv_lead % p
+            k = len(r) - m
+            q[k] = c
+            r[k:] = [(x - c * y) % p for x, y in zip(r[k:], b)]
+            while r and not r[-1]:
+                r.pop()
+        return tuple(q), tuple(r)
+    while len(r) > m:
+        c = F.mul(r.pop(), inv_lead)
+        k = len(r) - m
+        q[k] = c
+        for i in range(m):
+            r[k + i] = F.sub(r[k + i], F.mul(c, b[i]))
         while r and F.is_zero(r[-1]):
             r.pop()
-        if len(r) < len(b):
-            break
-        c = F.mul(r[-1], inv_lead)
-        k = len(r) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            r[k + i] = F.sub(r[k + i], F.mul(c, y))
-    return trim(F, q), trim(F, r)
+    return tuple(q), tuple(r)
 
 
 def pmod(F, a, b):
@@ -123,6 +171,11 @@ def pxgcd(F, a, b):
 
 def pshift_order(F, a):
     """Number of leading zero coefficients (order of vanishing at 0)."""
+    if getattr(F, "_int_raws", False):
+        for i, c in enumerate(a):
+            if c:
+                return i
+        return len(a)
     for i, c in enumerate(a):
         if not F.is_zero(c):
             return i

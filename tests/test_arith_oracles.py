@@ -1,9 +1,10 @@
 """Differential oracles for the arithmetic core.
 
 Each test keeps the slow route as the reference: GF(p) as the 1-tuple field
-Fq(p, 1), square roots by brute force in elements() order, powers by
-repeated products, fraction normalization through the gcd at every level
-of a tower, the sampler
+Fq(p, 1), the generic polys path (a Zp subclass without the int kernels),
+square roots by brute force in elements() order, powers by repeated
+products, fraction arithmetic that cross-multiplies denominators and
+normalizes through the gcd at every level of a tower, the sampler
 that lists every base element and multiplies t in one factor at a time, and
 sympy's primality and factoring (test-only).
 """
@@ -16,8 +17,8 @@ import sympy
 from conftest import tower
 from towerforms import errors, ffield, polys
 from towerforms.ffield import Fq, Zp
-from towerforms.dsl import parse_field
-from towerforms.fields import LAURENT, FracField, SampleBudget, sample
+from towerforms.dsl import parse_element, parse_field
+from towerforms.fields import LAURENT, RATFUNC, FracField, SampleBudget, sample
 from towerforms.linkage import check_top_d_linked, verify_higher_local_d1
 
 
@@ -176,29 +177,157 @@ def test_make_constant_denominator_matches_gcd(levels):
             _make_by_gcd(f, num, den)
 
 
+class _GenericZp(Zp):
+    """Zp on the generic polys path: every coefficient operation is a
+    method call.  The reference for the int kernels."""
+
+    _int_raws = False
+
+
+def _random_poly(rng, p, length):
+    """A trimmed polynomial of at most `length` coefficients, a fifth of
+    them zero."""
+    return polys.trim(Zp(p), [rng.randrange(p) if rng.random() < 0.8 else 0
+                              for _ in range(length)])
+
+
+# seeded cases per prime, x 5 primes: 2100
+KERNEL_CASES = 420
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1000003])
+def test_int_kernels_match_generic_path(p):
+    """Every polys function on Zp's int kernels returns the tuple the
+    generic path returns: zero polynomials, unequal lengths, sums whose
+    leading terms cancel (one or several) and divisors of degree 0
+    included."""
+    Z, G = Zp(p), _GenericZp(p)
+    rng = random.Random(p)
+    for case in range(KERNEL_CASES):
+        a = _random_poly(rng, p, rng.choice([0, 1, 1, 2, 3, 4, 6, 9]))
+        kind = case % 4
+        if kind == 0 and a:  # the top `cut` terms of a + b cancel
+            cut = rng.randint(1, len(a))
+            b = tuple(rng.randrange(p) for _ in range(len(a) - cut)) + \
+                tuple(-x % p for x in a[len(a) - cut:])
+        elif kind == 1:  # a divisor of degree 0
+            b = (rng.randrange(1, p),)
+        else:
+            b = _random_poly(rng, p, rng.choice([0, 1, 2, 3, 5]))
+        c = rng.randrange(p)
+        padded = a + (0,) * rng.randint(0, 3)
+        shifted = (0,) * rng.randint(0, 3) + a
+        for name, args in (("trim", (padded,)), ("padd", (a, b)),
+                           ("padd", (b, a)), ("psub", (a, b)),
+                           ("pneg", (a,)), ("pmul", (a, b)),
+                           ("pmul", (padded, b)), ("pscale", (a, c)),
+                           ("pshift_order", (shifted,)), ("pmonic", (a,)),
+                           ("pgcd", (a, b)), ("pxgcd", (a, b))):
+            assert getattr(polys, name)(Z, *args) == \
+                getattr(polys, name)(G, *args), (name, args)
+        if not b:
+            for F in (Z, G):
+                with pytest.raises(errors.DivisionByZero):
+                    polys.pdivmod(F, a, b)
+            continue
+        for name, args in (("pdivmod", (a, b)), ("pdivmod", (padded, b)),
+                           ("pdivmod", (b, b)), ("pmod", (a, b)),
+                           ("ppowmod", (a, rng.randrange(12), b))):
+            assert getattr(polys, name)(Z, *args) == \
+                getattr(polys, name)(G, *args), (name, args)
+        q, r = polys.pdivmod(Z, a, b)
+        assert polys.padd(Z, polys.pmul(Z, q, b), r) == a
+        assert polys.deg(r) < polys.deg(b)
+
+
+def _base_ints(tower, depth, raw):
+    """Every GF(p) int inside a raw of tower.chain[depth]."""
+    if depth == 0:
+        yield from (raw,) if tower.base_degree == 1 else raw
+        return
+    for poly in raw:
+        for c in poly:
+            yield from _base_ints(tower, depth - 1, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_zp_raws_are_canonical(p):
+    """from_int, every Zp operation, the DSL parser and fields.sample give
+    ints in [0, p), the form the int kernels' zero tests rely on."""
+    Z = ffield.finite_field(p)
+
+    def canonical(x):
+        return type(x) is int and 0 <= x < p
+
+    rng = random.Random(p)
+    assert all(canonical(Z.from_int(n)) for n in range(-3 * p, 3 * p))
+    assert all(canonical(x) for x in Z.elements())
+    assert canonical(Z.zero) and canonical(Z.one) and canonical(Z.nonsquare)
+    for _ in range(300):
+        a, b, n = rng.randrange(p), rng.randrange(1, p), rng.randint(-9, 9)
+        outs = [Z.add(a, b), Z.sub(a, b), Z.sub(b, a), Z.neg(a), Z.neg(b),
+                Z.mul(a, b), Z.inv(b), Z.div(a, b), Z.pow_(b, n), Z.sqrt(a)]
+        assert all(canonical(x) for x in outs if x is not None)
+    for field in (f"GF({p})", f"GF({p})((t))", f"GF({p})((t))((u))",
+                  f"GF({p})(X)", f"GF({p ** 2})((t))"):
+        K = parse_field(field)
+        for seed in range(40):
+            assert all(canonical(x) for x in
+                       _base_ints(K, len(K.levels), sample(K, seed=seed).raw))
+        sym = K.levels[-1].symbol if K.levels else "1"
+        for text in (f"-7*{sym}^2 + {3 * p + 2}/({sym}^2 + {p + 1})",
+                     f"({-p - 1})*{sym} - 1/({2 * p}*{sym}^3 + 1)", "-1"):
+            e = parse_element(K, text)
+            assert all(canonical(x) for x in
+                       _base_ints(K, len(K.levels), e.raw)), text
+
+
 class _EuclidFrac(FracField):
-    """FracField whose make reduces every fraction by pgcd, monomial
-    denominators included."""
+    """FracField by cross-multiplication: add and mul multiply the
+    denominators, and make reduces every fraction by pgcd.  The reference
+    for the monomial-denominator add, mul and make."""
 
     def make(self, num, den):
         return _make_by_gcd(self, num, den)
 
+    def add(self, a, b):
+        F = self.inner
+        return self.make(
+            polys.padd(F, polys.pmul(F, a[0], b[1]), polys.pmul(F, b[0], a[1])),
+            polys.pmul(F, a[1], b[1]))
+
+    def mul(self, a, b):
+        F = self.inner
+        return self.make(polys.pmul(F, a[0], b[0]), polys.pmul(F, a[1], b[1]))
+
+
+def _euclid_tower(K):
+    """K's chain rebuilt from the generic-path Zp by _EuclidFrac levels."""
+    f = _GenericZp(K.base_char)
+    for lv in K.levels:
+        f = _EuclidFrac(f, lv.symbol)
+    return f
+
+
+def _assert_ops_match_euclid(f, euclid, a, b):
+    for op in ("mul", "add", "sub", "div"):
+        assert getattr(f, op)(a, b) == getattr(euclid, op)(a, b), (op, a, b)
+
 
 # sampled pairs per tower, by depth: Euclid over three nested fraction
-# fields is the slow route this oracle keeps, at about 0.1 s per pair
-EUCLID_PAIRS = {1: 200, 2: 120, 3: 20}  # x 2 primes x 3 operations: 2040
+# fields is the slow route this oracle keeps
+EUCLID_PAIRS = {1: 200, 2: 120, 3: 20}  # x 2 primes x 4 operations: 2720
 
 
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_make_matches_euclid_at_every_level(p, depth):
-    """Products, sums and quotients agree with a tower whose every level
-    normalizes through the gcd, on sampled elements whose denominators are
-    c*X^k and, after sums and quotients, often not."""
+    """Products, sums, differences and quotients agree with a tower whose
+    every level cross-multiplies and normalizes through the gcd, on sampled
+    elements whose denominators are c*X^k and, after sums and quotients,
+    often not."""
     K = tower(p, 1, *[(s, LAURENT) for s in "tuw"[:depth]])
-    euclid = K.chain[0]
-    for lv in K.levels:
-        euclid = _EuclidFrac(euclid, lv.symbol)
+    euclid = _euclid_tower(K)
     budget = SampleBudget(max_val=1, series_terms=1)
     f = K.ops
     for seed in range(EUCLID_PAIRS[depth]):
@@ -208,8 +337,31 @@ def test_make_matches_euclid_at_every_level(p, depth):
             b = f.add(b, f.one)
         if f.is_zero(b):
             continue
-        for op in ("mul", "add", "div"):
-            assert getattr(f, op)(a, b) == getattr(euclid, op)(a, b), (op, a, b)
+        _assert_ops_match_euclid(f, euclid, a, b)
+
+
+def test_ratfunc_arithmetic_matches_euclid():
+    """Over GF(5)(X), with X^k denominators on one side, on both or on
+    neither, and numerators sharing powers of X with them."""
+    K = tower(5, 1, ("X", RATFUNC))
+    euclid = _euclid_tower(K)
+    f = K.ops
+    rng = random.Random(5)
+
+    def element(seed, monomial):
+        num, den = sample(K, SampleBudget(max_deg=3), seed).raw
+        if monomial:
+            num = (0,) * rng.randint(0, 2) + num
+            den = (0,) * rng.randint(0, 3) + (1,)
+        return euclid.make(num, den)
+
+    for seed in range(300):
+        a = element(("a", seed), seed % 4 in (0, 1))
+        b = element(("b", seed), seed % 4 in (0, 2))
+        if seed % 5 == 0:
+            b = euclid.sub(euclid.mul(a, f.gen), a)
+        if not f.is_zero(b):
+            _assert_ops_match_euclid(f, euclid, a, b)
 
 
 def _old_sample_raw(tower, depth, budget, rng):
