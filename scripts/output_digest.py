@@ -15,6 +15,11 @@ Groups:
                    2-fold linkage answer
   laurent-linkage  the first 16 ops of seeds 1-3: the 4-fold expansion and
                    its isotropy, or the 3-fold linkage answer
+  global-decisions 60 seeded symbol pairs per field over GF(3)(X), GF(5)(X)
+                   and GF(7)(X), folds 1-3, slot degree <= 2: the integer
+                   difference_dimension, symbol_isotropic of the first and
+                   symbols_isometric (every pair is linked there, so the
+                   global-witness group's linkage answers are all True)
 
 The op inputs come from perfbench/gen.py, which is only imported.  Run the
 script on two checkouts and compare the lines.
@@ -34,7 +39,8 @@ sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
 from towerforms import cli, dsl, linkage, localglobal, pfister, qforms  # noqa: E402
-from towerforms.fields import format_element  # noqa: E402
+from towerforms.fields import (RATFUNC, FieldTower, LevelDescriptor,  # noqa: E402
+                               SampleBudget, format_element, sample)
 
 SEEDS = (1, 2, 3)
 OPS = {"cli-certify": 120, "global-witness": 32, "laurent-linkage": 16}
@@ -101,11 +107,38 @@ def laurent_linkage():
     return records
 
 
+def global_decisions():
+    """Half the pairs are independent; in the other half the second symbol
+    is the first with its first slot (or, at fold 1, c) scaled by a
+    square, so isometric."""
+    budget = SampleBudget(max_deg=2)
+    records = []
+    for p in (3, 5, 7):
+        K = FieldTower(p, 1, (LevelDescriptor("X", RATFUNC),))
+        for i in range(60):
+            d = 1 + i % 3
+            s1 = linkage.sample_symbol(K, d, ("digest-a", i), budget)
+            if i % 2:
+                s2 = linkage.sample_symbol(K, d, ("digest-b", i), budget)
+            else:
+                x = sample(K, budget, ("digest-x", i))
+                s2 = pfister.QuadraticPfisterSymbol(
+                    K, (s1.slots[0] * x * x,) + s1.slots[1:], s1.last) \
+                    if s1.slots else \
+                    pfister.QuadraticPfisterSymbol(K, (), (s1.c * x * x - 1) / 4)
+            records.append([s1.describe(), s2.describe(),
+                            pfister.difference_dimension(s1, s2),
+                            pfister.symbol_isotropic(s1),
+                            pfister.symbols_isometric(s1, s2)])
+    return records
+
+
 def main():
     for name, group in (("verifications", verifications),
                         ("cli-certify", cli_certify),
                         ("global-witness", global_witness),
-                        ("laurent-linkage", laurent_linkage)):
+                        ("laurent-linkage", laurent_linkage),
+                        ("global-decisions", global_decisions)):
         records = group()
         print(f"{name:16s} {len(records):4d} {_sha(records)}")
     return 0

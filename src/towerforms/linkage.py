@@ -2,8 +2,11 @@
 
 Two d-fold Pfister symbols are linked when they share a (d-1)-fold Pfister
 subform, which is decided by the Witt index of the difference of their
-expansions being at least 2^{d-1}; over Laurent towers that index is read
-off the slots' square classes (pfister.expansion_classes).  Certificates
+expansions being at least 2^{d-1}.  That index is read off the square
+classes of the slots and of 1 + 4b (pfister.expansion_classes): over
+Laurent towers one leading-term read each, over GF(p)(X) one place-class
+int each over S, the places of all slots and 1 + 4b plus infinity.
+Certificates
 exhibit an explicit common presentation <<a1, shared...; b]] /
 <<a1', shared...; b]], found by isometry tests of expansions (over Laurent
 towers, of presentations whose slots are square-class representatives),

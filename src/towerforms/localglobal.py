@@ -11,10 +11,13 @@ global Witt decomposition splits one hyperbolic plane per explicit
 isotropic vector off the diagonal.
 
 Place machinery is implemented for prime base fields GF(p)(X) only, whose
-numerators and denominators are int polynomials over ffield.Zp.  A
-completion holds only square-class bits: per entry the parity of its
-valuation and whether its unit residue is a non-square in GF(p^deg), read
-off the factorization by Legendre symbols.  No residue field is built.
+numerators and denominators are int polynomials over ffield.Zp.  An
+element's square class over a place list is one int (place_class), two
+bits per place: its valuation mod 2 and whether its unit residue is a
+non-square in GF(p^deg), read off one factorization by Legendre symbols.
+A completion holds only these bits; no residue field is built.  Pfister
+decisions take the places of the slots and 1 + 4b plus infinity, which
+support every entry of the expansion (pfister.expansion_classes).
 """
 
 import itertools
@@ -134,31 +137,68 @@ def _legendre_nonsquare(p, g, P):
     return polys.ppowmod(F, g, (p ** polys.deg(P) - 1) // 2, P) != (1,)
 
 
-def place_split(place, elem):
-    """(v, nonsquare): the valuation of a nonzero element at place, and
-    whether the residue of its unit part elem / pi^v is a non-square.
+def _split(p, F, place, raw, factors):
+    """(v, nonsquare) of the nonzero raw = (num, den), den monic, at place:
+    its valuation, and whether the residue of its unit part raw / pi^v is a
+    non-square, pi the place polynomial (1/X at infinity).
 
-    At infinity v = deg den - deg num, and the residue is lc(num)/lc(den).
-    At P of degree m, v is the multiplicity of P in num minus that in den,
-    read off factor.  The residue is lc times the other irreducible factors
-    g^(+-e) mod P, so its bit is the XOR of theirs: an even power adds
-    nothing, an odd one the Legendre symbol of g mod P, and lc its bit in
-    GF(p) iff m is odd, as c^((p^m - 1)/2) = (c^((p - 1)/2))^(1 + p + ... +
-    p^(m - 1)) and that exponent has the parity of m.
+    At infinity v = deg den - deg num, and the residue is lc(num).  At P of
+    degree m, v is the multiplicity of P in num minus that in den, read off
+    factors = (num_fac, den_fac) as factor gives them.  The residue is lc
+    times the other irreducible factors g^(+-e) mod P, so its bit is the XOR
+    of theirs: an even power adds nothing, an odd one the Legendre symbol
+    of g mod P, and lc its bit in GF(p) iff m is odd, as c^((p^m - 1)/2) =
+    (c^((p - 1)/2))^(1 + p + ... + p^(m - 1)) and that exponent has the
+    parity of m.
     """
-    if elem.is_zero():
-        raise ZeroArgument("valuation of zero")
-    p, F, _ = _global_base(elem.tower)
-    num, den = elem.raw
+    num, den = raw
+    nonsquare = place.degree % 2 == 1 and not F.is_square(num[-1])
     if place.kind == INFINITY:
-        return polys.deg(den) - polys.deg(num), \
-            not F.is_square(F.mul(num[-1], den[-1]))
-    (lc, num_fac), (_, den_fac) = factor(p, num), factor(p, den)
-    nonsquare = place.degree % 2 == 1 and not F.is_square(lc)
+        return polys.deg(den) - polys.deg(num), nonsquare
+    num_fac, den_fac = factors
     for g, e in itertools.chain(num_fac.items(), den_fac.items()):
         if e % 2 and g != place.poly:
             nonsquare ^= _legendre_nonsquare(p, g, place.poly)
     return num_fac.get(place.poly, 0) - den_fac.get(place.poly, 0), nonsquare
+
+
+def place_split(place, elem):
+    """(v, nonsquare) of a nonzero element at one place (_split)."""
+    if elem.is_zero():
+        raise ZeroArgument("valuation of zero")
+    p, F, _ = _global_base(elem.tower)
+    factors = None if place.kind == INFINITY else \
+        tuple(factor(p, f)[1] for f in elem.raw)
+    return _split(p, F, place, elem.raw, factors)
+
+
+def place_class(places, elem):
+    """The square class of a nonzero element over an ordered place list, as
+    one int from one factorization of its numerator and denominator: bit
+    2k is its valuation mod 2 at places[k], bit 2k + 1 whether the residue
+    of its unit part is a non-square (_split).  The uniformizers are fixed,
+    so the class of a product is the XOR of the classes."""
+    p, F, _ = _global_base(elem.tower)
+    factors = tuple(factor(p, f)[1] for f in elem.raw)
+    bits = 0
+    for k, P in enumerate(places):
+        v, nonsquare = _split(p, F, P, elem.raw, factors)
+        bits |= ((v & 1) | (nonsquare << 1)) << (2 * k)
+    return bits
+
+
+def _bits_at(k, minus_one, classes):
+    """Completion.square_class_bits at places[k], from place_class ints."""
+    return ((minus_one >> (2 * k + 1)) & 1,
+            tuple(((c >> 2 * k) & 1, (c >> (2 * k + 1)) & 1) for c in classes))
+
+
+def places_dimension(places, minus_one, classes):
+    """The largest local anisotropic dimension over places of the diagonal
+    form whose entries have the given place_class ints, minus_one being
+    that of -1."""
+    return max(qforms.bits_dimension(*_bits_at(k, minus_one, classes))
+               for k in range(len(places)))
 
 
 @dataclass(frozen=True)
@@ -171,10 +211,13 @@ class Completion:
     square_class_bits: tuple
 
 
-def localize(q, place):
-    return Completion(place, (place_split(place, -q.tower.one)[1], tuple(
-        (v % 2, nonsquare) for v, nonsquare in
-        (place_split(place, d) for d in q.diag))))
+def localize(q, places):
+    """The completions of q at the ordered places, from one place_class
+    read per entry."""
+    minus_one = place_class(places, -q.tower.one)
+    classes = [place_class(places, d) for d in q.diag]
+    return [Completion(P, _bits_at(k, minus_one, classes))
+            for k, P in enumerate(places)]
 
 
 def _subform_dimension(bits, idx):
@@ -219,18 +262,12 @@ def anisotropic_dimension_global(q):
 
 
 def _anisotropic_dimension_global(q, comps):
-    """anisotropic_dimension_global, appending each completion it reads to
-    comps: when the answer is below dim q, every place of interest is
-    there, in order."""
+    """anisotropic_dimension_global, appending the completions it reads to
+    comps: in dimension >= 3 every place of interest, in order."""
     if q.dim <= 2:
         return len(qforms._finite_kernel(q.tower, q.diag))
-    best = 0
-    for P in places_of_interest(q):
-        comps.append(localize(q, P))
-        best = max(best, local_anisotropic_dimension(comps[-1]))
-        if best == q.dim:
-            break
-    return best
+    comps += localize(q, places_of_interest(q))
+    return max(map(local_anisotropic_dimension, comps))
 
 
 # ---------------------------------------------------------------------------
@@ -355,52 +392,69 @@ def isotropic_vector_global(q):
             vec[i], vec[j] = root, tower.one
             return tuple(vec)
     if n >= 5:
-        comps = [localize(q, P) for P in places_of_interest(q)]
-    candidates = []
-    if n >= 4:
-        candidates = _isotropic_subsets(comps, 3) or \
-            _isotropic_subsets(comps, 4)
-    if n >= 5:
-        candidates.append(tuple(range(5)))
-    elif not candidates:
-        candidates.append(tuple(range(n)))
-    found = _subform_witness(q, candidates)
+        comps = localize(q, places_of_interest(q))
+    found = _subform_witness(q, _candidates(comps, n))
     assert q.evaluate(found).is_zero()
     return found
 
 
+def _candidates(comps, n):
+    """The subforms the witness search tries, in order, each decided only
+    when the search reaches it: the isotropic 3-subsets, else the isotropic
+    4-subsets (n >= 4), then the first five positions when n >= 5, or all n
+    when nothing came before."""
+    count = 0
+    for k in (3, 4) if n >= 4 else ():
+        for idx in _isotropic_subsets(comps, k):
+            count += 1
+            yield idx
+        if count:
+            break
+    if n >= 5:
+        yield tuple(range(5))
+    elif not count:
+        yield tuple(range(n))
+
+
 def _isotropic_subsets(comps, k):
     """The k-subsets (k >= 3) of diagonal positions whose subform is
-    isotropic, decided on the square-class bits of the completions of the
-    whole form: the subform's places lie among the form's, and at any other
-    place its k unit entries make it isotropic (Chevalley-Warning plus
-    Hensel)."""
+    isotropic, in combinations order, decided on the square-class bits of
+    the completions of the whole form: the subform's places lie among the
+    form's, and at any other place its k unit entries make it isotropic
+    (Chevalley-Warning plus Hensel)."""
     bits = [c.square_class_bits for c in comps]
-    n = len(bits[0][1])
-    return [idx for idx in itertools.combinations(range(n), k)
-            if all(_subform_dimension(b, idx) < k for b in bits)]
+    for idx in itertools.combinations(range(len(bits[0][1])), k):
+        if all(_subform_dimension(b, idx) < k for b in bits):
+            yield idx
 
 
 def _subform_witness(q, candidates):
     """A zero of q supported on one candidate subform, from the square-class
-    representatives (s_i, c_i) of its entries, each computed once: a
-    polynomial y with sum s_i*y_i^2 = 0 gives the witness y_i / c_i.
+    representatives (s_i, c_i) of its entries: a polynomial y with
+    sum s_i*y_i^2 = 0 gives the witness y_i / c_i.
 
     Degrees D = 0, 1, ... are tried in turn, on every candidate whose
     meet-in-the-middle side of (p^(D+1))^ceil(k/2) vectors stays within
-    WITNESS_SIDE_CAP, up to WITNESS_DEGREE_CAP.  At each D the coordinates
-    y and their squares are built once, and each entry's column s_i*y^2 once,
-    shared by every candidate that holds the entry.
+    WITNESS_SIDE_CAP, up to WITNESS_DEGREE_CAP.  The candidates come from
+    an iterator, decided as the search reaches them, and are kept for the
+    later degrees; an entry's representative is computed when a candidate
+    that holds it is first reached.  At each D the coordinates y and their squares are built once,
+    and each entry's column s_i*y^2 once, shared by every candidate that
+    holds the entry; every column has one length, from the bound
+    deg s_i <= deg num + deg den over all entries.
     """
     p, F, _ = _global_base(q.tower)
-    reps = {i: square_class_rep(q.tower, q.diag[i])
-            for i in set().union(*candidates)}
-    width = max(polys.deg(s) for s, _ in reps.values())
+    width = max(polys.deg(num) + polys.deg(den)
+                for num, den in (d.raw for d in q.diag))
+    decided, reps = [], {}
     exhausted = True
     for D in range(WITNESS_DEGREE_CAP + 1):
         exhausted = True
         columns = {}
-        for idx in candidates:
+        # D = 0 reaches every candidate unless it returns
+        for idx in decided if D else candidates:
+            if not D:
+                decided.append(idx)
             half = (len(idx) + 1) // 2
             if (p ** (D + 1)) ** half > WITNESS_SIDE_CAP:
                 continue
@@ -408,6 +462,8 @@ def _subform_witness(q, candidates):
             ys, squares = _coordinates(p, D)
             for i in idx:
                 if i not in columns:
+                    if i not in reps:
+                        reps[i] = square_class_rep(q.tower, q.diag[i])
                     columns[i] = _column(F, reps[i][0], squares,
                                          width + 2 * D + 1)
             found = _mitm_search(p, [columns[i] for i in idx], half)

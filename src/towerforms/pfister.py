@@ -9,10 +9,10 @@ from a normalized presentation.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import fields as fl
-from . import qforms
+from . import localglobal, qforms
 from . import valuation as vmod
 from .errors import (ConfigUnsupported, IsotropicInput,
                      PreconditionSpanViolated, RuleNotApplicable,
@@ -176,55 +176,68 @@ def expand(symbol):
 # ---------------------------------------------------------------------------
 # decisions on square classes
 #
-# Over a tower whose levels are all Laurent the square classes form an
-# F2-space and qforms.square_class is linear, so the entry -x_1 * ... * -x_k
-# of <1, -c> x <1, -a_1> x ... has the XOR of the classes of -c, -a_i: the
-# 2^d classes of an expansion come from d + 1 leading-term reads, and no
-# entry is multiplied out.  Over GF(p)(X) the decisions expand.
-
-
-def negated_class(tower, x):
-    """qforms.square_class of -x."""
-    return qforms.square_class(tower, x) ^ qforms.minus_one_class(tower)
+# The square classes of a tower whose levels are all Laurent (one
+# qforms.square_class int per element) and those of GF(p)(X) over a place
+# list S (one localglobal.place_class int) both form F2-spaces in which the
+# class of a product is the XOR of the classes.  So the entry
+# -x_1 * ... * -x_k of <1, -c> x <1, -a_1> x ... has the XOR of the classes
+# of -c, -a_i: the 2^d classes of an expansion come from d + 1 reads, and
+# no decision multiplies an entry out.
 
 
 def class_span(gens):
     """The classes of the entries of <1, -x_1> x ... x <1, -x_k>, in
-    expand's order, from gens = [negated_class(x_i)]."""
+    expand's order, from gens = [class of -x_i]."""
     out = [0]
     for g in gens:
         out += [e ^ g for e in out]
     return out
 
 
-def expansion_classes(symbol):
-    """The square classes of the entries of expand(symbol), in its order;
-    None when the tower has a RationalFunction level."""
-    tower = symbol.tower
-    if tower.laurent_rank() < len(tower.levels):
-        return None
-    return class_span([negated_class(tower, x)
-                       for x in (symbol.c,) + symbol.slots])
+def expansion_classes(*symbols):
+    """(classes, minus_one, dimension) for symbols over one tower: the
+    square classes of the entries of each expand(s), in its order, that of
+    -1, and the rule that gives a diagonal form's anisotropic dimension
+    from its entries' classes.
+
+    Over GF(p)(X) the classes are place_class ints over S, the places of
+    every c and slot plus infinity, and the rule is the largest local
+    dimension over S (localglobal.places_dimension): every entry is
+    supported on S, so in dimension >= 3 that is the global dimension, by
+    the argument of localglobal.anisotropic_dimension_global.
+    """
+    tower = symbols[0].tower
+    gens = [(s.c,) + s.slots for s in symbols]
+    if tower.laurent_rank() == len(tower.levels):
+        read = partial(qforms.square_class, tower)
+        minus_one = read(-tower.one)
+        dimension = partial(qforms.class_dimension, tower)
+    else:
+        places = localglobal.places_of_interest(
+            qforms.QuadraticForm(tower, sum(gens, ())))
+        read = partial(localglobal.place_class, places)
+        minus_one = read(-tower.one)
+        dimension = partial(localglobal.places_dimension, places, minus_one)
+    return ([class_span([read(x) ^ minus_one for x in g]) for g in gens],
+            minus_one, dimension)
 
 
 def difference_dimension(s1, s2):
     """Anisotropic dimension of expand(s1) _|_ -expand(s2), for symbols
-    over one tower; on expansion_classes where they exist, so it expands
-    only over GF(p)(X)."""
-    c1, c2 = expansion_classes(s1), expansion_classes(s2)
-    if c1 is None:
-        return qforms.anisotropic_dimension(
-            qforms.orth_sum(expand(s1), qforms.neg(expand(s2))))
-    sign = qforms.minus_one_class(s1.tower)
-    return qforms.class_dimension(s1.tower, c1 + [c ^ sign for c in c2])
+    over one tower, on expansion_classes."""
+    (c1, c2), minus_one, dimension = expansion_classes(s1, s2)
+    return dimension(c1 + [c ^ minus_one for c in c2])
 
 
 def symbol_isotropic(symbol):
-    """Whether expand(symbol) is isotropic."""
-    classes = expansion_classes(symbol)
-    if classes is None:
-        return qforms.is_isotropic(expand(symbol))
-    return qforms.class_dimension(symbol.tower, classes) < len(classes)
+    """Whether expand(symbol) is isotropic.  Over GF(p)(X) a 1-fold symbol
+    is isotropic iff c is a square (the binary form's discriminant) and
+    one of fold >= 3 always is (the u-invariant is 4)."""
+    tower = symbol.tower
+    if symbol.fold != 2 and tower.laurent_rank() < len(tower.levels):
+        return symbol.fold > 2 or fl.is_square(tower, symbol.c)
+    (classes,), _, dimension = expansion_classes(symbol)
+    return dimension(classes) < len(classes)
 
 
 def symbols_isometric(s1, s2):

@@ -12,7 +12,10 @@ by one ``% p`` (pmul sums every product of an output coefficient first),
 and no field method is called per coefficient.  pmod, pgcd, ppowmod and
 pxgcd reach that path through them.  Every other field (Fq, FracField)
 takes the generic path, which also serves the tests as the reference for
-the int path; both return the same tuples.
+the int path; both return the same tuples.  The generic padd and pmul call
+the field only where both sides are nonzero: padd copies the longer
+operand and adds the other's nonzero coefficients, and pmul sums the
+products of nonzero coefficients only.
 """
 
 from .errors import DivisionByZero
@@ -46,12 +49,12 @@ def padd(F, a, b):
         out = [(x + y) % p for x, y in zip(a, b)]
         out += a[len(b):]
         return trim(F, out)
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero
-        y = b[i] if i < len(b) else F.zero
-        out.append(F.add(x, y))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        if not F.is_zero(y):
+            out[i] = y if F.is_zero(out[i]) else F.add(out[i], y)
     return trim(F, out)
 
 
@@ -76,13 +79,16 @@ def pmul(F, a, b):
             if x:
                 out[i:i + n] = [z + x * y for z, y in zip(out[i:i + n], b)]
         return trim(F, [z % p for z in out])
-    out = [F.zero] * (len(a) + len(b) - 1)
+    # products of nonzero raws only; a slot no product reached stays None
+    out = [None] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if not F.is_zero(y)]
     for i, x in enumerate(a):
         if F.is_zero(x):
             continue
-        for j, y in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return trim(F, out)
+        for j, y in terms:
+            z = F.mul(x, y)
+            out[i + j] = z if out[i + j] is None else F.add(out[i + j], z)
+    return trim(F, [F.zero if z is None else z for z in out])
 
 
 def pscale(F, a, c):

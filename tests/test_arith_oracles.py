@@ -240,6 +240,64 @@ def test_int_kernels_match_generic_path(p):
         assert polys.deg(r) < polys.deg(b)
 
 
+def _padded_padd(F, a, b):
+    """padd as the generic path once ran it: the shorter operand padded
+    with F.zero and every coefficient added."""
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else F.zero
+        y = b[i] if i < len(b) else F.zero
+        out.append(F.add(x, y))
+    return polys.trim(F, out)
+
+
+def _padded_pmul(F, a, b):
+    """pmul as the generic path once ran it: every output coefficient
+    starts at F.zero and every product with a nonzero left factor is
+    added."""
+    if not a or not b:
+        return ()
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if F.is_zero(x):
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return polys.trim(F, out)
+
+
+# seeded cases per coefficient field, x 4 fields: 1200
+ZERO_SKIP_CASES = 300
+
+
+@pytest.mark.parametrize("field", ["GF(9)", "GF(25)", "GF(3)((t))",
+                                   "GF(5)((t))((u))"])
+def test_generic_kernels_skip_zeros_as_padded_path(field):
+    """The generic padd and pmul, which call the field only where both
+    sides are nonzero, return the raws of the zero-padded path over Fq and
+    FracField coefficients: zero operands, zero coefficients, unequal
+    lengths and sums whose leading terms cancel included."""
+    K = parse_field(field)
+    F = K.ops
+    rng = random.Random(field)
+
+    def poly(tag, length):
+        return tuple(sample(K, seed=(field, tag, i)).raw
+                     if rng.random() < 0.7 else F.zero
+                     for i in range(length))
+
+    for case in range(ZERO_SKIP_CASES):
+        a = poly(("a", case), rng.choice([0, 1, 2, 3, 5]))
+        b = poly(("b", case), rng.choice([0, 1, 2, 4]))
+        if case % 3 == 0 and a:  # the top terms of a + b cancel
+            cut = rng.randint(1, len(a))
+            b = b[:len(a) - cut] + tuple(F.neg(x) for x in a[len(a) - cut:])
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert polys.padd(F, x, y) == _padded_padd(F, x, y), (x, y)
+            assert polys.pmul(F, x, y) == _padded_pmul(F, x, y), (x, y)
+
+
 def _base_ints(tower, depth, raw):
     """Every GF(p) int inside a raw of tower.chain[depth]."""
     if depth == 0:

@@ -42,7 +42,7 @@ def test_localize_examples(gf3x):
     for elem, place, v in [(X, at_x, 1), (X + 1, at_x, 0),
                            (X, Place(INFINITY, None), -1)]:
         assert RefPlace(3, place).split(elem) == (v, (1,))
-        comp = localize(form(gf3x, elem), place)
+        comp, = localize(form(gf3x, elem), [place])
         assert comp.square_class_bits == (True, ((v % 2, False),))
 
 
@@ -245,9 +245,9 @@ def test_isotropic_subsets_match_global_test(p):
         q = form(K, *(sample(K, budget, (seed, i)) for i in range(n)))
         degree_two_slots += any(max(map(polys.deg, d.raw)) == 2
                                 for d in q.diag)
-        comps = [localize(q, P) for P in places_of_interest(q)]
+        comps = localize(q, places_of_interest(q))
         for k in (3, 4):
             ref = [idx for idx in itertools.combinations(range(n), k)
                    if is_isotropic_global(form(K, *(q.diag[i] for i in idx)))]
-            assert _isotropic_subsets(comps, k) == ref
+            assert list(_isotropic_subsets(comps, k)) == ref
     assert degree_two_slots

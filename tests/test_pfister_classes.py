@@ -1,22 +1,27 @@
 """Pfister decisions on slot classes against multiplied-out expansions.
 
-Over a tower whose levels are all Laurent, isotropy of a symbol, the Witt
-index of the difference of two symbols and their isometry are read off the
-square classes of the slots and of c = 1 + 4b, combined by XOR, and the
-certificate search expands presentations by square-class representatives.  The
-reference expands the symbols and runs the anisotropic dimension as it was
-before square classes: the full-rank Springer split into residue forms,
-and the finite rule on the residues' product.
+Over a tower whose levels are all Laurent, and over GF(p)(X), isotropy of a
+symbol, the Witt index of the difference of two symbols and their isometry
+are read off the square classes of the slots and of c = 1 + 4b, combined by
+XOR, and the certificate search expands presentations by square-class
+representatives.  Over Laurent towers the reference expands the symbols and
+runs the anisotropic dimension as it was before square classes: the
+full-rank Springer split into residue forms, and the finite rule on the
+residues' product.  Over GF(p)(X) it expands them and takes the global
+anisotropic dimension of the expansion from its own places, and the place
+bits of every entry are checked against conftest.RefPlace.
 """
 
 import itertools
 
 import pytest
 
-from conftest import tower
+from conftest import RefPlace, tower
 from towerforms import linkage, pfister
 from towerforms.errors import BudgetExceeded
-from towerforms.fields import LAURENT, SampleBudget, sample
+from towerforms.fields import LAURENT, RATFUNC, SampleBudget, sample
+from towerforms.localglobal import (anisotropic_dimension_global,
+                                    places_of_interest)
 from towerforms.linkage import (check_top_d_linked, find_certificate,
                                 is_linked_pair, sample_symbol,
                                 verify_lifting_equivalence,
@@ -24,8 +29,9 @@ from towerforms.linkage import (check_top_d_linked, find_certificate,
 from towerforms.pfister import (QuadraticPfisterSymbol, difference_dimension,
                                 expand, expansion_classes, symbol_isotropic,
                                 symbols_isometric)
-from towerforms.qforms import (_finite_kernel, anisotropic_dimension,
-                               class_dimension, isometric, neg, orth_sum)
+from towerforms.qforms import (QuadraticForm, _finite_kernel,
+                               anisotropic_dimension, class_dimension,
+                               isometric, neg, orth_sum)
 from towerforms.valuation import ValuationCtx, raw_springer_split
 
 TOWERS = [tower(3, 1, ("t", LAURENT)),
@@ -74,7 +80,9 @@ def test_isotropy_matches_expansion(T):
         q = expand(s)
         n = ref_dimension(q)
         assert anisotropic_dimension(q) == n, s.describe()
-        assert class_dimension(T, expansion_classes(s)) == n, s.describe()
+        (classes,), _, dimension = expansion_classes(s)
+        assert class_dimension(T, classes) == dimension(classes) == n, \
+            s.describe()
         assert symbol_isotropic(s) == (n < q.dim), s.describe()
         isotropic += n < q.dim
     assert 0 < isotropic < SYMBOLS
@@ -99,7 +107,7 @@ def test_difference_matches_expansion(T):
 def test_laurent_decisions_do_not_expand(monkeypatch, gf3t, gf3tu, gf3x):
     """Over a Laurent tower only the certificate search (see below),
     LinkageCertificate.verify and the pfister-expand command expand a
-    symbol; GF(p)(X) decisions still do."""
+    symbol; GF(p)(X) decisions do not expand either."""
     def refuse(symbol):
         raise AssertionError(f"expand({symbol.describe()})")
     monkeypatch.setattr(pfister, "expand", refuse)
@@ -114,8 +122,111 @@ def test_laurent_decisions_do_not_expand(monkeypatch, gf3t, gf3tu, gf3x):
     t = gf3t.gen("t")
     pfister.pfister_residues(QuadraticPfisterSymbol(gf3t, (t,), gf3t.one),
                              ValuationCtx(gf3t, 1))
-    with pytest.raises(AssertionError, match="expand"):
-        is_linked_pair(sample_symbol(gf3x, 2, "a"), sample_symbol(gf3x, 2, "b"))
+    for d in (1, 2, 3):
+        s1 = sample_symbol(gf3x, d, ("a", d))
+        s2 = sample_symbol(gf3x, d, ("b", d))
+        is_linked_pair(s1, s2)
+        symbol_isotropic(s1)
+        symbols_isometric(s1, s2)
+        difference_dimension(s1, s2)
+    assert check_top_d_linked(gf3x, 2, samples=5).passed
+
+
+# ---------------------------------------------------------------------------
+# GF(p)(X)
+
+GLOBAL_PRIMES = [3, 5, 7]
+GLOBAL_SYMBOLS = 400  # per field, plus GLOBAL_PAIRS pairs: 1000 inputs
+GLOBAL_PAIRS = 600
+GLOBAL_BIT_SYMBOLS = 60  # symbols per field whose place bits are checked
+GLOBAL_BUDGET = SampleBudget(max_deg=2)
+
+
+def _global_pair(K, i):
+    """Folds 1-3 in turn; independent symbols, symbols sharing every slot
+    but the first (for a 1-fold pair, c scaled by a square), or a copy with
+    its first slot (or c) scaled by a square and its slots reversed."""
+    d, kind = 1 + i % 3, i // 3 % 3
+    s1 = sample_symbol(K, d, ("gpair-a", i), GLOBAL_BUDGET)
+    if kind == 0:
+        return s1, sample_symbol(K, d, ("gpair-b", i), GLOBAL_BUDGET)
+    x = sample(K, GLOBAL_BUDGET, ("gpair-x", i))
+    if d == 1:
+        return s1, QuadraticPfisterSymbol(K, (), (s1.c * x * x - 1) / 4)
+    if kind == 1:
+        return s1, QuadraticPfisterSymbol(K, (x,) + s1.slots[1:], s1.last)
+    slots = (s1.slots[0] * x * x,) + s1.slots[1:]
+    return s1, QuadraticPfisterSymbol(K, slots[::-1], s1.last)
+
+
+def _place_bits(p, places, elem):
+    """(valuation mod 2, residue is a non-square) at each place, from the
+    reference division loop and listed squares."""
+    out = []
+    for P in places:
+        ref = RefPlace(p, P)
+        v, r = ref.split(elem)
+        out.append((v % 2, not ref.is_square(r)))
+    return out
+
+
+def _class_bits(places, c):
+    return [((c >> 2 * k) & 1, (c >> (2 * k + 1)) & 1)
+            for k in range(len(places))]
+
+
+@pytest.mark.parametrize("p", GLOBAL_PRIMES)
+def test_global_isotropy_matches_expansion(p):
+    """symbol_isotropic and the dimension rule of expansion_classes against
+    anisotropic_dimension_global on the expansion, and the place class of
+    every entry against the reference bits at each place of S, the places
+    of c and the slots plus infinity."""
+    K = tower(p, 1, ("X", RATFUNC))
+    isotropic = [0, 0]
+    for i in range(GLOBAL_SYMBOLS):
+        d = 1 + i % 3
+        s = sample_symbol(K, d, ("giso", i), GLOBAL_BUDGET)
+        q = expand(s)
+        n = anisotropic_dimension_global(q)
+        assert symbol_isotropic(s) == (n < q.dim), s.describe()
+        (classes,), minus_one, dimension = expansion_classes(s)
+        if d > 1:
+            assert dimension(classes) == n, s.describe()
+        isotropic[d == 2] += n < q.dim
+        if i < GLOBAL_BIT_SYMBOLS:
+            places = places_of_interest(QuadraticForm(K, (s.c,) + s.slots))
+            assert _class_bits(places, minus_one) == \
+                _place_bits(p, places, -K.one)
+            for entry, c in zip(q.diag, classes, strict=True):
+                assert _class_bits(places, c) == \
+                    _place_bits(p, places, entry), (s.describe(), entry)
+    assert isotropic[1] and GLOBAL_SYMBOLS // 3 > isotropic[1]
+    assert isotropic[0]
+
+
+@pytest.mark.parametrize("p", GLOBAL_PRIMES)
+def test_global_difference_matches_expansion(p):
+    """difference_dimension, is_linked_pair and symbols_isometric against
+    anisotropic_dimension_global on the multiplied-out difference.  Every
+    pair is linked (GF(p)(X) is top-2-linked, and 3-fold symbols are
+    hyperbolic), so the dimensions carry the test."""
+    K = tower(p, 1, ("X", RATFUNC))
+    linked = isometric = 0
+    dims = set()
+    for i in range(GLOBAL_PAIRS):
+        s1, s2 = _global_pair(K, i)
+        n = anisotropic_dimension_global(
+            orth_sum(expand(s1), neg(expand(s2))))
+        assert difference_dimension(s1, s2) == n, i
+        d = s1.fold
+        link = (2 ** (d + 1) - n) // 2 >= 2 ** (d - 1)
+        assert is_linked_pair(s1, s2) == link, i
+        assert symbols_isometric(s1, s2) == (n == 0), i
+        linked += link
+        isometric += n == 0
+        dims.add((d, n))
+    assert isometric >= GLOBAL_PAIRS // 3 and linked >= 2 * GLOBAL_PAIRS // 3
+    assert dims == {(1, 0), (1, 2), (2, 0), (2, 4), (3, 0)}, dims
 
 
 def _ref_find_certificate(q1, q2):

@@ -11,14 +11,16 @@ residues at infinity and against fields.try_sqrt.
 """
 
 import functools
+import importlib.util
 import itertools
 import operator
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import RefPlace, tower
-from towerforms import dsl, ffield, polys, qforms
+from towerforms import dsl, ffield, pfister, polys, qforms
 from towerforms import fields as fl
 from towerforms import localglobal as lg
 from towerforms.fields import RATFUNC, SampleBudget, sample
@@ -82,6 +84,66 @@ def new_search(p, sq, half, max_deg):
     found = lg._mitm_search(p, [lg._column(F, s, squares, length)
                                 for s in sq], half)
     return None if found is None else tuple(ys[i] for i in found)
+
+
+def old_subform_witness(q, candidates):
+    """The witness search on an eager candidate list, with the
+    square-class representative of every entry of every candidate computed
+    first and the column length from their largest degree."""
+    p, F, _ = lg._global_base(q.tower)
+    reps = {i: lg.square_class_rep(q.tower, q.diag[i])
+            for i in set().union(*candidates)}
+    width = max(polys.deg(s) for s, _ in reps.values())
+    exhausted = True
+    for D in range(lg.WITNESS_DEGREE_CAP + 1):
+        exhausted = True
+        columns = {}
+        for idx in candidates:
+            half = (len(idx) + 1) // 2
+            if (p ** (D + 1)) ** half > lg.WITNESS_SIDE_CAP:
+                continue
+            exhausted = False
+            ys, squares = lg._coordinates(p, D)
+            for i in idx:
+                if i not in columns:
+                    columns[i] = lg._column(F, reps[i][0], squares,
+                                            width + 2 * D + 1)
+            found = lg._mitm_search(p, [columns[i] for i in idx], half)
+            if found is not None:
+                out = [q.tower.zero] * q.dim
+                for pos, y in zip(idx, found):
+                    if y:
+                        out[pos] = lg._embed_poly(q.tower, ys[y]) / reps[pos][1]
+                return tuple(out)
+        if exhausted:
+            break
+    if exhausted:
+        raise lg.BudgetExceeded("witness search budget exhausted")
+    raise lg.BudgetExceeded(f"no witness up to degree {lg.WITNESS_DEGREE_CAP}")
+
+
+def old_isotropic_vector(q):
+    """isotropic_vector_global with every candidate subset decided before
+    the search starts."""
+    n = q.dim
+    if not lg.is_isotropic_global(q):
+        return None
+    for i, j in lg._pairs_square_at_infinity(q):
+        root = fl.try_sqrt(q.tower, -(q.diag[j] / q.diag[i]))
+        if root is not None:
+            vec = [q.tower.zero] * n
+            vec[i], vec[j] = root, q.tower.one
+            return tuple(vec)
+    candidates = []
+    if n >= 4:
+        comps = lg.localize(q, lg.places_of_interest(q))
+        candidates = list(lg._isotropic_subsets(comps, 3)) or \
+            list(lg._isotropic_subsets(comps, 4))
+    if n >= 5:
+        candidates.append(tuple(range(5)))
+    elif not candidates:
+        candidates.append(tuple(range(n)))
+    return old_subform_witness(q, candidates)
 
 
 def _ratfunc(p):
@@ -264,8 +326,8 @@ def test_completion_bits_match_residues(p):
     for seed in range(20):
         q = qforms.QuadraticForm(K, tuple(
             sample(K, budget, ("bits", seed, i)) for i in range(5)))
-        for P in lg.places_of_interest(q):
-            comp = lg.localize(q, P)
+        places = lg.places_of_interest(q)
+        for P, comp in zip(places, lg.localize(q, places), strict=True):
             ref = RefPlace(p, P)
             splits = [ref.split(d) for d in q.diag]
             assert comp.square_class_bits == (
@@ -273,3 +335,48 @@ def test_completion_bits_match_residues(p):
                 tuple((v % 2, not ref.is_square(r)) for v, r in splits))
             assert lg.local_anisotropic_dimension(comp) == \
                 ref.local_dimension(q.diag)
+
+
+# ---------------------------------------------------------------------------
+# candidates decided as the search reaches them
+
+
+def _global_witness_inputs(seeds, ops):
+    """The 3-fold symbols of the first ops global-witness benchmark inputs
+    of each seed, parsed from their DSL text."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for seed in seeds:
+        for op in gen.generate("global-witness", seed, ops):
+            K = dsl.parse_field(op["field"])
+            yield dsl.parse_pfister(K, op["symbols"][0])
+
+
+def _outcome(search, q):
+    try:
+        vec = search(q)
+    except lg.BudgetExceeded as exc:
+        return ("refused", str(exc))
+    return None if vec is None else tuple(c.raw for c in vec)
+
+
+def test_lazy_candidates_give_the_eager_witness():
+    """isotropic_vector_global against the search on eager candidates and
+    eager representatives, on the 3-fold expansions of the global-witness
+    inputs of seeds 1-3 and on sampled forms of dim 4-8 over GF(3)(X) and
+    GF(5)(X): the same witness, raw for raw, or the same refusal."""
+    forms = [pfister.expand(s) for s in _global_witness_inputs((1, 2, 3), 32)]
+    budget = SampleBudget(max_deg=2)
+    for p in (3, 5):
+        K = _ratfunc(p)
+        forms += [qforms.QuadraticForm(K, tuple(
+            sample(K, budget, ("lazy", seed, i)) for i in range(4 + seed % 5)))
+            for seed in range(160)]
+    searched = 0
+    for q in forms:
+        want = _outcome(old_isotropic_vector, q)
+        assert _outcome(lg.isotropic_vector_global, q) == want, q
+        searched += want is not None
+    assert len(forms) >= 400 and searched >= 300
