@@ -20,6 +20,9 @@ Groups:
                    difference_dimension, symbol_isotropic of the first and
                    symbols_isometric (every pair is linked there, so the
                    global-witness group's linkage answers are all True)
+  certificates     linkage.find_certificate on certificate_pairs(): the
+                   certificate's JSON, not-found, or budget when it raises
+                   BudgetExceeded
 
 The op inputs come from perfbench/gen.py, which is only imported.  Run the
 script on two checkouts and compare the lines.
@@ -39,8 +42,10 @@ sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
 
 import gen  # noqa: E402
 from towerforms import cli, dsl, linkage, localglobal, pfister, qforms  # noqa: E402
-from towerforms.fields import (RATFUNC, FieldTower, LevelDescriptor,  # noqa: E402
-                               SampleBudget, format_element, sample)
+from towerforms.errors import BudgetExceeded  # noqa: E402
+from towerforms.fields import (LAURENT, RATFUNC, FieldTower,  # noqa: E402
+                               LevelDescriptor, SampleBudget, format_element,
+                               sample)
 
 SEEDS = (1, 2, 3)
 OPS = {"cli-certify": 120, "global-witness": 32, "laurent-linkage": 16}
@@ -133,12 +138,66 @@ def global_decisions():
     return records
 
 
+def _tower(p, *symbols):
+    return FieldTower(p, 1, tuple(LevelDescriptor(s, kind)
+                                  for s, kind in symbols))
+
+
+def _related_pair(K, d, i, budget):
+    """Independent symbols, symbols sharing every slot but the first (so
+    linked), or a symbol and a rewritten copy (so isometric): its first
+    slot scaled by a square and its slots reversed, in turn."""
+    s1 = linkage.sample_symbol(K, d, ("cert-a", i), budget)
+    if i % 3 == 0:
+        return s1, linkage.sample_symbol(K, d, ("cert-b", i), budget)
+    x = sample(K, budget, ("cert-x", i))
+    if i % 3 == 1:
+        return s1, pfister.QuadraticPfisterSymbol(K, (x,) + s1.slots[1:],
+                                                  s1.last)
+    slots = (s1.slots[0] * x * x,) + s1.slots[1:]
+    return s1, pfister.QuadraticPfisterSymbol(K, slots[::-1], s1.last)
+
+
+def certificate_pairs():
+    """The seeded symbol pairs of the certificates group, 180 in all:
+    40 related pairs of fold 2 over GF(3)((t)), of folds 2 and 3 in turn
+    over GF(5)((t))((u)), and of fold 2 over GF(3)(X) and GF(5)(X); and the
+    20 pairs sample_symbol(T, 4, (s, 1)), (s, 2) for s < 20 over
+    T = GF(3)((t))((u))((w)), of which s = 3 (and two more) exhaust the
+    search budget."""
+    small = SampleBudget(max_val=1, series_terms=1)
+    for K in (_tower(3, ("t", LAURENT)),
+              _tower(5, ("t", LAURENT), ("u", LAURENT))):
+        for i in range(40):
+            yield _related_pair(K, 2 + i % len(K.levels), i, small)
+    T = _tower(3, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT))
+    for s in range(20):
+        yield linkage.sample_symbol(T, 4, (s, 1)), \
+            linkage.sample_symbol(T, 4, (s, 2))
+    for p in (3, 5):
+        K = _tower(p, ("X", RATFUNC))
+        for i in range(40):
+            yield _related_pair(K, 2, i, SampleBudget(max_deg=2))
+
+
+def certificates():
+    records = []
+    for s1, s2 in certificate_pairs():
+        try:
+            cert = linkage.find_certificate(s1, s2)
+        except BudgetExceeded:
+            cert = "budget"
+        records.append(cert if isinstance(cert, str) else cert.to_json())
+    return records
+
+
 def main():
     for name, group in (("verifications", verifications),
                         ("cli-certify", cli_certify),
                         ("global-witness", global_witness),
                         ("laurent-linkage", laurent_linkage),
-                        ("global-decisions", global_decisions)):
+                        ("global-decisions", global_decisions),
+                        ("certificates", certificates)):
         records = group()
         print(f"{name:16s} {len(records):4d} {_sha(records)}")
     return 0

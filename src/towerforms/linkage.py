@@ -6,11 +6,11 @@ expansions being at least 2^{d-1}.  That index is read off the square
 classes of the slots and of 1 + 4b (pfister.expansion_classes): over
 Laurent towers one leading-term read each, over GF(p)(X) one place-class
 int each over S, the places of all slots and 1 + 4b plus infinity.
-Certificates
-exhibit an explicit common presentation <<a1, shared...; b]] /
-<<a1', shared...; b]], found by isometry tests of expansions (over Laurent
-towers, of presentations whose slots are square-class representatives),
-and re-verify by isometry of the expanded symbols themselves.
+Certificates exhibit an explicit common presentation
+<<a1, shared...; b]] / <<a1', shared...; b]].  The search decides every
+candidate on the same square classes, by XOR, with no expansion
+(find_certificate); a certificate re-verifies by isometry of the expanded
+symbols themselves (LinkageCertificate.verify).
 
 The verify_* functions are seeded sampling harnesses for the residue
 transfer, lifting equivalence, and higher-local statements; they report
@@ -20,6 +20,7 @@ transfer, lifting equivalence, and higher-local statements; they report
 import itertools
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import fields as fl
 from . import localglobal, pfister, qforms
@@ -29,7 +30,7 @@ from .errors import (BudgetExceeded, ConfigUnsupported, FoldMismatch,
 
 NOT_FOUND = "not-found"
 
-# isometry tests one certificate search may make
+# candidate tests one certificate search may make
 CERTIFICATE_BUDGET = 512
 
 
@@ -119,21 +120,36 @@ def square_class_reps(tower):
     return [pi * u for _, pi in ctx.coset_reps() for u in (tower.one, nu)]
 
 
-def _dedupe(elems, drop_zero=False):
-    out = []
-    for e in elems:
-        if drop_zero and e.is_zero():
-            continue
-        if e not in out:
-            out.append(e)
-    return out
+@lru_cache(maxsize=None)
+def _class_pool(tower):
+    """(square_class_reps(tower), the square_class ints of their negatives
+    keyed by raw), read once per tower; empty over GF(p)(X), whose square
+    classes are infinite.  Callers must not mutate the dict."""
+    try:
+        reps = tuple(square_class_reps(tower))
+    except ConfigUnsupported:
+        return (), {}
+    return reps, {s.raw: qforms.square_class(tower, -s) for s in reps}
 
 
 def find_certificate(q1, q2):
-    """Search for a common-slot certificate; returns LinkageCertificate,
-    NOT_FOUND when the candidate space is exhausted, and raises
-    BudgetExceeded when it would need more than CERTIFICATE_BUDGET
-    isometry tests (a fixed constant, not a parameter)."""
+    """The first certificate <<a1, shared; b]] ~ q1, <<a1', shared; b]] ~
+    q2 in a fixed order, or NOT_FOUND when the candidates run out; raises
+    BudgetExceeded when that needs more than CERTIFICATE_BUDGET candidate
+    tests (a fixed constant, not a parameter).
+
+    The slots range over the symbols' own, then the square-class
+    representatives when the tower has finitely many classes; c = 1 + 4b
+    over c1, c2 and those representatives.  Each test <<a, shared; b]] ~ q
+    is read off the classes of the slots and c of both symbols
+    (pfister._read_classes): the entries of both expansions have the XOR
+    of the classes of -c and the -slots (pfister.class_span), and the test
+    passes when the rule gives dimension 0 on expand(q) _|_
+    -expand(candidate).  That is exact on both kinds of tower, since every
+    entry is a product of elements read, and over GF(p)(X) the difference
+    has dimension 2^(d+1) >= 8.  Nothing is expanded, and b = (c - 1) / 4
+    is built only for the certificate returned.
+    """
     if q1.tower != q2.tower:
         raise TowerMismatch("symbols over different towers")
     if q1.fold != q2.fold:
@@ -142,65 +158,45 @@ def find_certificate(q1, q2):
     if d < 2:
         raise ConfigUnsupported("certificates need fold >= 2")
     tower = q1.tower
-    # candidate pool: the symbols' own data first, then square-class
-    # representatives when the tower has finitely many
-    reps = list(q1.slots) + list(q2.slots)
-    lasts = [q1.last, q2.last]
-    try:
-        classes = square_class_reps(tower)
-    except ConfigUnsupported:
-        classes = []
-    reps += classes
-    lasts += [(s - 1) / 4 for s in classes]  # 1 + 4b covers every class
-    reps = _dedupe(reps, drop_zero=True)
-    lasts = [(b, c) for b in _dedupe(lasts)
-             if not (c := tower.one + 4 * b).is_zero()]
-    present = _class_presentation(tower, classes, reps, lasts)
-    e1, e2 = (pfister.expand(present(q.slots, q.last)) for q in (q1, q2))
+    own = (q1.c, q2.c) + q1.slots + q2.slots
+    negs, minus_one, dimension = pfister._read_classes(tower, own)
+    pool, pool_negs = _class_pool(tower)
+    # the class of -x, by raw: elements of one tower are equal iff their
+    # raws are
+    neg = pool_negs | dict(zip((x.raw for x in own), negs))
+    reps = [(a, neg[raw]) for raw, a in
+            {a.raw: a for a in q1.slots + q2.slots + pool}.items()]
+    # c -> (c, b or None): the c = 1 + 4b cover every class
+    lasts = {}
+    for c, b in [(q1.c, q1.last), (q2.c, q2.last)] + [(s, None) for s in pool]:
+        lasts.setdefault(c.raw, (c, b))
+    t1, t2 = (pfister.class_span([neg[x.raw] for x in (q.c,) + q.slots])
+              for q in (q1, q2))
     checks = itertools.count(1)
 
-    def first_slot(target, shared, b):
-        """The first a in reps with <<a, shared; b]] isometric to target."""
-        for a in reps:
-            cand = present((a,) + shared, b)
+    def first_slot(target, base):
+        """The first a in reps with <<a, shared; b]] ~ target, base being
+        the classes of -expand(<<shared; b]])."""
+        for a, g in reps:
             if next(checks) > CERTIFICATE_BUDGET:
                 raise BudgetExceeded("certificate search budget exhausted")
-            if qforms.isometric(target, pfister.expand(cand)):
+            if not dimension(target + base + [e ^ g for e in base]):
                 return a
         return None
 
-    for b, _ in lasts:
+    for c, b in lasts.values():
         for shared in itertools.product(reps, repeat=d - 2):
-            left1 = first_slot(e1, shared, b)
+            base = [e ^ minus_one for e in pfister.class_span(
+                [neg[c.raw]] + [g for _, g in shared])]
+            left1 = first_slot(t1, base)
             if left1 is None:
                 continue
-            left2 = first_slot(e2, shared, b)
+            left2 = first_slot(t2, base)
             if left2 is not None:
-                return LinkageCertificate(tower, left1, left2, shared, b)
+                return LinkageCertificate(
+                    tower, left1, left2, tuple(a for a, _ in shared),
+                    (c - 1) / 4 if b is None else b)
     return NOT_FOUND
-
-
-def _class_presentation(tower, classes, reps, lasts):
-    """present(slots, b): a symbol isometric to <<slots; b]], for slots
-    from reps and (b, 1 + 4b) pairs in lasts, which the search expands.
-
-    With classes, the representatives of every square class, each slot is
-    replaced by the representative of its class and b by the b' whose
-    1 + 4b' represents the class of 1 + 4b: <1, -x> depends on the class of
-    x only up to isometry, so every isometry test answers as for the
-    symbol's own data, while the expansion multiplies monomials.  Without
-    (over GF(p)(X)) it is <<slots; b]] itself.
-    """
-    if not classes:
-        return lambda slots, b: pfister.QuadraticPfisterSymbol(tower, slots, b)
-    by_class = {qforms.square_class(tower, s): s for s in classes}
-
-    def rep(x):
-        return by_class[qforms.square_class(tower, x)]
-    slot = {a: rep(a) for a in reps}
-    last = {b: b if (s := rep(c)) == c else (s - 1) / 4 for b, c in lasts}
-    return lambda slots, b: pfister.QuadraticPfisterSymbol(
-        tower, tuple(slot[a] for a in slots), last[b])
 
 
 # ---------------------------------------------------------------------------

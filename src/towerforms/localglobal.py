@@ -112,13 +112,25 @@ def factor(p, f):
     return lc, _factor_monic(p, f if lc == 1 else polys.pmonic(F, f))
 
 
-def places_of_interest(q):
+def _factors(p, elem):
+    """(num_fac, den_fac) of a nonzero element, as factor gives them; a
+    constant has no irreducible factors and is not factored."""
+    return tuple(factor(p, f)[1] if polys.deg(f) > 0 else {}
+                 for f in elem.raw)
+
+
+def places_of_interest(q, factored=None):
+    """The places where some diagonal entry is not a unit, in (degree,
+    polynomial) order, then infinity.  When factored is a list, each
+    entry's _factors are appended to it in order, for place_class."""
     p, _, _ = _global_base(q.tower)
     finite = set()
     for d in q.diag:
-        for f in d.raw:
-            if polys.deg(f) > 0:
-                finite.update(factor(p, f)[1])
+        factors = _factors(p, d)
+        for fac in factors:
+            finite.update(fac)
+        if factored is not None:
+            factored.append(factors)
     places = sorted((Place(FINITE, f) for f in finite),
                     key=lambda P: (P.degree, P.poly))
     places.append(Place(INFINITY))
@@ -167,19 +179,20 @@ def place_split(place, elem):
     if elem.is_zero():
         raise ZeroArgument("valuation of zero")
     p, F, _ = _global_base(elem.tower)
-    factors = None if place.kind == INFINITY else \
-        tuple(factor(p, f)[1] for f in elem.raw)
+    factors = None if place.kind == INFINITY else _factors(p, elem)
     return _split(p, F, place, elem.raw, factors)
 
 
-def place_class(places, elem):
+def place_class(places, elem, factors=None):
     """The square class of a nonzero element over an ordered place list, as
-    one int from one factorization of its numerator and denominator: bit
-    2k is its valuation mod 2 at places[k], bit 2k + 1 whether the residue
-    of its unit part is a non-square (_split).  The uniformizers are fixed,
-    so the class of a product is the XOR of the classes."""
+    one int from one factorization of its numerator and denominator (its
+    _factors, unless given): bit 2k is its valuation mod 2 at places[k],
+    bit 2k + 1 whether the residue of its unit part is a non-square
+    (_split).  The uniformizers are fixed, so the class of a product is
+    the XOR of the classes."""
     p, F, _ = _global_base(elem.tower)
-    factors = tuple(factor(p, f)[1] for f in elem.raw)
+    if factors is None:
+        factors = _factors(p, elem)
     bits = 0
     for k, P in enumerate(places):
         v, nonsquare = _split(p, F, P, elem.raw, factors)
@@ -211,11 +224,16 @@ class Completion:
     square_class_bits: tuple
 
 
-def localize(q, places):
-    """The completions of q at the ordered places, from one place_class
-    read per entry."""
+def localize(q, places=None):
+    """The completions of q at the ordered places, by default
+    places_of_interest(q), from one place_class read per entry (and one
+    factorization, when the places are found here)."""
+    factored = []
+    if places is None:
+        places = places_of_interest(q, factored)
     minus_one = place_class(places, -q.tower.one)
-    classes = [place_class(places, d) for d in q.diag]
+    classes = [place_class(places, d, f)
+               for d, f in itertools.zip_longest(q.diag, factored)]
     return [Completion(P, _bits_at(k, minus_one, classes))
             for k, P in enumerate(places)]
 
@@ -266,7 +284,7 @@ def _anisotropic_dimension_global(q, comps):
     comps: in dimension >= 3 every place of interest, in order."""
     if q.dim <= 2:
         return len(qforms._finite_kernel(q.tower, q.diag))
-    comps += localize(q, places_of_interest(q))
+    comps += localize(q)
     return max(map(local_anisotropic_dimension, comps))
 
 
@@ -392,7 +410,7 @@ def isotropic_vector_global(q):
             vec[i], vec[j] = root, tower.one
             return tuple(vec)
     if n >= 5:
-        comps = localize(q, places_of_interest(q))
+        comps = localize(q)
     found = _subform_witness(q, _candidates(comps, n))
     assert q.evaluate(found).is_zero()
     return found

@@ -8,6 +8,7 @@ and the residue report computes all residue forms of an anisotropic symbol
 from a normalized presentation.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -194,31 +195,44 @@ def class_span(gens):
     return out
 
 
+def _read_classes(tower, elems):
+    """(negs, minus_one, dimension) for nonzero elems over one tower: the
+    square classes of -x for x in elems, that of -1, and the rule that
+    gives the anisotropic dimension of a diagonal form whose entries are
+    products of elems and -1 from its entries' classes, the XOR of the
+    factors'.
+
+    Over Laurent towers they are qforms.square_class ints.  Over GF(p)(X)
+    they are place_class ints over S, the places of elems plus infinity,
+    each element factored once, and the rule is the largest local
+    dimension over S (localglobal.places_dimension): every such entry is
+    supported on S, so in dimension >= 3 that is the global dimension, by
+    the argument of localglobal.anisotropic_dimension_global.
+    """
+    if tower.laurent_rank() == len(tower.levels):
+        read = partial(qforms.square_class, tower)
+        minus_one = read(-tower.one)
+        return ([read(x) ^ minus_one for x in elems], minus_one,
+                partial(qforms.class_dimension, tower))
+    factored = []
+    places = localglobal.places_of_interest(
+        qforms.QuadraticForm(tower, tuple(elems)), factored)
+    minus_one = localglobal.place_class(places, -tower.one)
+    return ([localglobal.place_class(places, x, f) ^ minus_one
+             for x, f in zip(elems, factored)], minus_one,
+            partial(localglobal.places_dimension, places, minus_one))
+
+
 def expansion_classes(*symbols):
     """(classes, minus_one, dimension) for symbols over one tower: the
     square classes of the entries of each expand(s), in its order, that of
     -1, and the rule that gives a diagonal form's anisotropic dimension
-    from its entries' classes.
-
-    Over GF(p)(X) the classes are place_class ints over S, the places of
-    every c and slot plus infinity, and the rule is the largest local
-    dimension over S (localglobal.places_dimension): every entry is
-    supported on S, so in dimension >= 3 that is the global dimension, by
-    the argument of localglobal.anisotropic_dimension_global.
-    """
-    tower = symbols[0].tower
+    from its entries' classes (_read_classes of every c and slot)."""
     gens = [(s.c,) + s.slots for s in symbols]
-    if tower.laurent_rank() == len(tower.levels):
-        read = partial(qforms.square_class, tower)
-        minus_one = read(-tower.one)
-        dimension = partial(qforms.class_dimension, tower)
-    else:
-        places = localglobal.places_of_interest(
-            qforms.QuadraticForm(tower, sum(gens, ())))
-        read = partial(localglobal.place_class, places)
-        minus_one = read(-tower.one)
-        dimension = partial(localglobal.places_dimension, places, minus_one)
-    return ([class_span([read(x) ^ minus_one for x in g]) for g in gens],
+    negs, minus_one, dimension = _read_classes(symbols[0].tower,
+                                               sum(gens, ()))
+    read = iter(negs)
+    return ([class_span(list(itertools.islice(read, len(g)))) for g in gens],
             minus_one, dimension)
 
 

@@ -3,22 +3,23 @@
 Over a tower whose levels are all Laurent, and over GF(p)(X), isotropy of a
 symbol, the Witt index of the difference of two symbols and their isometry
 are read off the square classes of the slots and of c = 1 + 4b, combined by
-XOR, and the certificate search expands presentations by square-class
-representatives.  Over Laurent towers the reference expands the symbols and
-runs the anisotropic dimension as it was before square classes: the
-full-rank Springer split into residue forms, and the finite rule on the
-residues' product.  Over GF(p)(X) it expands them and takes the global
+XOR, and so is each candidate of the certificate search.  Over Laurent
+towers the reference expands the symbols and runs the anisotropic
+dimension as it was before square classes: the full-rank Springer split
+into residue forms, and the finite rule on the residues' product.  Over GF(p)(X) it expands them and takes the global
 anisotropic dimension of the expansion from its own places, and the place
 bits of every entry are checked against conftest.RefPlace.
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
 from conftest import RefPlace, tower
-from towerforms import linkage, pfister
-from towerforms.errors import BudgetExceeded
+from towerforms import linkage, pfister, qforms
+from towerforms.errors import BudgetExceeded, ConfigUnsupported
 from towerforms.fields import LAURENT, RATFUNC, SampleBudget, sample
 from towerforms.localglobal import (anisotropic_dimension_global,
                                     places_of_interest)
@@ -34,12 +35,17 @@ from towerforms.qforms import (QuadraticForm, _finite_kernel,
                                isometric, neg, orth_sum)
 from towerforms.valuation import ValuationCtx, raw_springer_split
 
+_SPEC = importlib.util.spec_from_file_location(
+    "output_digest",
+    Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py")
+output_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_digest)
+
 TOWERS = [tower(3, 1, ("t", LAURENT)),
           tower(5, 1, ("t", LAURENT), ("u", LAURENT)),
           tower(3, 1, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT))]
 SYMBOLS = 400  # per tower, plus PAIRS pairs: 1000 inputs
 PAIRS = 600
-CERTIFICATE_PAIRS = 40
 BUDGET = SampleBudget(max_val=1, series_terms=1)
 
 
@@ -105,9 +111,9 @@ def test_difference_matches_expansion(T):
 
 
 def test_laurent_decisions_do_not_expand(monkeypatch, gf3t, gf3tu, gf3x):
-    """Over a Laurent tower only the certificate search (see below),
-    LinkageCertificate.verify and the pfister-expand command expand a
-    symbol; GF(p)(X) decisions do not expand either."""
+    """Over a Laurent tower only LinkageCertificate.verify and the
+    pfister-expand command expand a symbol (for the certificate search see
+    below); GF(p)(X) decisions do not expand either."""
     def refuse(symbol):
         raise AssertionError(f"expand({symbol.describe()})")
     monkeypatch.setattr(pfister, "expand", refuse)
@@ -230,14 +236,17 @@ def test_global_difference_matches_expansion(p):
 
 
 def _ref_find_certificate(q1, q2):
-    """The search on the symbols' own expansions: same candidates, same
-    order, same budget."""
+    """The search on the symbols' own expansions, by isometry tests: same
+    candidates, same order, same budget.  Over GF(p)(X) there is no pool
+    of class representatives."""
     T, d = q1.tower, q1.fold
-    classes = linkage.square_class_reps(T)
-    reps = linkage._dedupe(list(q1.slots) + list(q2.slots) + classes,
-                           drop_zero=True)
-    lasts = linkage._dedupe([q1.last, q2.last] +
-                            [(s - 1) / 4 for s in classes])
+    try:
+        classes = linkage.square_class_reps(T)
+    except ConfigUnsupported:
+        classes = []
+    reps = list(dict.fromkeys(list(q1.slots) + list(q2.slots) + classes))
+    lasts = list(dict.fromkeys([q1.last, q2.last] +
+                               [(s - 1) / 4 for s in classes]))
     e1, e2 = expand(q1), expand(q2)
     checks = itertools.count(1)
 
@@ -261,34 +270,40 @@ def _ref_find_certificate(q1, q2):
     return linkage.NOT_FOUND
 
 
-@pytest.mark.parametrize("T", TOWERS[:2], ids=lambda T: T.describe())
-def test_certificate_search_expands_class_representatives(T, monkeypatch):
-    """find_certificate tests isometry on expansions whose slots and
-    1 + 4b are square-class representatives, and finds the certificate
-    (or NOT_FOUND, or the budget refusal) of the search on the symbols'
-    own expansions."""
-    classes = linkage.square_class_reps(T)
-    real_expand, expanded = pfister.expand, []
+def _answer(search, s1, s2):
+    try:
+        return search(s1, s2)
+    except BudgetExceeded:
+        return BudgetExceeded
 
-    def recording(symbol):
-        expanded.append(symbol)
-        return real_expand(symbol)
+
+def test_certificate_search_decides_on_classes(monkeypatch):
+    """On the pairs of output_digest's certificates group (GF(3)((t)),
+    GF(5)((t))((u)), fold 4 over GF(3)((t))((u))((w)), GF(3)(X) and
+    GF(5)(X)), find_certificate gives the certificate, NOT_FOUND or budget
+    refusal of the search on the symbols' own expansions, without one
+    expansion or isometry test, and every certificate re-verifies."""
+    pairs = list(output_digest.certificate_pairs())
+    calls = []
+    with monkeypatch.context() as m:
+        for module, name in ((pfister, "expand"), (qforms, "isometric")):
+            m.setattr(module, name,
+                      lambda *args, name=name: calls.append(name))
+        got = [_answer(find_certificate, s1, s2) for s1, s2 in pairs]
+    assert calls == []
     found = 0
-    for i in range(CERTIFICATE_PAIRS):
-        s1, s2 = _pair(T, i)
-        try:
-            want = _ref_find_certificate(s1, s2)
-        except BudgetExceeded:
-            want = BudgetExceeded
-        monkeypatch.setattr(pfister, "expand", recording)
-        try:
-            got = find_certificate(s1, s2)
-        except BudgetExceeded:
-            got = BudgetExceeded
-        monkeypatch.setattr(pfister, "expand", real_expand)
-        assert got == want, i
-        found += isinstance(got, linkage.LinkageCertificate)
-    assert expanded and found >= CERTIFICATE_PAIRS // 2
-    for symbol in expanded:
-        assert all(a in classes for a in symbol.slots), symbol.describe()
-        assert symbol.c in classes, symbol.describe()
+    for i, ((s1, s2), answer) in enumerate(zip(pairs, got)):
+        assert answer == _answer(_ref_find_certificate, s1, s2), i
+        if isinstance(answer, linkage.LinkageCertificate):
+            assert answer.verify(s1, s2), i
+            found += 1
+    # the fold-4 pair s = 3 over GF(3)((t))((u))((w)) is refused
+    assert got[83] is BudgetExceeded and pairs[83][0].fold == 4
+    assert got.count(BudgetExceeded) == 3 and linkage.NOT_FOUND in got
+    assert found >= len(pairs) // 2
+    # the budget counts each candidate test once, at every size
+    for budget in range(1, 9):
+        monkeypatch.setattr(linkage, "CERTIFICATE_BUDGET", budget)
+        for s1, s2 in pairs[:10]:
+            assert _answer(find_certificate, s1, s2) == \
+                _answer(_ref_find_certificate, s1, s2), budget
