@@ -277,6 +277,37 @@ def _answer(search, s1, s2):
         return BudgetExceeded
 
 
+CERTIFICATE_PAIRS = 40
+
+
+@pytest.mark.parametrize("T", TOWERS[:2], ids=lambda T: T.describe())
+def test_certificate_search_expands_class_representatives(T, monkeypatch):
+    """Over a Laurent tower find_certificate widens its candidates by the
+    square-class representatives, which it reads as classes rather than
+    expanding: on _pair's pairs it finds the certificate (or NOT_FOUND, or
+    the budget refusal) of the search on the symbols' own expansions, with
+    no expansion, and every certificate's slots and 1 + 4b are the
+    symbols' own or representatives."""
+    classes = linkage.square_class_reps(T)
+    expanded = []
+    found = 0
+    for i in range(CERTIFICATE_PAIRS):
+        s1, s2 = _pair(T, i)
+        want = _answer(_ref_find_certificate, s1, s2)
+        with monkeypatch.context() as m:
+            m.setattr(pfister, "expand", expanded.append)
+            got = _answer(find_certificate, s1, s2)
+        assert got == want, i
+        if isinstance(got, linkage.LinkageCertificate):
+            pool = list(s1.slots) + list(s2.slots) + classes
+            assert all(a in pool for a in
+                       (got.left1, got.left2) + got.shared), i
+            assert T.one + 4 * got.last in [s1.c, s2.c] + classes, i
+            assert got.verify(s1, s2), i
+            found += 1
+    assert expanded == [] and found >= CERTIFICATE_PAIRS // 2
+
+
 def test_certificate_search_decides_on_classes(monkeypatch):
     """On the pairs of output_digest's certificates group (GF(3)((t)),
     GF(5)((t))((u)), fold 4 over GF(3)((t))((u))((w)), GF(3)(X) and
