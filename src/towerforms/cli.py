@@ -154,8 +154,10 @@ def _cmd_certify(args):
                      "p2": s2.describe(), "certificate": None},
               ["no certificate found among the candidate slots"])
         return 0
+    # the text line builds both symbols, which --json never prints
     _emit(args, {"field": tower.describe(), "p1": s1.describe(),
                  "p2": s2.describe(), "certificate": cert.to_json()},
+          [] if args.json else
           [f"common presentation: {cert.symbol1().describe()} ~ "
            f"{cert.symbol2().describe()}"])
     return 0

@@ -4,8 +4,10 @@ Two d-fold Pfister symbols are linked when they share a (d-1)-fold Pfister
 subform, which is decided by the Witt index of the difference of their
 expansions being at least 2^{d-1}.  That index is read off the square
 classes of the slots and of 1 + 4b (pfister.expansion_classes): over
-Laurent towers one leading-term read each, over GF(p)(X) one place-class
-int each over S, the places of all slots and 1 + 4b plus infinity.
+Laurent towers one qforms.square_class int each, over GF(p)(X) one
+place-class int each over S, the places of all slots and 1 + 4b plus
+infinity.  The Laurent class representatives are qforms.class_rep of
+each int (square_class_reps); a negative's class is the int XOR that of -1.
 Certificates exhibit an explicit common presentation
 <<a1, shared...; b]] / <<a1', shared...; b]].  The search decides every
 candidate on the same square classes, by XOR, with no expansion
@@ -109,27 +111,37 @@ def is_linked_pair(q1, q2):
     return index >= 2 ** (q1.fold - 1)
 
 
+def _rep_classes(tower):
+    """The square_class ints of square_class_reps(tower), in its order:
+    value parities outermost first, innermost varying fastest, then the
+    unit 1 before nu."""
+    return [u | sum(e << (i + 1) for i, e in enumerate(eps))
+            for eps in itertools.product((0, 1), repeat=len(tower.levels))
+            for u in (0, 1)]
+
+
 def square_class_reps(tower):
-    """Representatives of the square classes of the tower: t^eps * {1, nu}
-    over the cosets of one full-rank split, nu a non-square of the finite
+    """Representatives of the square classes of the tower: class_rep
+    t^eps * {1, nu} of each class, nu the first non-square of the finite
     base, innermost uniformizer varying fastest."""
     if any(lv.kind == fl.RATFUNC for lv in tower.levels):
         raise ConfigUnsupported("square classes of GF(q)(X) are infinite")
-    ctx = vmod.ValuationCtx(tower, len(tower.levels))
-    nu = tower.embed(qforms._finite_nonsquare(ctx.residue_tower))
-    return [pi * u for _, pi in ctx.coset_reps() for u in (tower.one, nu)]
+    return [qforms.class_rep(tower, c) for c in _rep_classes(tower)]
 
 
 @lru_cache(maxsize=None)
 def _class_pool(tower):
     """(square_class_reps(tower), the square_class ints of their negatives
-    keyed by raw), read once per tower; empty over GF(p)(X), whose square
-    classes are infinite.  Callers must not mutate the dict."""
+    keyed by raw), the class of -s being that of s XOR that of -1; empty
+    over GF(p)(X), whose square classes are infinite.  Callers must not
+    mutate the dict."""
     try:
         reps = tuple(square_class_reps(tower))
     except ConfigUnsupported:
         return (), {}
-    return reps, {s.raw: qforms.square_class(tower, -s) for s in reps}
+    minus_one = qforms.minus_one_class(tower)
+    return reps, {s.raw: c ^ minus_one
+                  for s, c in zip(reps, _rep_classes(tower))}
 
 
 def find_certificate(q1, q2):

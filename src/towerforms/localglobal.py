@@ -15,9 +15,11 @@ numerators and denominators are int polynomials over ffield.Zp.  An
 element's square class over a place list is one int (place_class), two
 bits per place: its valuation mod 2 and whether its unit residue is a
 non-square in GF(p^deg), read off one factorization by Legendre symbols.
-A completion holds only these bits; no residue field is built.  Pfister
-decisions take the places of the slots and 1 + 4b plus infinity, which
-support every entry of the expansion (pfister.expansion_classes).
+_place_classes, the one class reader, factors each entry once for localize
+and for pfister's decisions alike.  A completion holds only these bits,
+whose local dimension is qforms.bits_dimension; no residue field is built.
+Pfister decisions take the places of the slots and 1 + 4b plus infinity,
+which support every entry of the expansion (pfister.expansion_classes).
 """
 
 import itertools
@@ -224,32 +226,26 @@ class Completion:
     square_class_bits: tuple
 
 
-def localize(q, places=None):
-    """The completions of q at the ordered places, by default
-    places_of_interest(q), from one place_class read per entry (and one
-    factorization, when the places are found here)."""
+def _place_classes(q, places=None):
+    """(places, minus_one, classes) of the diagonal form q: the ordered
+    places, by default places_of_interest(q), and the place_class ints of
+    -1 and of each entry, every entry factored once.  The one class read
+    over GF(p)(X): localize and pfister's decisions both start here."""
     factored = []
     if places is None:
         places = places_of_interest(q, factored)
     minus_one = place_class(places, -q.tower.one)
-    classes = [place_class(places, d, f)
-               for d, f in itertools.zip_longest(q.diag, factored)]
+    return places, minus_one, [
+        place_class(places, d, f)
+        for d, f in itertools.zip_longest(q.diag, factored)]
+
+
+def localize(q, places=None):
+    """The completions of q at the ordered places, by default
+    places_of_interest(q), from _place_classes."""
+    places, minus_one, classes = _place_classes(q, places)
     return [Completion(P, _bits_at(k, minus_one, classes))
             for k, P in enumerate(places)]
-
-
-def _subform_dimension(bits, idx):
-    """Local anisotropic dimension of the subform on positions idx: the
-    square-class rule of qforms, the key of an entry being its valuation
-    mod 2."""
-    minus_one, entries = bits
-    return qforms.bits_dimension(minus_one, [entries[i] for i in idx])
-
-
-def local_anisotropic_dimension(comp):
-    """The finite rule on the residues of the even and odd entries."""
-    minus_one, entries = comp.square_class_bits
-    return qforms.bits_dimension(minus_one, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def _anisotropic_dimension_global(q, comps):
     if q.dim <= 2:
         return len(qforms._finite_kernel(q.tower, q.diag))
     comps += localize(q)
-    return max(map(local_anisotropic_dimension, comps))
+    return max(qforms.bits_dimension(*c.square_class_bits) for c in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +300,12 @@ def hilbert_symbol(a, b, v):
     else:
         if v.rank != 1:
             raise ConfigUnsupported("Hilbert symbol needs a rank-1 valuation")
-        rt = v.residue_tower
-        if rt.levels:
+        if v.residue_tower.levels:
             raise ConfigUnsupported("Hilbert symbol needs a finite residue field")
-        (va,), ra = v.split(a)
-        (vb,), rb = v.split(b)
-        na, nb, minus_one = (not fl.is_square(rt, x)
-                             for x in (ra, rb, -rt.one))
+        # one Laurent level: the class is 2 * (v mod 2) + non-square bit
+        (va, na), (vb, nb) = (divmod(qforms.square_class(v.tower, x), 2)
+                              for x in (a, b))
+        minus_one = qforms.minus_one_class(v.tower)
     nonsquare = (va * vb % 2 and minus_one) ^ (vb % 2 and na) ^ \
         (va % 2 and nb)
     return -1 if nonsquare else 1
@@ -367,7 +362,7 @@ def _pairs_square_at_infinity(q):
     so each entry gives its parities and one non-square bit."""
     chain = q.tower.chain
     base, coeffs = chain[0], chain[-1].inner
-    minus_one = not base.is_square(base.neg(base.one))
+    minus_one = qforms.minus_one_class(q.tower)
     lead = []
     for d in q.diag:
         num, den = d.raw
@@ -442,7 +437,8 @@ def _isotropic_subsets(comps, k):
     (Chevalley-Warning plus Hensel)."""
     bits = [c.square_class_bits for c in comps]
     for idx in itertools.combinations(range(len(bits[0][1])), k):
-        if all(_subform_dimension(b, idx) < k for b in bits):
+        if all(qforms.bits_dimension(minus_one, [entries[i] for i in idx]) < k
+               for minus_one, entries in bits):
             yield idx
 
 

@@ -7,12 +7,14 @@ It rests on one finite-field rule (parity and discriminant, _finite_kernel
 on elements, _finite_kernel_dim on square-class bits), and one routine,
 bits_dimension, sums that rule over the parts of a diagonal form given as
 square-class bits: the -1 bit, and per entry a parity key and the
-non-square bit of its residue.  Over a finite field or an iterated Laurent
-tower the bits come from one fields.leading_term read per entry
-(square_class), the key being the value vector mod 2; at a place of
-GF(p)(X) (localglobal) the key is the valuation mod 2.  Over GF(p)(X) the
-global dimension is the largest local one, and witt_decompose also splits
-hyperbolic planes off on the diagonal.
+non-square bit of its residue.  Each tower kind has one class reader.
+Over a finite field or an iterated Laurent tower it is square_class, one
+fields.leading_term read per entry into one int whose key is the value
+vector mod 2 (minus_one_class gives that of -1), and class_rep maps an int
+back to its representative t^eps * {1, nu}.  Over GF(p)(X) it is
+localglobal._place_classes, one place_class int per entry whose key at a
+place is the valuation mod 2; the global dimension is the largest local
+one, and witt_decompose also splits hyperbolic planes off on the diagonal.
 """
 
 import math
@@ -168,6 +170,29 @@ def minus_one_class(tower):
     return 0 if base.is_square(base.neg(base.one)) else 1
 
 
+def class_rep(tower, c):
+    """The representative t^eps * {1, nu} of the square class c over a
+    tower whose levels are all Laurent (the inverse of square_class): nu
+    the first non-square of the finite base when bit 0 is set, eps the
+    value parities of the higher bits, built one monomial per level."""
+    chain = tower.chain
+    raw = chain[0].nonsquare if c & 1 else chain[0].one
+    for k in range(1, len(chain)):
+        raw = chain[k].monomial(raw, (c >> (len(chain) - k)) & 1)
+    return fl.Element(tower, raw)
+
+
+def reduce_square_classes(q):
+    """An isometric form whose entries are the class_rep of their
+    square_class (iterated-Laurent towers only; others pass through).  No
+    decision needs it; it is kept as a public helper."""
+    tower = q.tower
+    if any(lv.kind != fl.LAURENT for lv in tower.levels):
+        return q
+    return QuadraticForm(tower, tuple(class_rep(tower, square_class(tower, d))
+                                      for d in q.diag))
+
+
 def class_dimension(tower, classes):
     """Anisotropic dimension of the diagonal form whose entries have the
     given square classes (square_class) over a tower of Laurent levels."""
@@ -259,37 +284,3 @@ def _witt_laurent(q):
             pi = ctx.monomial(eps)
             kernel_entries += [pi * q.tower.embed(r) for r in kernel]
     return _decomposition(q, kernel_entries)
-
-
-# ---------------------------------------------------------------------------
-# square classes
-
-
-def _finite_nonsquare(tower):
-    """The first non-square of a finite tower, in elements() order."""
-    return fl.Element(tower, tower.ops.nonsquare)
-
-
-def _square_class_monomial(tower, a):
-    """The representative t^(w mod 2) * {1, nu} of a's square class over an
-    iterated-Laurent tower, read from one full-rank split."""
-    from . import valuation as vmod
-    ctx = vmod.ValuationCtx(tower, len(tower.levels))
-    w, r = ctx.split(a)
-    base = ctx.residue_tower
-    unit = base.one if fl.is_square(base, r) else _finite_nonsquare(base)
-    return ctx.monomial(tuple(c % 2 for c in w)) * tower.embed(unit)
-
-
-def reduce_square_classes(q):
-    """An isometric form whose entries are canonical square-class
-    representatives (iterated-Laurent towers only; others pass through).
-
-    No decision needs it; it is kept as a public helper and as a reference
-    that the oracle tests compare square classes against."""
-    tower = q.tower
-    if any(lv.kind != fl.LAURENT for lv in tower.levels):
-        return q
-    return QuadraticForm(tower, tuple(_square_class_monomial(tower, d)
-                                      for d in q.diag))
-

@@ -1,17 +1,56 @@
 import itertools
+import signal
 from functools import lru_cache
 
 import pytest
 
+from towerforms import fields as fl
 from towerforms import polys
 from towerforms.ffield import finite_field
 from towerforms.fields import FieldTower, LevelDescriptor, LAURENT, RATFUNC
 from towerforms.localglobal import INFINITY
+from towerforms.valuation import ValuationCtx
+
+# wall-clock seconds one test may take before it fails
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S instead of hanging the
+    run: a SIGALRM interval timer, cleared when the test ends."""
+    def expire(signum, frame):
+        pytest.fail(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def tower(p, k=1, *levels):
     """Shorthand: tower(3, 1, ("t", LAURENT), ("u", LAURENT))."""
     return FieldTower(p, k, tuple(LevelDescriptor(s, kind) for s, kind in levels))
+
+
+def finite_nonsquare(T):
+    """The first non-square of a finite tower, in elements() order."""
+    return fl.Element(T, T.ops.nonsquare)
+
+
+def square_class_monomial(T, a):
+    """Reference representative t^(w mod 2) * {1, nu} of a's square class
+    over an iterated-Laurent tower, read from one full-rank ValuationCtx
+    split and built as a product of elements: the oracle for
+    qforms.class_rep."""
+    ctx = ValuationCtx(T, len(T.levels))
+    w, r = ctx.split(a)
+    base = ctx.residue_tower
+    unit = base.one if fl.is_square(base, r) else finite_nonsquare(base)
+    return ctx.monomial(tuple(c % 2 for c in w)) * T.embed(unit)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import tower
+from conftest import finite_nonsquare, square_class_monomial, tower
 from test_linkage import mutate_certificate
 from towerforms.fields import (LAURENT, SampleBudget, sample, sample_unit,
                                valuation as val)
@@ -21,8 +21,7 @@ from towerforms.linkage import (NOT_FOUND, check_top_d_linked,
 from towerforms.localglobal import hilbert_symbol
 from towerforms.pfister import (BilinearPfisterSymbol, expand_bilinear,
                                 normalize_last_slot)
-from towerforms.qforms import (QuadraticForm, _square_class_monomial, form,
-                               is_isotropic, isometric)
+from towerforms.qforms import QuadraticForm, is_isotropic, isometric
 from towerforms.valuation import ValuationCtx, raw_springer_split, springer_decompose
 
 
@@ -79,9 +78,8 @@ def _hilbert_isotropic(T, q, ctx):
 
 
 def _nonsquare_unit(T):
-    from towerforms.qforms import _finite_nonsquare
     inner = T.drop_outer(len(T.levels))
-    return T.embed(_finite_nonsquare(inner))
+    return T.embed(finite_nonsquare(inner))
 
 
 def test_criterion_2_springer_vs_hilbert_symbol():
@@ -203,7 +201,7 @@ def _reduce_slots(symbol):
     <1, -a>, so the isometry class is unchanged; this keeps fraction sizes
     small after merges."""
     return BilinearPfisterSymbol(symbol.tower, tuple(
-        _square_class_monomial(symbol.tower, a) for a in symbol.slots))
+        square_class_monomial(symbol.tower, a) for a in symbol.slots))
 
 
 def test_criterion_5_slot_normalization():

@@ -176,8 +176,15 @@ def test_cli_certify(capsys):
     assert json.loads(out)["certificate"] is not None
 
 
+def test_cli_certify_text_names_the_common_presentation(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--field", "GF(3)((t))",
+                           "--p1", "<<t; 1]]", "--p2", "<<1 + t; 1]]")
+    assert code == 0
+    assert out == "common presentation: <<t; 1]] ~ <<1 + t; 1]]\n"
+
+
 def test_cli_certify_not_found_names_no_budget(capsys):
-    # the candidate slots run out before the isometry-test budget does, so
+    # the candidate slots run out before the candidate-test budget does, so
     # the text answer must not blame the budget; the pair is still linked
     pair = ("--field", "GF(3)(X)", "--p1", "<<(2 + 2*X)/(2 + X); 2*X]]",
             "--p2", "<<2 + X; 2/X]]")

@@ -12,8 +12,8 @@ from towerforms.linkage import (NOT_FOUND, LinkageCertificate,
                                 verify_lifting_equivalence,
                                 verify_residue_transfer)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
-from towerforms.qforms import _finite_nonsquare, is_isotropic, isometric
-from conftest import tower
+from towerforms.qforms import is_isotropic
+from conftest import finite_nonsquare, tower
 
 
 def test_linked_pair_examples(gf3, gf3t, gf3x):
@@ -168,7 +168,7 @@ def _ref_square_class_reps(T):
     """One Laurent level at a time: the reps of drop_outer(), then t times
     them."""
     if not T.levels:
-        return [T.one, _finite_nonsquare(T)]
+        return [T.one, finite_nonsquare(T)]
     lifted = [T.embed(a) for a in _ref_square_class_reps(T.drop_outer())]
     t = T.gen(T.levels[-1].symbol)
     return lifted + [t * a for a in lifted]

@@ -1,5 +1,5 @@
 """Inputs that would check nothing are refused, and the certificate search
-runs within a fixed isometry-test budget."""
+runs within a fixed budget of candidate tests."""
 
 import shlex
 
@@ -20,7 +20,7 @@ def test_certificate_budget_is_a_constant(monkeypatch, gf3t):
     s = QuadraticPfisterSymbol(gf3t, (gf3t.gen("t"),), gf3t.one)
     assert linkage.CERTIFICATE_BUDGET == 512
     assert find_certificate(s, s) != NOT_FOUND
-    # a certificate needs one isometry test per symbol, so one is too few
+    # a certificate needs one candidate test per symbol, so one is too few
     monkeypatch.setattr(linkage, "CERTIFICATE_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
         find_certificate(s, s)

@@ -9,13 +9,13 @@ answers, down to the formatted kernel.
 
 import pytest
 
-from conftest import tower
+from conftest import finite_nonsquare, tower
 from towerforms import dsl
 from towerforms import fields as fl
 from towerforms.fields import LAURENT, SampleBudget, sample
 from towerforms.qforms import (QuadraticForm, WittDecomposition, _witt_finite,
-                               _finite_nonsquare, is_isotropic,
-                               reduce_square_classes, witt_decompose)
+                               is_isotropic, reduce_square_classes,
+                               witt_decompose)
 from towerforms.valuation import ValuationCtx, raw_springer_split
 
 TOWERS = [tower(3, 1, ("t", LAURENT)),
@@ -60,7 +60,7 @@ def ref_witt_decompose(q):
 
 def ref_square_class(T, a):
     if not T.levels:
-        return T.one if fl.is_square(T, a) else _finite_nonsquare(T)
+        return T.one if fl.is_square(T, a) else finite_nonsquare(T)
     (e,), r = ValuationCtx(T, 1).split(a)
     rep = T.embed(ref_square_class(T.drop_outer(), r))
     return T.gen(T.levels[-1].symbol) * rep if e % 2 else rep

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RefPlace, tower
+from conftest import RefPlace, finite_nonsquare, tower
 from towerforms import dsl, ffield, pfister, polys, qforms
 from towerforms import fields as fl
 from towerforms import localglobal as lg
@@ -70,7 +70,7 @@ def old_square_class_rep(tower, elem):
         s = polys.pmul(F, s, g)
     root = fl.try_sqrt(tower, elem / lg._embed_poly(tower, s))
     if root is None:
-        nu = qforms._finite_nonsquare(fl.FieldTower(p)).raw
+        nu = finite_nonsquare(fl.FieldTower(p)).raw
         s = polys.pscale(F, s, nu)
         root = fl.try_sqrt(tower, elem / lg._embed_poly(tower, s))
     return s, root
@@ -333,7 +333,7 @@ def test_completion_bits_match_residues(p):
             assert comp.square_class_bits == (
                 not ref.is_square((p - 1,)),
                 tuple((v % 2, not ref.is_square(r)) for v, r in splits))
-            assert lg.local_anisotropic_dimension(comp) == \
+            assert qforms.bits_dimension(*comp.square_class_bits) == \
                 ref.local_dimension(q.diag)
 
 
