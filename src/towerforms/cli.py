@@ -219,9 +219,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """The top-level parser; its ``subcommands`` map each subcommand name
+    to that subcommand's own parser."""
     top = _Parser(prog="towerforms",
                   description="Quadratic and Pfister forms over field towers")
     sub = top.add_subparsers(dest="subcommand", required=True)
+    top.subcommands = sub.choices
 
     def add(name, handler, **kw):
         p = sub.add_parser(name, **kw)
@@ -292,10 +295,25 @@ def _parser():
     return build_parser()
 
 
+def _parse_args(argv):
+    """The namespace of argv.  The top-level parser hands everything after
+    a subcommand name to that subcommand's parser, so when argv[0] is such
+    a name, that parser is called directly: same namespace, help and
+    errors.  The top-level parser takes argv itself when argv[0] is no
+    subcommand (no argument, -h, an unknown word) and when arguments are
+    left over, which only it reports."""
+    top = _parser()
+    sub = top.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv=None):
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return e.code if e.code is not None else 0
     try:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from towerforms import dsl, errors
+from towerforms import cli, dsl, errors
 from towerforms.cli import main
 from towerforms.fields import SampleBudget, format_element, sample
 from towerforms.pfister import BilinearPfisterSymbol, QuadraticPfisterSymbol
@@ -222,6 +222,11 @@ def test_cli_exit_2_on_bad_input(capsys):
             ("verify", "top-linked", "--field", "GF(3)"),
             ("verify", "nonsense", "--q", "3"),
             ("nonsense",),
+            # a digit outside 0-9 is refused, not read by int()
+            ("square", "--field", "GF(3)((t))", "--elem", "²"),
+            ("isotropy", "--field", "GF(5)", "--form", "diag[1, ²]"),
+            ("square", "--field", "GF(²)", "--elem", "1"),
+            ("square", "--field", "GF(3)", "--elem", "٣"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -250,6 +255,8 @@ def test_cli_calls_in_one_process_match_fresh_processes(capsys):
         ("certify", "--field", "GF(3)((t))", "--p1", "<<t; 1]]",
          "--p2", "<<t, 2; 1 + t]]"),
         ("square", "--field", "GF(7)", "--elem", "3", "--json"),
+        ("square", "--field", "GF(7)", "--elem", "3", "extra"),
+        ("witt", "--field", "GF(5)", "--form", "diag[1, 1]"),
     ]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv in lines:
@@ -258,6 +265,48 @@ def test_cli_calls_in_one_process_match_fresh_processes(capsys):
             capture_output=True, text=True, env=env, timeout=60)
         assert run_cli(capsys, *argv) == \
             (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+PARITY_ARGV = [
+    ("-h",), ("--help",), (), ("nonsense",), ("iso", "--field", "GF(3)"),
+    ("--json", "square", "--field", "GF(3)", "--elem", "1"),
+    *[(name, "-h") for name in ("isotropy", "witt", "residue", "square",
+                                "pfister-expand", "pfister-normalize",
+                                "link", "certify", "verify")],
+    ("isotropy", "--field", "GF(3)"),
+    ("isotropy", "--field=GF(3)", "--form=diag[1, 1]"),
+    ("isotropy", "--fie", "GF(5)", "--form", "diag[1, 1]"),
+    ("square", "--field", "GF(3)", "--field", "GF(7)", "--elem", "2"),
+    ("square", "--field", "GF(7)", "--elem", "2", "extra"),
+    ("square", "--field", "GF(7)", "--elem", "2", "--el", "3"),
+    ("square", "--field", "GF(3)", "--elem", "-1"),
+    ("square", "--field", "GF(3)", "--elem", "--json"),
+    ("square", "--elem", "1/0", "--field", "GF(3)"),
+    ("square", "-h", "--field", "GF(3)"),
+    ("residue", "--field", "GF(3)((t))", "--form", "diag[1, t]",
+     "--pfister", "<<t; 1]]"),
+    ("residue", "--field", "GF(3)((t))", "--form", "diag[1, t]", "--m", "x"),
+    ("witt", "--field", "GF(5)((t))", "--form", "diag[1, t]", "--bogus"),
+    ("witt", "--field", "GF(5)", "--form", "diag[1, 1]", "--", "x"),
+    ("link", "--field", "GF(3)((t))", "--p1", "<<t; 1]]", "--p2", "<<1]]",
+     "--json", "--json"),
+    ("certify", "--field", "GF(3)((t))", "--p1", "<<t; 1]]",
+     "--p2", "<<t; 1]]", "--json"),
+    ("verify", "nonsense"),
+    ("verify", "top-linked", "--field", "GF(3)", "--d", "1",
+     "--samples", "3", "--seed", "x"),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_cli_argv_parity_with_the_top_level_parser(argv, capsys, monkeypatch):
+    """main hands argv to the named subcommand's parser; reading every argv
+    through the top-level parser instead prints the same exit code, stdout
+    and stderr."""
+    direct = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda args: cli._parser().parse_args(args))
+    assert run_cli(capsys, *argv) == direct
 
 
 def test_readme_cli_block_runs(capsys):
