@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""End-to-end benchmark file: medians of perfbench/run.py over fixed seeds.
+
+Usage (from the repository root; the program is imported from ./src):
+    python3 scripts/bench.py --label N      # writes BENCH_N.json
+    python3 scripts/bench.py --compare A B  # ratios B / A, per metric
+
+--label runs ``perfbench/run.py --trace 0`` for every workload on each seed
+of SEEDS, at run.py's default --seconds, and writes BENCH_<N>.json in the
+repository root.  Per workload the file holds the median over the seeds of
+each end-to-end metric, scaled to reference host speed and in wall clock,
+the median p50 and p90 of each op kind (scaled), the op and failure counts
+and the median host speed of the runs.  Its context block holds the git
+sha, nproc, the Python version, the CPU model and the median calibration
+speed over every run, with the sha256 of src/towerforms/*.py that run.py
+reports (the sha names the commit checked out, which the tree may differ
+from).
+
+--compare prints, for every metric of both files, B's value over A's.  It
+flags files from different machines (nproc, CPU model or Python version
+differ), whose wall-clock ratios then compare hosts as well as code.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN = os.path.join(ROOT, "perfbench", "run.py")
+OUT = os.path.join(ROOT, "perfbench", "out")
+
+WORKLOADS = ("laurent-linkage", "global-witness", "cli-certify")
+SEEDS = (401, 402, 403, 404, 405)
+SCALED = ("setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
+# wall-clock figure of each scaled metric in run.py's report
+WALL_CLOCK = {"ops_per_s": "raw_ops_per_s", "op_p50_ms": "raw_op_p50_ms",
+              "op_p90_ms": "raw_op_p90_ms"}
+MACHINE = ("nproc", "cpu", "python")
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _git_sha():
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _run(workload, seed, ops):
+    """One run.py --trace 0 run: (its result line, its full report)."""
+    cmd = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
+           "--trace", "0"]
+    if ops is not None:
+        cmd += ["--ops", str(ops)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"run.py failed on {workload} seed {seed}:\n"
+                         f"{proc.stderr.strip()}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(os.path.join(OUT, f"{workload}-seed{seed}-trace0.json")) as fh:
+        return result, json.load(fh)
+
+
+def _median_of(rows, key):
+    return statistics.median(row[key] for row in rows)
+
+
+def measure(seeds=SEEDS, ops=None):
+    """The BENCH document for runs of every workload on every seed; ops
+    fixes the op count of each run (run.py --ops) instead of --seconds."""
+    doc = {"seeds": list(seeds), "ops": ops, "workloads": {}}
+    speeds, src_digest = [], None
+    for workload in WORKLOADS:
+        scaled, wall, kinds, runs = [], [], {}, []
+        for seed in seeds:
+            result, rep = _run(workload, seed, ops)
+            values = {k: v["value"] for k, v in result["metrics"].items()}
+            scaled.append(values)
+            wall.append({k: rep[raw] for k, raw in WALL_CLOCK.items()})
+            wall[-1]["setup_s"] = statistics.median(rep["setup_runs_raw_s"])
+            for kind, st in rep["per_kind"].items():
+                kinds.setdefault(kind, []).append(st)
+            runs.append({"seed": seed, "ops": rep["ops"],
+                         "failed": rep["failed"], "correct": result["correct"],
+                         "speed": rep["speed"]})
+            speeds.append(rep["speed"])
+            src_digest = rep["provenance"]["src_digest"]
+        doc["workloads"][workload] = {
+            "scaled": {k: _median_of(scaled, k) for k in SCALED},
+            "wall_clock": {k: _median_of(wall, k) for k in wall[0]},
+            "per_kind": {kind: {"p50_ms": _median_of(st, "p50_ms"),
+                                "p90_ms": _median_of(st, "p90_ms")}
+                         for kind, st in sorted(kinds.items())},
+            "speed": _median_of(runs, "speed"),
+            "runs": runs,
+        }
+    doc["context"] = {"git_sha": _git_sha(), "src_digest": src_digest,
+                      "nproc": os.cpu_count(), "cpu": _cpu_model(),
+                      "python": platform.python_version(),
+                      "speed": statistics.median(speeds)}
+    return doc
+
+
+def _metrics(doc):
+    """{(workload, metric): value} for every number compare reads."""
+    out = {}
+    for workload, w in doc["workloads"].items():
+        for group in ("scaled", "wall_clock"):
+            for k, v in w[group].items():
+                out[(workload, f"{group}.{k}")] = v
+        for kind, st in w["per_kind"].items():
+            for k, v in st.items():
+                out[(workload, f"{kind}.{k}")] = v
+    return out
+
+
+def compare(a, b):
+    """Lines of B / A per metric, after a flag line when the two files come
+    from different machines."""
+    lines = []
+    differ = [k for k in MACHINE if a["context"][k] != b["context"][k]]
+    if differ:
+        lines.append("DIFFERENT MACHINES (" + ", ".join(
+            f"{k}: {a['context'][k]} vs {b['context'][k]}" for k in differ) +
+            "): wall-clock ratios compare hosts too")
+    lines.append(f"calibration speed {a['context']['speed']:.3f} -> "
+                 f"{b['context']['speed']:.3f}")
+    ma, mb = _metrics(a), _metrics(b)
+    for key in sorted(ma.keys() & mb.keys()):
+        va, vb = ma[key], mb[key]
+        ratio = f"{vb / va:8.3f}" if va else "     n/a"
+        lines.append(f"{key[0]:16s} {key[1]:24s} {va:12.4f} {vb:12.4f} "
+                     f"{ratio}")
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label", help="write BENCH_<label>.json")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="print B / A for every metric of two BENCH files")
+    args = ap.parse_args(argv)
+    if args.compare:
+        docs = []
+        for path in args.compare:
+            with open(path) as fh:
+                docs.append(json.load(fh))
+        print("\n".join(compare(*docs)))
+        return 0
+    doc = measure()
+    doc["label"] = args.label
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0 if all(r["correct"] for w in doc["workloads"].values()
+                    for r in w["runs"]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -133,7 +133,7 @@ class _Parser:
 
     def expect(self, tok, what=None):
         if not self.accept(tok):
-            self.fail(f"expected {what or tok!r}")
+            self.fail(f"expected {what or repr(tok)}")
 
     def adjacent(self):
         """Whether the next two tokens touch.  The first two and the last
@@ -157,7 +157,7 @@ class _Parser:
 
     def expect_pair(self, lit, what=None):
         if not self.accept_pair(lit):
-            self.fail(f"expected {what or lit!r}")
+            self.fail(f"expected {what or repr(lit)}")
 
     def expect_opening(self, word, what, bracket):
         """Accept word and then bracket.  A longer name that begins with
@@ -169,7 +169,7 @@ class _Parser:
         elif tok.startswith(word):
             self.fail(f"expected {bracket!r}", self.here() + len(word))
         else:
-            self.fail(f"expected {what!r}")
+            self.fail(f"expected {what}")
 
     def at_end(self):
         return self.i == len(self.toks) - 1
@@ -212,11 +212,11 @@ class _Parser:
                     self.i += 1
                     try:
                         term = ring.div(term, self.factor(ring))
+                    except ParseError:
+                        raise  # the divisor's own error, as it was raised
                     except TowerFormsError as err:
-                        # the divisor's own errors are wrapped here too
-                        pos = err.pos if isinstance(err, ParseError) \
-                            else self._factor_end()
-                        raise ParseError(str(err), self.text, pos)
+                        raise ParseError(str(err), self.text,
+                                         self._factor_end())
                 else:
                     break
             if negate:

@@ -52,6 +52,22 @@ class FracField:
     max(i, j) - i and num_b by max(i, j) - j and adds them over X^max(i, j).
     The den is already monic, so only the shift by X^min(k, ord num) is
     left, and make is not called.  Any other pair goes through make.
+
+    A level whose coefficients are one-level fractions over Zp (the second
+    level over GF(p): the outer one of GF(p)((t))((u)), the middle one of
+    GF(p)((t))((u))((w))) multiplies two raws with dens X^i and X^j, whose
+    coefficients all have t^k dens, as one int product (_packed_mul).
+    Each operand's numerator coefficients are shifted to sit over its
+    largest t-power K, so that the operand is sum_m n_m(t) X^m / (t^K X^i),
+    and its rows n_m are laid end to end at stride S = la + lb - 1, la and
+    lb bounds on the rows' lengths in the two operands: X becomes t^S.  One
+    polys.pmul on the int lists gives every row of the product at once.  A
+    row of the product is a sum of products n_m * n'_m' of length at most
+    la + lb - 1 = S, so the rows cannot overlap, and cutting at stride S
+    gives them exactly.  Each row over t^(Ka + Kb), and then the outer
+    numerator over X^(i + j), is reduced by the _over_x_power rule.
+    Whether a level qualifies is decided once, in __init__; any other den
+    takes the generic mul, which is also the tests' reference.
     """
 
     def __init__(self, inner, symbol):
@@ -60,6 +76,9 @@ class FracField:
         self.zero = ((), (inner.one,))
         self.one = ((inner.one,), (inner.one,))
         self.gen = ((inner.zero, inner.one), (inner.one,))
+        if isinstance(inner, FracField) and \
+                getattr(inner.inner, "_int_raws", False):
+            self.mul = self._packed_mul
 
     def make(self, num, den):
         F = self.inner
@@ -123,6 +142,39 @@ class FracField:
         num = polys.pmul(F, an, bn)
         return self._over_x_power(num, i + j) if num else self.zero
 
+    def _packed_mul(self, a, b):
+        """mul as one int product, for a level whose coefficients are
+        one-level fractions over Zp (see the class docstring)."""
+        (an, ad), (bn, bd) = a, b
+        if not an or not bn:
+            return self.zero
+        i, j = self._x_power(ad), self._x_power(bd)
+        if i is None or j is None:
+            return FracField.mul(self, a, b)
+        shape_a, shape_b = _t_power_shape(an), _t_power_shape(bn)
+        if shape_a is None or shape_b is None:
+            return FracField.mul(self, a, b)
+        (ka, la), (kb, lb) = shape_a, shape_b
+        stride = la + lb - 1
+        prod = polys.pmul(self.inner.inner, _laid_out(an, ka, stride),
+                          _laid_out(bn, kb, stride))
+        k, zero = ka + kb, self.inner.zero
+        num = []
+        for s in range(0, len(prod), stride):
+            row = prod[s:s + stride]
+            hi = len(row)
+            while hi and not row[hi - 1]:
+                hi -= 1
+            if not hi:
+                num.append(zero)
+                continue
+            # row / t^k, both divided by t^min(k, ord row)
+            lo = 0
+            while lo < k and not row[lo]:
+                lo += 1
+            num.append((row[lo:hi], (0,) * (k - lo) + (1,)))
+        return self._over_x_power(tuple(num), i + j)
+
     def inv(self, a):
         if not a[0]:
             raise DivisionByZero("inverse of zero")
@@ -153,6 +205,36 @@ class FracField:
         if e >= 0:
             return (shift + (c,), (self.inner.one,))
         return ((c,), shift + (self.inner.one,))
+
+
+def _t_power_shape(coeffs):
+    """(K, L) for the numerator coefficients of a raw whose coefficients
+    are one-level fractions over Zp: K the largest t-power of their dens,
+    and L the longest numerator once shifted to sit over t^K; None if some
+    den is not a power of t."""
+    top, width = 0, 0
+    for num, den in coeffs:
+        k = len(den) - 1
+        if k:
+            if den.count(0) != k:
+                return None
+            if k > top:
+                top = k
+        if num and len(num) - k > width:
+            width = len(num) - k
+    return top, top + width
+
+
+def _laid_out(coeffs, top, stride):
+    """The numerators shifted to sit over t^top, end to end as one int
+    list, each padded with zeros to the stride."""
+    out = []
+    for num, den in coeffs:
+        shift = top - len(den) + 1 if num else 0
+        out += (0,) * shift
+        out += num
+        out += (0,) * (stride - shift - len(num))
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,12 @@ the largest local one (Hasse-Minkowski); each local one is the finite rule
 of qforms applied to the two parts of a rank-1 Springer split over the
 residue field GF(q^deg), at the places supporting some diagonal entry.  The
 parity/discriminant floor of the determinant is read only in dimension
-<= 2, where it is exact without factoring.  Forms of dimension >= 5 are
-always isotropic (the u-invariant of a global function field is 4).  The
-global Witt decomposition splits one hyperbolic plane per explicit
-isotropic vector off the diagonal.
+<= 2, where it is exact without factoring.  Over GF(q)(X) a form of
+dimension >= 5 is isotropic, as the u-invariant of a global function field
+is 4 (qforms.u_invariant); a tower with a Laurent level below X gets no
+such bound, and its forms of dimension >= 3 reach the place machinery,
+which refuses them.  The global Witt decomposition splits one hyperbolic
+plane per explicit isotropic vector off the diagonal.
 
 Place machinery is implemented for prime base fields GF(p)(X) only, whose
 numerators and denominators are int polynomials over ffield.Zp.  An
@@ -253,7 +255,9 @@ def localize(q, places=None):
 
 
 def is_isotropic_global(q):
-    return q.dim >= 5 or anisotropic_dimension_global(q) < q.dim
+    u = qforms.u_invariant(q.tower)
+    return (u is not None and q.dim > u) or \
+        anisotropic_dimension_global(q) < q.dim
 
 
 def anisotropic_dimension_global(q):

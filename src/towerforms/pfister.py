@@ -159,19 +159,25 @@ def rewrite(symbol, rule):
 # expansion
 
 
+def _times_slots(diag, slots):
+    """diag tensored with <1, -a> for each slot a: each slot is negated
+    once, and -a itself, its product with the leading 1, is taken as it
+    is."""
+    for a in slots:
+        na = -a
+        diag += [na] + [na * d for d in diag[1:]]
+    return diag
+
+
 def expand_bilinear(symbol):
-    diag = [symbol.tower.one]
-    for a in symbol.slots:
-        diag.extend([-a * d for d in diag])
-    return qforms.QuadraticForm(symbol.tower, tuple(diag))
+    return qforms.QuadraticForm(
+        symbol.tower, tuple(_times_slots([symbol.tower.one], symbol.slots)))
 
 
 def expand(symbol):
     """The 2^d-dimensional diagonal quadratic form of a quadratic symbol."""
-    diag = [symbol.tower.one, -symbol.c]
-    for a in symbol.slots:
-        diag.extend([-a * d for d in diag])
-    return qforms.QuadraticForm(symbol.tower, tuple(diag))
+    return qforms.QuadraticForm(symbol.tower, tuple(
+        _times_slots([symbol.tower.one, -symbol.c], symbol.slots)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +246,17 @@ def difference_dimension(s1, s2):
 
 
 def symbol_isotropic(symbol):
-    """Whether expand(symbol) is isotropic.  Over GF(p)(X) a 1-fold symbol
-    is isotropic iff c is a square (the binary form's discriminant) and
-    one of fold >= 3 always is (the u-invariant is 4)."""
+    """Whether expand(symbol) is isotropic: always when its dimension 2^d
+    exceeds the u-invariant (qforms.u_invariant).  Otherwise, over a
+    tower with a rational-function level, a 1-fold symbol is isotropic iff
+    c is a square (the binary form's discriminant), and every other
+    decision reads the classes of expansion_classes."""
     tower = symbol.tower
-    if symbol.fold != 2 and tower.laurent_rank() < len(tower.levels):
-        return symbol.fold > 2 or fl.is_square(tower, symbol.c)
+    u = qforms.u_invariant(tower)
+    if u is not None and 2 ** symbol.fold > u:
+        return True
+    if symbol.fold == 1 and tower.laurent_rank() < len(tower.levels):
+        return fl.is_square(tower, symbol.c)
     (classes,), _, dimension = expansion_classes(symbol)
     return dimension(classes) < len(classes)
 

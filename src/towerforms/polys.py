@@ -16,6 +16,12 @@ the int path; both return the same tuples.  The generic padd and pmul call
 the field only where both sides are nonzero: padd copies the longer
 operand and adds the other's nonzero coefficients, and pmul sums the
 products of nonzero coefficients only.
+
+The int pmul also multiplies two-level fractions over Zp
+(fields.FracField._packed_mul): the rows of each operand, int polynomials
+in t, are laid end to end at a stride at least the length of any row of
+the product, so that one int product holds every row of the product at
+its own offset and no two rows overlap.
 """
 
 from .errors import DivisionByZero

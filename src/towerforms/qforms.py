@@ -15,6 +15,13 @@ back to its representative t^eps * {1, nu}.  Over GF(p)(X) it is
 localglobal._place_classes, one place_class int per entry whose key at a
 place is the valuation mod 2; the global dimension is the largest local
 one, and witt_decompose also splits hyperbolic planes off on the diagonal.
+
+One rule answers above every class read: u_invariant gives the largest
+dimension of an anisotropic form, 2^(r+1) over r Laurent levels on GF(q)
+(Springer's theorem doubles it per level; Lam, Introduction to Quadratic
+Forms over Fields, ch. VI, and Elman-Karpenko-Merkurjev, section 19) and 4
+over GF(q)(X).  A form of larger dimension is isotropic without a read.
+Other towers, such as GF(q)((t))(X), get no bound.
 """
 
 import math
@@ -213,11 +220,30 @@ def anisotropic_dimension(q):
     return class_dimension(q.tower, [square_class(q.tower, d) for d in q.diag])
 
 
+def u_invariant(tower):
+    """The u-invariant of the tower, the largest dimension of an
+    anisotropic form, where this package knows it; None otherwise.
+
+    Over r Laurent levels on GF(q) it is 2^(r+1): Springer's theorem gives
+    u(K((t))) = 2 u(K) for a non-dyadic henselian level, and u(GF(q)) = 2
+    (Lam, Introduction to Quadratic Forms over Fields, ch. VI;
+    Elman-Karpenko-Merkurjev, section 19).  Over GF(q)(X), a global
+    function field, it is 4.  A form of larger dimension is isotropic.
+    """
+    levels = tower.levels
+    r = tower.laurent_rank()
+    if r == len(levels):
+        return 2 ** (r + 1)
+    if len(levels) == 1:
+        return 4
+    return None
+
+
 def is_isotropic(q):
     if _outer_kind(q.tower) == fl.RATFUNC:
         from . import localglobal
         return localglobal.is_isotropic_global(q)
-    return anisotropic_dimension(q) < q.dim
+    return q.dim > u_invariant(q.tower) or anisotropic_dimension(q) < q.dim
 
 
 def witt_index(q):

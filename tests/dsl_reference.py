@@ -40,7 +40,8 @@ class _Scanner:
 
     def expect(self, lit, what=None):
         if not self.accept(lit):
-            raise ParseError(f"expected {what or lit!r}", self.text, self.pos)
+            raise ParseError(f"expected {what or repr(lit)}", self.text,
+                             self.pos)
 
     def fail(self, message):
         raise ParseError(message, self.text, self.pos)
@@ -165,6 +166,8 @@ def _term(tower, sc):
         elif sc.accept("/"):
             try:
                 val = val / _factor(tower, sc)
+            except ParseError:
+                raise
             except TowerFormsError as err:
                 raise ParseError(str(err), sc.text, sc.pos)
         else:

@@ -461,3 +461,96 @@ def test_sampler_matches_listing_draw(field, budget):
         rng = random.Random((seed, K.describe()).__repr__())
         assert sample(K, budget, seed).raw == \
             _old_sample_raw(K, len(K.levels), budget, rng)
+
+
+def _generic_chain(K):
+    """K's chain rebuilt with every level on the generic mul: the packed
+    product that FracField.__init__ picks is dropped again."""
+    f = ffield.finite_field(K.base_char, K.base_degree)
+    for lv in K.levels:
+        f = FracField(f, lv.symbol)
+        vars(f).pop("mul", None)
+    return f
+
+
+def test_packed_product_is_chosen_once_per_level():
+    """Only a level whose coefficients are one-level fractions over Zp
+    gets the packed product, as an instance attribute set on
+    construction: depth-1 levels, GF(p)(X) and an Fq base keep the class's
+    mul with no per-call test."""
+    def packed(field):
+        return ["mul" in vars(f) for f in parse_field(field).chain[1:]]
+
+    assert packed("GF(3)((t))") == [False]
+    assert packed("GF(5)(X)") == [False]
+    assert packed("GF(9)((t))((u))") == [False, False]
+    assert packed("GF(3)((t))((u))") == [False, True]
+    assert packed("GF(3)((t))(X)") == [False, True]
+    assert packed("GF(3)((t))((u))((w))") == [False, True, False]
+
+
+def _inner_fraction(rng, g, kind):
+    """A one-level fraction over Zp: a numerator with zero coefficients
+    over t^k (k >= 0), or over a den that is no power of t."""
+    p = g.inner.p
+    num = tuple(rng.randrange(p) if rng.random() < 0.7 else 0
+                for _ in range(rng.randint(0, 4)))
+    if kind == "den":
+        den = (rng.randrange(1, p),) + (0,) * rng.randint(0, 2) + (1,)
+    else:
+        den = (0,) * rng.randint(0, 3) + (1,)
+    return g.make(num, den)
+
+
+def _packed_operand(rng, f, kind):
+    """A raw of the packed level f: coefficients over t^k, some of them
+    zero, over u^i; kind "inner" gives one coefficient a non-monomial den,
+    kind "outer" makes the den at f itself non-monomial."""
+    g = f.inner
+    coeffs = [_inner_fraction(rng, g, "t") if rng.random() < 0.8 else g.zero
+              for _ in range(rng.randint(1, 4))]
+    if kind == "inner":
+        coeffs[rng.randrange(len(coeffs))] = _inner_fraction(rng, g, "den")
+    if kind == "outer":
+        c = _inner_fraction(rng, g, "t")
+        den = (g.one if g.is_zero(c) else c, g.zero, g.one)
+    else:
+        den = (g.zero,) * rng.randint(0, 2) + (g.one,)
+    return f.make(tuple(coeffs), den)
+
+
+# seeded pairs per tower, x 4 towers: 2080
+PACKED_PAIRS = 520
+
+
+@pytest.mark.parametrize("field", ["GF(3)((t))((u))", "GF(5)((t))((u))",
+                                   "GF(101)((t))((u))",
+                                   "GF(3)((t))((u))((w))"])
+def test_packed_product_matches_generic_path(field):
+    """The packed product of a two-level fraction equals the generic
+    FracField.mul: zero operands and zero coefficients, negative exponents
+    at both levels, rows that cancel (a(u) * a(-u) has no odd rows), and
+    non-monomial dens at either level, which fall back.  Over
+    GF(3)((t))((u))((w)) the packed level is the middle one, and the whole
+    product is also checked against a chain with no packed level."""
+    K = parse_field(field)
+    f = K.chain[2]
+    rng = random.Random(field)
+    kinds = ["t"] * 6 + ["inner", "outer"]
+    for case in range(PACKED_PAIRS):
+        a = _packed_operand(rng, f, rng.choice(kinds))
+        b = _packed_operand(rng, f, rng.choice(kinds))
+        if case % 5 == 0:
+            b = f.make(tuple(c if m % 2 == 0 else f.inner.neg(c)
+                             for m, c in enumerate(a[0])), a[1])
+        if case % 50 == 0:
+            b = f.zero
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert f.mul(x, y) == FracField.mul(f, x, y), (x, y)
+    if len(K.levels) == 3:
+        generic = _generic_chain(K)
+        budget = SampleBudget(max_val=2, series_terms=3)
+        for seed in range(60):
+            a = sample(K, budget, ("a", seed)).raw
+            b = sample(K, budget, ("b", seed)).raw
+            assert K.ops.mul(a, b) == generic.mul(a, b)

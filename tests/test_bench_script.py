@@ -1,0 +1,42 @@
+"""scripts/bench.py writes a BENCH file of the documented shape, and its
+compare reads two of them."""
+
+import copy
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("bench",
+                                               ROOT / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+def test_bench_document_schema_on_a_few_ops():
+    doc = bench.measure(seeds=(1,), ops=4)
+    assert doc["seeds"] == [1] and doc["ops"] == 4
+    ctx = doc["context"]
+    assert set(ctx) == {"git_sha", "src_digest", "nproc", "cpu", "python",
+                        "speed"}
+    assert len(ctx["src_digest"]) == 64 and ctx["nproc"] >= 1
+    assert ctx["speed"] > 0
+    assert set(doc["workloads"]) == set(bench.WORKLOADS)
+    for name, w in doc["workloads"].items():
+        assert set(w["scaled"]) == set(bench.SCALED)
+        assert set(w["wall_clock"]) == {"setup_s", "ops_per_s", "op_p50_ms",
+                                        "op_p90_ms"}
+        assert all(v > 0 for v in w["scaled"].values())
+        assert all(v > 0 for v in w["wall_clock"].values())
+        assert w["per_kind"], name
+        for st in w["per_kind"].values():
+            assert set(st) == {"p50_ms", "p90_ms"}
+            assert 0 < st["p50_ms"] <= st["p90_ms"]
+        assert [(r["seed"], r["ops"], r["failed"], r["correct"])
+                for r in w["runs"]] == [(1, 4, 0, True)]
+
+    lines = bench.compare(doc, doc)
+    assert not any("DIFFERENT MACHINES" in line for line in lines)
+    ratios = [line.split()[-1] for line in lines[1:]]
+    assert ratios and set(ratios) == {"1.000"}
+    other = copy.deepcopy(doc)
+    other["context"]["nproc"] += 1
+    assert bench.compare(doc, other)[0].startswith("DIFFERENT MACHINES")

@@ -229,8 +229,11 @@ def test_malformed_texts_fail_alike():
     ("element", "*", "expected a symbol name at position 0"),
     ("form", "diagx[1]", "expected '[' at position 4"),
     ("form", "diag[1]]", "unexpected trailing input at position 7"),
-    ("pfister", "<< t] ]", """expected "';', ']]' or '>>'" at position 4"""),
-    ("pfister", "< <t]]", """expected "'<<'" at position 0"""),
+    ("pfister", "<< t] ]", "expected ';', ']]' or '>>' at position 4"),
+    ("pfister", "< <t]]", "expected '<<' at position 0"),
+    ("pfister", "<<1, 2", "expected ';', ']]' or '>>' at position 6"),
+    ("field", "X", "expected 'GF' at position 0"),
+    ("form", "dia[1]", "expected 'diag' at position 0"),
     ("pfister", "<<t, 1]]", "a quadratic symbol with slots needs ';'"),
     ("field", "GFx(3)", "expected '(' at position 2"),
     ("field", "GF(3)( (t))", "expected a symbol name at position 7"),
@@ -242,6 +245,16 @@ def test_quirks_are_kept(kind, text, message):
     mine, theirs = _both(kind, tower, text)
     assert mine == theirs
     assert mine[0] == "ParseError" and mine[1].startswith(message)
+
+
+@pytest.mark.parametrize("text", ["1/(1/y)", "1/(1/(1/y))", "1/(t/0)",
+                                  "t/(1 + 1/(t - t))"])
+def test_a_divisor_error_is_reported_once(text):
+    """An error inside a divisor is raised as it is, not wrapped again by
+    each enclosing '/'."""
+    mine, theirs = _both("element", dsl.parse_field("GF(3)((t))"), text)
+    assert mine == theirs and mine[0] == "ParseError"
+    assert mine[1].count(" at position ") == 1, mine[1]
 
 
 @pytest.mark.parametrize("field, text", [

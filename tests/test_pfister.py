@@ -1,8 +1,13 @@
 """Pfister symbols: expansion, rewriting, slot normalization, residues."""
 
+import os
+import sys
+
 import pytest
 
 from towerforms import errors
+from towerforms.dsl import parse_field, parse_pfister
+from towerforms.linkage import sample_symbol
 from towerforms.fields import (LAURENT, SampleBudget, is_square, sample,
                                sample_unit, valuation as val)
 from towerforms.pfister import (BilinearPfisterSymbol, QuadraticPfisterSymbol,
@@ -12,6 +17,10 @@ from towerforms.pfister import (BilinearPfisterSymbol, QuadraticPfisterSymbol,
 from towerforms.qforms import form, is_isotropic, isometric
 from towerforms.valuation import ValuationCtx, springer_decompose
 from conftest import tower
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import gen  # noqa: E402
 
 
 def test_expand_examples(gf3, gf3t):
@@ -242,3 +251,58 @@ def test_residue_report_matches_springer(gf3t):
         from towerforms.qforms import scale
         assert isometric(part, scale(expand(first), mult))
         checked += 1
+
+
+def _expand_by_products(symbol):
+    """expand as it once ran: every new entry is -a * d, the product with
+    the leading 1 included, so each slot is negated once per entry."""
+    diag = [symbol.tower.one, -symbol.c]
+    for a in symbol.slots:
+        diag.extend([-a * d for d in diag])
+    return diag
+
+
+def _expand_bilinear_by_products(symbol):
+    diag = [symbol.tower.one]
+    for a in symbol.slots:
+        diag.extend([-a * d for d in diag])
+    return diag
+
+
+def _generated_symbols():
+    """Every quadratic symbol the benchmark generator emits in the first
+    40 ops of each workload, seeds 1-3."""
+    out = []
+    for workload in gen.WORKLOADS:
+        for seed in (1, 2, 3):
+            for op in gen.generate(workload, seed, 40):
+                if "symbols" in op:
+                    field, texts = op["field"], op["symbols"]
+                else:
+                    argv = op["argv"]
+                    field = argv[argv.index("--field") + 1]
+                    texts = [argv[i + 1] for i, a in enumerate(argv)
+                             if a in ("--p1", "--p2")]
+                tower = parse_field(field)
+                out += [parse_pfister(tower, s) for s in texts]
+    return out
+
+
+def test_expand_matches_products_oracle():
+    """expand and expand_bilinear give the entries, in order, of the
+    expansion that multiplies every entry out: on the generator's symbols
+    (GF(3)((t))((u)), GF(5)((t)), GF(3)((t)), GF(p)(X)) and on sampled
+    symbols over GF(9)((t)) and GF(p)(X)."""
+    symbols = _generated_symbols()
+    assert {s.tower.describe() for s in symbols} >= {
+        "GF(3)((t))((u))", "GF(3)(X)", "GF(5)(X)"}
+    for field in ("GF(9)((t))", "GF(3)(X)", "GF(7)(X)"):
+        T = parse_field(field)
+        symbols += [sample_symbol(T, 1 + i % 4, ("expand", i))
+                    for i in range(40)]
+    for s in symbols:
+        assert expand(s).diag == tuple(_expand_by_products(s)), s.describe()
+        if s.slots:
+            bil = BilinearPfisterSymbol(s.tower, s.slots)
+            assert expand_bilinear(bil).diag == \
+                tuple(_expand_bilinear_by_products(bil)), s.describe()

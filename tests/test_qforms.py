@@ -4,10 +4,13 @@ import itertools
 
 import pytest
 
-from towerforms import errors
+from towerforms import errors, localglobal, qforms
+from towerforms.dsl import parse_field
 from towerforms.fields import SampleBudget, sample, sample_unit
-from towerforms.qforms import (QuadraticForm, form, is_hyperbolic,
-                               is_isotropic, isometric, neg, orth_sum, scale,
+from towerforms.localglobal import is_isotropic_global
+from towerforms.qforms import (QuadraticForm, class_dimension, form,
+                               is_hyperbolic, is_isotropic, isometric, neg,
+                               orth_sum, scale, square_class, u_invariant,
                                witt_decompose, witt_index)
 from conftest import tower
 
@@ -115,3 +118,55 @@ def test_evaluate_agrees_with_isotropy_verdict(gf3t):
             rebuilt = (form(q.tower, 1, -1) if rebuilt is None
                        else orth_sum(rebuilt, form(q.tower, 1, -1)))
         assert isometric(q, rebuilt)
+
+
+@pytest.mark.parametrize("field, u", [
+    ("GF(3)", 2), ("GF(9)", 2), ("GF(5)((t))", 4), ("GF(3)((t))((u))", 8),
+    ("GF(9)((t))((u))", 8), ("GF(3)((t))((u))((w))", 16), ("GF(5)(X)", 4),
+    ("GF(9)(X)", 4), ("GF(3)((t))(X)", None), ("GF(5)((t))((u))(X)", None),
+])
+def test_u_invariant_of_each_tower_kind(field, u):
+    assert u_invariant(parse_field(field)) == u
+
+
+# forms per dimension and tower
+U_FORMS = 20
+
+
+@pytest.mark.parametrize("field", ["GF(3)", "GF(5)((t))", "GF(3)((t))((u))",
+                                   "GF(3)((t))((u))((w))"])
+def test_class_dimension_is_bounded_by_u(field):
+    """The class rule reaches u and, on forms sampled over 0-3 Laurent
+    levels of every dimension from 1 to u + 2, never exceeds it, and
+    is_isotropic (which answers above u without reading a class) agrees
+    with it."""
+    T = parse_field(field)
+    u = u_invariant(T)
+    # the bound is reached: <1, -nu> at each of the 2^r value parities
+    flip = 1 ^ qforms.minus_one_class(T)
+    assert class_dimension(T, [c for e in range(u // 2)
+                               for c in (e << 1, e << 1 | flip)]) == u
+    budget = SampleBudget(max_val=1, series_terms=1)
+    for n in range(1, u + 3):
+        for i in range(U_FORMS):
+            q = QuadraticForm(T, tuple(sample(T, budget, ("u", n, i, j))
+                                       for j in range(n)))
+            dim = class_dimension(T, [square_class(T, d) for d in q.diag])
+            assert dim <= u and dim % 2 == n % 2, q
+            assert is_isotropic(q) == (dim < n), q
+
+
+def test_forms_above_u_are_isotropic_without_a_class_read(monkeypatch):
+    def unread(*args):
+        raise AssertionError("a class was read")
+
+    monkeypatch.setattr(qforms, "square_class", unread)
+    monkeypatch.setattr(localglobal, "localize", unread)
+    for field in ("GF(3)", "GF(3)((t))((u))", "GF(5)(X)"):
+        T = parse_field(field)
+        u = u_invariant(T)
+        q = form(T, *[1] * (u + 1))
+        assert is_isotropic(q)
+    assert is_isotropic_global(form(parse_field("GF(3)(X)"), 1, 1, 1, 1, 1))
+    with pytest.raises(AssertionError):
+        is_isotropic(form(parse_field("GF(3)((t))"), 1, 1, 1, 1))

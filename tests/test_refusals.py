@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from towerforms import linkage
+from towerforms import dsl, linkage
 from towerforms.cli import main
 from towerforms.errors import BudgetExceeded, ConfigUnsupported
 from towerforms.linkage import (NOT_FOUND, check_top_d_linked,
@@ -13,7 +13,8 @@ from towerforms.linkage import (NOT_FOUND, check_top_d_linked,
                                 verify_higher_local_d1,
                                 verify_lifting_equivalence,
                                 verify_residue_transfer)
-from towerforms.pfister import QuadraticPfisterSymbol
+from towerforms.pfister import (QuadraticPfisterSymbol, expand,
+                                symbol_isotropic)
 
 
 def test_certificate_budget_is_a_constant(monkeypatch, gf3t):
@@ -78,3 +79,31 @@ def test_cli_refuses_empty_checks(line, capsys):
     out = capsys.readouterr()
     assert "PASS" not in out.out
     assert out.err.startswith("error:")
+
+
+MIXED = "GF(3)((t))(X)"
+
+
+@pytest.mark.parametrize("form", ["diag[1, 1, t, t, X]",
+                                  "diag[1, 1, 2*t, 2*t, 2*X, 2*X, t*X, t*X]"])
+def test_mixed_tower_isotropy_is_refused_in_every_dimension(form, capsys):
+    """Over GF(3)((t))(X) no u-invariant bound is known here, so a form of
+    dimension >= 5 is refused like one of dimension 4, not called
+    isotropic: diag[1, 1, t, t, X] is anisotropic (its residue forms at X
+    are <1, 1, t, t> and <1> over GF(3)((t)), -1 being a non-square mod
+    3)."""
+    line = f"isotropy --field '{MIXED}' --form '{form}'"
+    for text in (line, line.replace(form, "diag[1, 1, t, t]")):
+        assert main(shlex.split(text)) == 2, text
+        out = capsys.readouterr()
+        assert out.out == "" and "places are defined over GF(q)(X) " \
+            "towers only" in out.err, text
+
+
+def test_mixed_tower_symbol_isotropy_is_refused():
+    tower = dsl.parse_field(MIXED)
+    symbol = dsl.parse_pfister(tower, "<<t, X; 1]]")
+    assert dsl.format_form(expand(symbol)) == \
+        "diag[1, 1, 2*t, 2*t, 2*X, 2*X, t*X, t*X]"
+    with pytest.raises(ConfigUnsupported, match="GF\\(q\\)\\(X\\) towers"):
+        symbol_isotropic(symbol)
