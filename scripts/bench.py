@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
-"""End-to-end benchmark file: medians of perfbench/run.py over fixed seeds.
+"""Benchmark file: perfbench/run.py medians over fixed seeds, one traced run.
 
 Usage (from the repository root; the program is imported from ./src):
     python3 scripts/bench.py --label N      # writes BENCH_N.json
     python3 scripts/bench.py --compare A B  # ratios B / A, per metric
 
 --label runs ``perfbench/run.py --trace 0`` for every workload on each seed
-of SEEDS, at run.py's default --seconds, and writes BENCH_<N>.json in the
-repository root.  Per workload the file holds the median over the seeds of
-each end-to-end metric, scaled to reference host speed and in wall clock,
-the median p50 and p90 of each op kind (scaled), the op and failure counts
-and the median host speed of the runs.  Its context block holds the git
-sha, nproc, the Python version, the CPU model and the median calibration
-speed over every run, with the sha256 of src/towerforms/*.py that run.py
-reports (the sha names the commit checked out, which the tree may differ
-from).
+of SEEDS, at run.py's default --seconds, then one ``--trace 1`` run on
+TRACE_SEED, and writes BENCH_<N>.json in the repository root.  Per workload
+the file holds the median over the seeds of each end-to-end metric, scaled
+to reference host speed and in wall clock, the median p50 and p90 of each
+op kind (scaled), the op and failure counts and the median host speed of
+the runs.  Under per_layer it holds every nonzero call count of the traced
+run (a count missing there is 0), and under per_layer_run that run's seed,
+op and failure counts.  Its context block holds the git sha, nproc, the
+Python version, the CPU model and the median calibration speed over every
+--trace 0 run, with the sha256 of src/towerforms/*.py that run.py reports
+(the sha names the commit checked out, which the tree may differ from).
 
---compare prints, for every metric of both files, B's value over A's.  It
-flags files from different machines (nproc, CPU model or Python version
-differ), whose wall-clock ratios then compare hosts as well as code.
+--compare prints, for every metric of either file, B's value over A's; a
+metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
+files from different machines (nproc, CPU model or Python version differ),
+whose wall-clock ratios then compare hosts as well as code.
 """
 
 import argparse
@@ -35,6 +38,7 @@ OUT = os.path.join(ROOT, "perfbench", "out")
 
 WORKLOADS = ("laurent-linkage", "global-witness", "cli-certify")
 SEEDS = (401, 402, 403, 404, 405)
+TRACE_SEED = 1
 SCALED = ("setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 # wall-clock figure of each scaled metric in run.py's report
 WALL_CLOCK = {"ops_per_s": "raw_ops_per_s", "op_p50_ms": "raw_op_p50_ms",
@@ -59,10 +63,10 @@ def _git_sha():
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def _run(workload, seed, ops):
-    """One run.py --trace 0 run: (its result line, its full report)."""
+def _run(workload, seed, ops, trace=0):
+    """One run.py run: (its result line, its full report)."""
     cmd = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-           "--trace", "0"]
+           "--trace", str(trace)]
     if ops is not None:
         cmd += ["--ops", str(ops)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
@@ -70,7 +74,8 @@ def _run(workload, seed, ops):
         raise SystemExit(f"run.py failed on {workload} seed {seed}:\n"
                          f"{proc.stderr.strip()}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    with open(os.path.join(OUT, f"{workload}-seed{seed}-trace0.json")) as fh:
+    name = f"{workload}-seed{seed}-trace{trace}.json"
+    with open(os.path.join(OUT, name)) as fh:
         return result, json.load(fh)
 
 
@@ -98,6 +103,7 @@ def measure(seeds=SEEDS, ops=None):
                          "speed": rep["speed"]})
             speeds.append(rep["speed"])
             src_digest = rep["provenance"]["src_digest"]
+        traced, rep = _run(workload, TRACE_SEED, ops, trace=1)
         doc["workloads"][workload] = {
             "scaled": {k: _median_of(scaled, k) for k in SCALED},
             "wall_clock": {k: _median_of(wall, k) for k in wall[0]},
@@ -106,6 +112,11 @@ def measure(seeds=SEEDS, ops=None):
                          for kind, st in sorted(kinds.items())},
             "speed": _median_of(runs, "speed"),
             "runs": runs,
+            "per_layer": {k: m["value"] for k, m in traced["metrics"].items()
+                          if m["unit"] == "count" and m["value"]},
+            "per_layer_run": {"seed": TRACE_SEED, "ops": rep["ops"],
+                              "failed": rep["failed"],
+                              "correct": traced["correct"]},
         }
     doc["context"] = {"git_sha": _git_sha(), "src_digest": src_digest,
                       "nproc": os.cpu_count(), "cpu": _cpu_model(),
@@ -124,6 +135,8 @@ def _metrics(doc):
         for kind, st in w["per_kind"].items():
             for k, v in st.items():
                 out[(workload, f"{kind}.{k}")] = v
+        for k, v in w.get("per_layer", {}).items():
+            out[(workload, f"per_layer.{k}")] = v
     return out
 
 
@@ -139,10 +152,12 @@ def compare(a, b):
     lines.append(f"calibration speed {a['context']['speed']:.3f} -> "
                  f"{b['context']['speed']:.3f}")
     ma, mb = _metrics(a), _metrics(b)
-    for key in sorted(ma.keys() & mb.keys()):
-        va, vb = ma[key], mb[key]
+    keys = sorted(ma.keys() | mb.keys())
+    width = max(len(name) for _, name in keys)
+    for key in keys:
+        va, vb = ma.get(key, 0), mb.get(key, 0)
         ratio = f"{vb / va:8.3f}" if va else "     n/a"
-        lines.append(f"{key[0]:16s} {key[1]:24s} {va:12.4f} {vb:12.4f} "
+        lines.append(f"{key[0]:16s} {key[1]:{width}s} {va:12.4f} {vb:12.4f} "
                      f"{ratio}")
     return lines
 
@@ -169,7 +184,7 @@ def main(argv=None):
         fh.write("\n")
     print(f"wrote {path}")
     return 0 if all(r["correct"] for w in doc["workloads"].values()
-                    for r in w["runs"]) else 1
+                    for r in w["runs"] + [w["per_layer_run"]]) else 1
 
 
 if __name__ == "__main__":

@@ -76,7 +76,8 @@ def _cmd_residue(args):
         _emit(args, {"field": tower.describe(), "form": dsl.format_form(q),
                      "parts": dec.to_json()}, lines)
         return 0
-    symbol = dsl.parse_pfister(tower, args.pfister)
+    symbol = _parse_symbol(tower, args.pfister,
+                           want=pfister.QuadraticPfisterSymbol)
     report = pfister.pfister_residues(symbol, ctx)
     lines = [f"first residue: {report.first_residue.describe()}"]
     for entry in report.to_json()["entries"]:

@@ -1,4 +1,4 @@
-"""Places of GF(q)(X), completions, and Hasse-Minkowski isotropy.
+"""Places of GF(q)(X), local square classes, and Hasse-Minkowski isotropy.
 
 The anisotropic dimension of a form over the rational function field is
 the largest local one (Hasse-Minkowski); each local one is the finite rule
@@ -7,7 +7,7 @@ residue field GF(q^deg), at the places supporting some diagonal entry.  The
 parity/discriminant floor of the determinant is read only in dimension
 <= 2, where it is exact without factoring.  Over GF(q)(X) a form of
 dimension >= 5 is isotropic, as the u-invariant of a global function field
-is 4 (qforms.u_invariant); a tower with a Laurent level below X gets no
+is 4 (qforms.is_isotropic); a tower with a Laurent level below X gets no
 such bound, and its forms of dimension >= 3 reach the place machinery,
 which refuses them.  The global Witt decomposition splits one hyperbolic
 plane per explicit isotropic vector off the diagonal.
@@ -17,11 +17,12 @@ numerators and denominators are int polynomials over ffield.Zp.  An
 element's square class over a place list is one int (place_class), two
 bits per place: its valuation mod 2 and whether its unit residue is a
 non-square in GF(p^deg), read off one factorization by Legendre symbols.
-_place_classes, the one class reader, factors each entry once for localize
-and for pfister's decisions alike.  A completion holds only these bits,
-whose local dimension is qforms.bits_dimension; no residue field is built.
-Pfister decisions take the places of the slots and 1 + 4b plus infinity,
-which support every entry of the expansion (pfister.expansion_classes).
+localize, the one class reader, factors each entry once for the global
+decisions, the witness search and pfister's decisions alike; the local
+dimension is qforms.bits_dimension of the bits at a place, and no residue
+field is built.  Pfister decisions take the places of the slots and
+1 + 4b plus infinity, which support every entry of the expansion
+(pfister.expansion_classes).
 """
 
 import itertools
@@ -31,7 +32,7 @@ from functools import lru_cache
 from . import fields as fl
 from . import ffield, polys, qforms
 from .errors import (BudgetExceeded, ConfigUnsupported, TowerFormsError,
-                     ZeroArgument)
+                     TowerMismatch, ZeroArgument)
 
 INFINITY = "infinity"
 FINITE = "finite"
@@ -178,15 +179,6 @@ def _split(p, F, place, raw, factors):
     return num_fac.get(place.poly, 0) - den_fac.get(place.poly, 0), nonsquare
 
 
-def place_split(place, elem):
-    """(v, nonsquare) of a nonzero element at one place (_split)."""
-    if elem.is_zero():
-        raise ZeroArgument("valuation of zero")
-    p, F, _ = _global_base(elem.tower)
-    factors = None if place.kind == INFINITY else _factors(p, elem)
-    return _split(p, F, place, elem.raw, factors)
-
-
 def place_class(places, elem, factors=None):
     """The square class of a nonzero element over an ordered place list, as
     one int from one factorization of its numerator and denominator (its
@@ -205,7 +197,8 @@ def place_class(places, elem, factors=None):
 
 
 def _bits_at(k, minus_one, classes):
-    """Completion.square_class_bits at places[k], from place_class ints."""
+    """What qforms.bits_dimension reads at places[k], from place_class ints:
+    (-1 is a non-square, per entry (v mod 2, the unit residue is one))."""
     return ((minus_one >> (2 * k + 1)) & 1,
             tuple(((c >> 2 * k) & 1, (c >> (2 * k + 1)) & 1) for c in classes))
 
@@ -218,36 +211,15 @@ def places_dimension(places, minus_one, classes):
                for k in range(len(places)))
 
 
-@dataclass(frozen=True)
-class Completion:
-    """A diagonal form at a place, as square_class_bits: (-1 is a non-square
-    in the residue field, per entry (valuation mod 2, the unit residue is a
-    non-square)), all any subform's local anisotropic dimension reads."""
-
-    place: Place
-    square_class_bits: tuple
-
-
-def _place_classes(q, places=None):
-    """(places, minus_one, classes) of the diagonal form q: the ordered
-    places, by default places_of_interest(q), and the place_class ints of
-    -1 and of each entry, every entry factored once.  The one class read
-    over GF(p)(X): localize and pfister's decisions both start here."""
+def localize(q):
+    """(places, minus_one, classes) of the diagonal form q: its
+    places_of_interest and the place_class ints of -1 and of each entry,
+    every entry factored once; the one class read over GF(p)(X)."""
     factored = []
-    if places is None:
-        places = places_of_interest(q, factored)
+    places = places_of_interest(q, factored)
     minus_one = place_class(places, -q.tower.one)
-    return places, minus_one, [
-        place_class(places, d, f)
-        for d, f in itertools.zip_longest(q.diag, factored)]
-
-
-def localize(q, places=None):
-    """The completions of q at the ordered places, by default
-    places_of_interest(q), from _place_classes."""
-    places, minus_one, classes = _place_classes(q, places)
-    return [Completion(P, _bits_at(k, minus_one, classes))
-            for k, P in enumerate(places)]
+    return places, minus_one, [place_class(places, d, f)
+                               for d, f in zip(q.diag, factored)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +227,8 @@ def localize(q, places=None):
 
 
 def is_isotropic_global(q):
-    u = qforms.u_invariant(q.tower)
-    return (u is not None and q.dim > u) or \
-        anisotropic_dimension_global(q) < q.dim
+    """qforms.is_isotropic on a GF(p)(X) form."""
+    return qforms.is_isotropic(q)
 
 
 def anisotropic_dimension_global(q):
@@ -276,16 +247,9 @@ def anisotropic_dimension_global(q):
     so a non-square at infinity; either completion has anisotropic
     dimension >= 2.
     """
-    return _anisotropic_dimension_global(q, [])
-
-
-def _anisotropic_dimension_global(q, comps):
-    """anisotropic_dimension_global, appending the completions it reads to
-    comps: in dimension >= 3 every place of interest, in order."""
     if q.dim <= 2:
         return len(qforms._finite_kernel(q.tower, q.diag))
-    comps += localize(q)
-    return max(qforms.bits_dimension(*c.square_class_bits) for c in comps)
+    return places_dimension(*localize(q))
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +259,20 @@ def _anisotropic_dimension_global(q, comps):
 def hilbert_symbol(a, b, v):
     """(a, b)_v: 1 iff (-1)^(v_a v_b) a^(v_b) b^(-v_a) has a square residue,
     that is iff (v_a v_b and m) xor (v_b and n_a) xor (v_a and n_b) is 0,
-    with m, n_a, n_b the non-square bits of -1 and of the unit residues."""
+    with m, n_a, n_b the non-square bits of -1 and of the unit residues.
+    A Place must be infinity or monic irreducible, coefficients in [0, p)."""
     if a.is_zero() or b.is_zero():
         raise ZeroArgument("Hilbert symbol needs nonzero arguments")
+    if b.tower != a.tower or getattr(v, "tower", a.tower) != a.tower:
+        raise TowerMismatch("Hilbert symbol across towers")
     if isinstance(v, Place):
-        (va, na), (vb, nb), (_, minus_one) = (
-            place_split(v, x) for x in (a, b, -a.tower.one))
+        p, P = _global_base(a.tower)[0], v.poly
+        if v.kind != INFINITY and not (v.kind == FINITE and P and all(
+                0 <= c < p for c in P) and factor(p, P) == (1, {P: 1})):
+            raise TowerFormsError(f"not a place of GF({p})(X): {v}")
+        # place_class bit 0 is the valuation mod 2, bit 1 the non-square bit
+        (na, va), (nb, vb), (minus_one, _) = (
+            divmod(place_class([v], x), 2) for x in (a, b, -a.tower.one))
     else:
         if v.rank != 1:
             raise ConfigUnsupported("Hilbert symbol needs a rank-1 valuation")
@@ -385,18 +357,19 @@ def isotropic_vector_global(q):
     witness; fields.try_sqrt runs only on the pairs for which -a_j/a_i is a
     square at infinity, so the first pair with a root is the same as over
     all pairs, and nothing is factored before it.  Otherwise the isotropic
-    3- (else 4-) subforms are picked on square-class bits of the
-    completions (a dim-4 form decides its own isotropy on the same
-    completions, so each place is localized once), any 5-dimensional
-    subform being isotropic, and a meet-in-the-middle search runs over
-    polynomial vectors of growing degree on the chosen subforms.  Raises
-    BudgetExceeded if the form is isotropic but no witness appears within
-    WITNESS_DEGREE_CAP / WITNESS_SIDE_CAP.
+    3- (else 4-) subforms are picked on the place bits of localize(q) (a
+    dim-4 form decides its own isotropy on the same read, so each entry is
+    factored once), any 5-dimensional subform being isotropic, and a
+    meet-in-the-middle search runs over polynomial vectors of growing
+    degree on the chosen subforms.  Raises BudgetExceeded if the form is
+    isotropic but no witness appears within WITNESS_DEGREE_CAP /
+    WITNESS_SIDE_CAP.
     """
     n = q.dim
-    comps = []
+    read = None
     if n == 4:
-        isotropic = _anisotropic_dimension_global(q, comps) < n
+        read = localize(q)
+        isotropic = places_dimension(*read) < n
     else:
         isotropic = is_isotropic_global(q)
     if not isotropic:
@@ -409,20 +382,20 @@ def isotropic_vector_global(q):
             vec[i], vec[j] = root, tower.one
             return tuple(vec)
     if n >= 5:
-        comps = localize(q)
-    found = _subform_witness(q, _candidates(comps, n))
+        read = localize(q)
+    found = _subform_witness(q, _candidates(read, n))
     assert q.evaluate(found).is_zero()
     return found
 
 
-def _candidates(comps, n):
+def _candidates(read, n):
     """The subforms the witness search tries, in order, each decided only
     when the search reaches it: the isotropic 3-subsets, else the isotropic
-    4-subsets (n >= 4), then the first five positions when n >= 5, or all n
-    when nothing came before."""
+    4-subsets (n >= 4, read being localize(q)), then the first five
+    positions when n >= 5, or all n when nothing came before."""
     count = 0
     for k in (3, 4) if n >= 4 else ():
-        for idx in _isotropic_subsets(comps, k):
+        for idx in _isotropic_subsets(read, k):
             count += 1
             yield idx
         if count:
@@ -433,14 +406,15 @@ def _candidates(comps, n):
         yield tuple(range(n))
 
 
-def _isotropic_subsets(comps, k):
+def _isotropic_subsets(read, k):
     """The k-subsets (k >= 3) of diagonal positions whose subform is
-    isotropic, in combinations order, decided on the square-class bits of
-    the completions of the whole form: the subform's places lie among the
-    form's, and at any other place its k unit entries make it isotropic
-    (Chevalley-Warning plus Hensel)."""
-    bits = [c.square_class_bits for c in comps]
-    for idx in itertools.combinations(range(len(bits[0][1])), k):
+    isotropic, in combinations order, decided on the bits of read =
+    localize(q) at each place of the whole form: the subform's places lie
+    among the form's, and at any other place its k unit entries make it
+    isotropic (Chevalley-Warning plus Hensel)."""
+    places, minus_one, classes = read
+    bits = [_bits_at(j, minus_one, classes) for j in range(len(places))]
+    for idx in itertools.combinations(range(len(classes)), k):
         if all(qforms.bits_dimension(minus_one, [entries[i] for i in idx]) < k
                for minus_one, entries in bits):
             yield idx

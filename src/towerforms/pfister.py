@@ -209,17 +209,17 @@ def _read_classes(tower, elems):
     factors'.
 
     Over Laurent towers they are qforms.square_class ints.  Over GF(p)(X)
-    they are place_class ints over S, the places of elems plus infinity
-    (localglobal._place_classes), and the rule is the largest local
-    dimension over S (localglobal.places_dimension): every such entry is
-    supported on S, so in dimension >= 3 that is the global dimension, by
-    the argument of localglobal.anisotropic_dimension_global.
+    they are place_class ints over S, the places of elems plus infinity,
+    from localglobal.localize of the form <elems>, and the rule is the
+    largest local dimension over S (localglobal.places_dimension): every
+    such entry is supported on S, so in dimension >= 3 that is the global
+    dimension, by the argument of localglobal.anisotropic_dimension_global.
     """
     if tower.laurent_rank() == len(tower.levels):
         minus_one = qforms.minus_one_class(tower)
         return ([qforms.square_class(tower, x) ^ minus_one for x in elems],
                 minus_one, partial(qforms.class_dimension, tower))
-    places, minus_one, classes = localglobal._place_classes(
+    places, minus_one, classes = localglobal.localize(
         qforms.QuadraticForm(tower, tuple(elems)))
     return ([c ^ minus_one for c in classes], minus_one,
             partial(localglobal.places_dimension, places, minus_one))

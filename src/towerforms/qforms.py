@@ -12,16 +12,17 @@ Over a finite field or an iterated Laurent tower it is square_class, one
 fields.leading_term read per entry into one int whose key is the value
 vector mod 2 (minus_one_class gives that of -1), and class_rep maps an int
 back to its representative t^eps * {1, nu}.  Over GF(p)(X) it is
-localglobal._place_classes, one place_class int per entry whose key at a
-place is the valuation mod 2; the global dimension is the largest local
-one, and witt_decompose also splits hyperbolic planes off on the diagonal.
+localglobal.localize, one place_class int per entry whose key at a place
+is the valuation mod 2; the global dimension is the largest local one, and
+witt_decompose also splits hyperbolic planes off on the diagonal.
 
 One rule answers above every class read: u_invariant gives the largest
 dimension of an anisotropic form, 2^(r+1) over r Laurent levels on GF(q)
 (Springer's theorem doubles it per level; Lam, Introduction to Quadratic
 Forms over Fields, ch. VI, and Elman-Karpenko-Merkurjev, section 19) and 4
-over GF(q)(X).  A form of larger dimension is isotropic without a read.
-Other towers, such as GF(q)((t))(X), get no bound.
+over GF(q)(X).  is_isotropic, the one place that applies it for every
+tower kind, answers a form of larger dimension without a read.  Other
+towers, such as GF(q)((t))(X), get no bound.
 """
 
 import math
@@ -240,10 +241,8 @@ def u_invariant(tower):
 
 
 def is_isotropic(q):
-    if _outer_kind(q.tower) == fl.RATFUNC:
-        from . import localglobal
-        return localglobal.is_isotropic_global(q)
-    return q.dim > u_invariant(q.tower) or anisotropic_dimension(q) < q.dim
+    u = u_invariant(q.tower)
+    return (u is not None and q.dim > u) or anisotropic_dimension(q) < q.dim
 
 
 def witt_index(q):

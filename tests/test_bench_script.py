@@ -32,11 +32,34 @@ def test_bench_document_schema_on_a_few_ops():
             assert 0 < st["p50_ms"] <= st["p90_ms"]
         assert [(r["seed"], r["ops"], r["failed"], r["correct"])
                 for r in w["runs"]] == [(1, 4, 0, True)]
+        # the traced run keeps only its nonzero counts
+        assert w["per_layer_run"] == {"seed": bench.TRACE_SEED, "ops": 4,
+                                      "failed": 0, "correct": True}
+        assert w["per_layer"], name
+        assert all(isinstance(v, int) and v > 0
+                   for v in w["per_layer"].values())
+        assert all(k.endswith(".calls") or k == "pfister.rewrite_steps"
+                   for k in w["per_layer"])
 
     lines = bench.compare(doc, doc)
     assert not any("DIFFERENT MACHINES" in line for line in lines)
     ratios = [line.split()[-1] for line in lines[1:]]
     assert ratios and set(ratios) == {"1.000"}
+    assert sum("per_layer." in line for line in lines) == \
+        sum(len(w["per_layer"]) for w in doc["workloads"].values())
     other = copy.deepcopy(doc)
     other["context"]["nproc"] += 1
     assert bench.compare(doc, other)[0].startswith("DIFFERENT MACHINES")
+
+    # a count that doubles, one that drops to 0 and one that appears
+    layers = other["workloads"]["global-witness"]["per_layer"]
+    doubled, dropped = sorted(layers)[:2]
+    layers[doubled] *= 2
+    del layers[dropped]
+    layers["cli.main.calls"] = 7
+    ratios = {line.split()[1]: line.split()[-1]
+              for line in bench.compare(doc, other)
+              if line.startswith("global-witness")}
+    assert ratios[f"per_layer.{doubled}"] == "2.000"
+    assert ratios[f"per_layer.{dropped}"] == "0.000"
+    assert ratios["per_layer.cli.main.calls"] == "n/a"

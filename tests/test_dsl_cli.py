@@ -227,6 +227,8 @@ def test_cli_exit_2_on_bad_input(capsys):
             ("isotropy", "--field", "GF(5)", "--form", "diag[1, ²]"),
             ("square", "--field", "GF(²)", "--elem", "1"),
             ("square", "--field", "GF(3)", "--elem", "٣"),
+            # residues are defined for quadratic symbols only
+            ("residue", "--field", "GF(3)((t))", "--pfister", "<<t, 1+t>>"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -6,11 +6,11 @@ import pytest
 
 from towerforms import dsl, errors, polys
 from towerforms.fields import RATFUNC, SampleBudget, sample
-from towerforms.localglobal import (FINITE, INFINITY, Place, _isotropic_subsets,
-                                    _split_plane,
+from towerforms.localglobal import (FINITE, INFINITY, Place, _bits_at,
+                                    _factors, _global_base, _isotropic_subsets,
+                                    _split, _split_plane,
                                     hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
-                                    place_split,
                                     places_of_interest,
                                     square_class_rep,
                                     witt_decompose_global)
@@ -37,13 +37,21 @@ def test_places_of_interest_examples(gf3x):
 
 def test_localize_examples(gf3x):
     X = gf3x.gen("X")
-    at_x = Place(FINITE, (0, 1))
-    # each unit residue is 1; -1 is a non-square of GF(3)
-    for elem, place, v in [(X, at_x, 1), (X + 1, at_x, 0),
-                           (X, Place(INFINITY, None), -1)]:
-        assert RefPlace(3, place).split(elem) == (v, (1,))
-        comp, = localize(form(gf3x, elem), [place])
-        assert comp.square_class_bits == (True, ((v % 2, False),))
+    q = form(gf3x, X, X + 1)
+    # (valuation, unit residue) of X and of X + 1 at each place of interest;
+    # 2 = -1 is the non-square of GF(3)
+    splits = {Place(FINITE, (0, 1)): ((1, (1,)), (0, (1,))),
+              Place(FINITE, (1, 1)): ((0, (2,)), (1, (1,))),
+              Place(INFINITY, None): ((-1, (1,)), (-1, (1,)))}
+    places, minus_one, classes = localize(q)
+    assert places == list(splits)
+    # two bits per place, the valuation mod 2 below the non-square bit
+    assert (minus_one, classes) == (0b101010, [0b011001, 0b010100])
+    for k, place in enumerate(places):
+        for elem, split in zip(q.diag, splits[place]):
+            assert RefPlace(3, place).split(elem) == split
+        assert _bits_at(k, minus_one, classes) == (
+            True, tuple((v % 2, r == (2,)) for v, r in splits[place]))
 
 
 def test_global_isotropy_examples(gf3x):
@@ -110,6 +118,31 @@ def test_hilbert_product_formula(p):
             max_degree = max(max_degree, place.degree)
         assert prod == 1
     assert max_degree >= 2
+
+
+def test_hilbert_symbol_refuses_mixed_towers(gf3t, gf5t):
+    gf5x = tower(5, 1, ("X", RATFUNC))
+    cases = [(gf3t.gen("t"), gf5t.gen("t"), ValuationCtx(gf3t)),
+             (gf3t.gen("t"), gf3t.gen("t"), ValuationCtx(gf5t)),
+             (tower(3, 1, ("X", RATFUNC)).gen("X"), gf5x.gen("X"),
+              Place(FINITE, (0, 1)))]
+    for a, b, v in cases:
+        with pytest.raises(errors.TowerMismatch):
+            hilbert_symbol(a, b, v)
+
+
+@pytest.mark.parametrize("poly", [
+    (1, 1, 1),  # (X - 1)^2 over GF(3)
+    (0, 5),  # a coefficient outside [0, 3)
+    (0, 2),  # not monic
+    (1,),  # a unit
+    (0, 1, 0),  # a trailing zero
+    (),
+])
+def test_hilbert_symbol_refuses_non_places(gf3x, poly):
+    X = gf3x.gen("X")
+    with pytest.raises(errors.TowerFormsError):
+        hilbert_symbol(X, X + 1, Place(FINITE, poly))
 
 
 def test_square_class_rep(gf3x):
@@ -226,13 +259,16 @@ def test_place_split_matches_reference_loops(p):
     places = places_of_interest(QuadraticForm(K, tuple(elems)))
     assert {P.degree for P in places} == {1, 2, 3, 4}
     assert len(places) * len(elems) >= 1000
+    _, F, _ = _global_base(K)
+    factored = [_factors(p, a) for a in elems]
     for P in places:
         ref = RefPlace(p, P)
-        for a in elems:
+        for a, factors in zip(elems, factored):
             v, r = ref.split(a)
-            assert place_split(P, a) == (v, not ref.is_square(r)), (P, a)
+            assert _split(p, F, P, a.raw, factors) == \
+                (v, not ref.is_square(r)), (P, a)
     with pytest.raises(errors.ZeroArgument):
-        place_split(places[0], K.zero)
+        hilbert_symbol(K.zero, elems[0], places[0])
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -245,9 +281,9 @@ def test_isotropic_subsets_match_global_test(p):
         q = form(K, *(sample(K, budget, (seed, i)) for i in range(n)))
         degree_two_slots += any(max(map(polys.deg, d.raw)) == 2
                                 for d in q.diag)
-        comps = localize(q, places_of_interest(q))
+        read = localize(q)
         for k in (3, 4):
             ref = [idx for idx in itertools.combinations(range(n), k)
                    if is_isotropic_global(form(K, *(q.diag[i] for i in idx)))]
-            assert list(_isotropic_subsets(comps, k)) == ref
+            assert list(_isotropic_subsets(read, k)) == ref
     assert degree_two_slots

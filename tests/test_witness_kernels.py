@@ -136,9 +136,9 @@ def old_isotropic_vector(q):
             return tuple(vec)
     candidates = []
     if n >= 4:
-        comps = lg.localize(q, lg.places_of_interest(q))
-        candidates = list(lg._isotropic_subsets(comps, 3)) or \
-            list(lg._isotropic_subsets(comps, 4))
+        read = lg.localize(q)
+        candidates = list(lg._isotropic_subsets(read, 3)) or \
+            list(lg._isotropic_subsets(read, 4))
     if n >= 5:
         candidates.append(tuple(range(5)))
     elif not candidates:
@@ -326,14 +326,16 @@ def test_completion_bits_match_residues(p):
     for seed in range(20):
         q = qforms.QuadraticForm(K, tuple(
             sample(K, budget, ("bits", seed, i)) for i in range(5)))
-        places = lg.places_of_interest(q)
-        for P, comp in zip(places, lg.localize(q, places), strict=True):
+        places, minus_one, classes = lg.localize(q)
+        assert places == lg.places_of_interest(q)
+        for k, P in enumerate(places):
             ref = RefPlace(p, P)
             splits = [ref.split(d) for d in q.diag]
-            assert comp.square_class_bits == (
+            bits = lg._bits_at(k, minus_one, classes)
+            assert bits == (
                 not ref.is_square((p - 1,)),
                 tuple((v % 2, not ref.is_square(r)) for v, r in splits))
-            assert qforms.bits_dimension(*comp.square_class_bits) == \
+            assert qforms.bits_dimension(*bits) == \
                 ref.local_dimension(q.diag)
 
 
