@@ -381,8 +381,9 @@ def verify_higher_local_d1(q_base, samples=500, seed=0):
         q = pfister.expand(s)
         try:
             vec = localglobal.isotropic_vector_global(q)
-            kind = ("anisotropic-3-fold" if vec is None else
-                    None if q.evaluate(vec).is_zero() else "witness-invalid")
+            kind = ("anisotropic-3-fold" if vec is None else None
+                    if qforms.is_isotropic_vector(q, vec) else
+                    "witness-invalid")
         except BudgetExceeded:
             kind = "witness-budget"
         if kind is not None:

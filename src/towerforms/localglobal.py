@@ -18,11 +18,19 @@ element's square class over a place list is one int (place_class), two
 bits per place: its valuation mod 2 and whether its unit residue is a
 non-square in GF(p^deg), read off one factorization by Legendre symbols.
 localize, the one class reader, factors each entry once for the global
-decisions, the witness search and pfister's decisions alike; the local
-dimension is qforms.bits_dimension of the bits at a place, and no residue
-field is built.  Pfister decisions take the places of the slots and
-1 + 4b plus infinity, which support every entry of the expansion
+decisions, the witness search and pfister's decisions alike, and XORs one
+mask per odd factor, built once per form; the local dimension is
+qforms.bits_dimension of the bits at a place, and no residue field is
+built.  Pfister decisions take the places of the slots and 1 + 4b plus
+infinity, which support every entry of the expansion
 (pfister.expansion_classes).
+
+The witness search tests and searches without field arithmetic: its
+candidate pairs are tested on the polynomials n*d of the entries, its
+candidate subforms on pair masks of the class ints, and its
+meet-in-the-middle search adds and reduces coefficient vectors packed
+into one int each.  Field elements are built only for a pair that passes,
+for the square-class representatives, and for the witness.
 """
 
 import itertools
@@ -154,45 +162,54 @@ def _legendre_nonsquare(p, g, P):
     return polys.ppowmod(F, g, (p ** polys.deg(P) - 1) // 2, P) != (1,)
 
 
-def _split(p, F, place, raw, factors):
-    """(v, nonsquare) of the nonzero raw = (num, den), den monic, at place:
-    its valuation, and whether the residue of its unit part raw / pi^v is a
-    non-square, pi the place polynomial (1/X at infinity).
+def _factor_mask(p, places, g):
+    """The place_class of the monic irreducible g, or with g = None that of
+    a non-square constant, over places.
 
-    At infinity v = deg den - deg num, and the residue is lc(num).  At P of
-    degree m, v is the multiplicity of P in num minus that in den, read off
-    factors = (num_fac, den_fac) as factor gives them.  The residue is lc
-    times the other irreducible factors g^(+-e) mod P, so its bit is the XOR
-    of theirs: an even power adds nothing, an odd one the Legendre symbol
-    of g mod P, and lc its bit in GF(p) iff m is odd, as c^((p^m - 1)/2) =
-    (c^((p - 1)/2))^(1 + p + ... + p^(m - 1)) and that exponent has the
-    parity of m.
-    """
-    num, den = raw
-    nonsquare = place.degree % 2 == 1 and not F.is_square(num[-1])
-    if place.kind == INFINITY:
-        return polys.deg(den) - polys.deg(num), nonsquare
-    num_fac, den_fac = factors
-    for g, e in itertools.chain(num_fac.items(), den_fac.items()):
-        if e % 2 and g != place.poly:
-            nonsquare ^= _legendre_nonsquare(p, g, place.poly)
-    return num_fac.get(place.poly, 0) - den_fac.get(place.poly, 0), nonsquare
+    At infinity v(g) = -deg g and the residue of g's unit part is 1; at g's
+    own place v = 1 and the residue is 1; at any other P the residue is g
+    mod P, whose bit is the Legendre symbol.  A constant c has v = 0
+    everywhere, and its bit in GF(p^m) is its bit in GF(p) iff m is odd, as
+    c^((p^m - 1)/2) = (c^((p - 1)/2))^(1 + p + ... + p^(m - 1)) and that
+    exponent has the parity of m."""
+    bits = 0
+    for k, P in enumerate(places):
+        if g is None:
+            bits |= (P.degree & 1) << (2 * k + 1)
+        elif P.kind == INFINITY:
+            bits |= (polys.deg(g) & 1) << (2 * k)
+        elif P.poly == g:
+            bits |= 1 << (2 * k)
+        else:
+            bits |= _legendre_nonsquare(p, g, P.poly) << (2 * k + 1)
+    return bits
 
 
-def place_class(places, elem, factors=None):
+def place_class(places, elem, factors=None, masks=None):
     """The square class of a nonzero element over an ordered place list, as
     one int from one factorization of its numerator and denominator (its
     _factors, unless given): bit 2k is its valuation mod 2 at places[k],
-    bit 2k + 1 whether the residue of its unit part is a non-square
-    (_split).  The uniformizers are fixed, so the class of a product is
-    the XOR of the classes."""
+    bit 2k + 1 whether the residue of its unit part is a non-square.  The
+    uniformizers are fixed, so the class of a product is the XOR of the
+    classes: the element is lc(num) times irreducibles g^(+-e), an even
+    power adds nothing, and the class is the XOR of _factor_mask over the g
+    of odd multiplicity and, when lc(num) is a non-square, over None.  A
+    masks dict, when given, keeps each mask for later calls on the same
+    places."""
     p, F, _ = _global_base(elem.tower)
     if factors is None:
         factors = _factors(p, elem)
+    if masks is None:
+        masks = {}
+    odd = [g for fac in factors for g, e in fac.items() if e & 1]
+    if not F.is_square(elem.raw[0][-1]):
+        odd.append(None)
     bits = 0
-    for k, P in enumerate(places):
-        v, nonsquare = _split(p, F, P, elem.raw, factors)
-        bits |= ((v & 1) | (nonsquare << 1)) << (2 * k)
+    for g in odd:
+        mask = masks.get(g)
+        if mask is None:
+            mask = masks[g] = _factor_mask(p, places, g)
+        bits ^= mask
     return bits
 
 
@@ -214,11 +231,12 @@ def places_dimension(places, minus_one, classes):
 def localize(q):
     """(places, minus_one, classes) of the diagonal form q: its
     places_of_interest and the place_class ints of -1 and of each entry,
-    every entry factored once; the one class read over GF(p)(X)."""
-    factored = []
+    every entry factored once and each factor's mask built once; the one
+    class read over GF(p)(X)."""
+    factored, masks = [], {}
     places = places_of_interest(q, factored)
-    minus_one = place_class(places, -q.tower.one)
-    return places, minus_one, [place_class(places, d, f)
+    minus_one = place_class(places, -q.tower.one, masks=masks)
+    return places, minus_one, [place_class(places, d, f, masks)
                                for d, f in zip(q.diag, factored)]
 
 
@@ -350,20 +368,34 @@ def _pairs_square_at_infinity(q):
             and lead[i][2] ^ lead[j][2] == minus_one]
 
 
+def _square_product(F, g, h):
+    """Whether the monic part of g*h is a square polynomial over F.  With g
+    = n_i*d_i and h = n_j*d_j for entries n/d, this holds whenever
+    -a_j/a_i = -(n_j d_i)/(d_j n_i) has a fields.try_sqrt root: that root
+    needs the monic parts of the reduced numerator and denominator to be
+    squares, and their product is monic(g*h) over the square of the
+    monic gcd cancelled."""
+    return polys.psqrt(F, polys.pmonic(F, polys.pmul(F, g, h))) is not None
+
+
 def isotropic_vector_global(q):
     """An explicit nontrivial zero over GF(p)(X), or None if q is anisotropic.
 
     A hyperbolic binary subform <a_i, a_j> gives an exact square-root
-    witness; fields.try_sqrt runs only on the pairs for which -a_j/a_i is a
-    square at infinity, so the first pair with a root is the same as over
-    all pairs, and nothing is factored before it.  Otherwise the isotropic
-    3- (else 4-) subforms are picked on the place bits of localize(q) (a
-    dim-4 form decides its own isotropy on the same read, so each entry is
-    factored once), any 5-dimensional subform being isotropic, and a
-    meet-in-the-middle search runs over polynomial vectors of growing
-    degree on the chosen subforms.  Raises BudgetExceeded if the form is
-    isotropic but no witness appears within WITNESS_DEGREE_CAP /
-    WITNESS_SIDE_CAP.
+    witness.  The quotient -a_j/a_i is built and fields.try_sqrt run only
+    on the pairs for which it is a square at infinity and the monic part of
+    (n_i d_i)(n_j d_j) is a square polynomial (_square_product), n/d being
+    the entries' raws and n*d computed once per entry.  Both tests are
+    necessary for a root, so the first pair with a root is the same as
+    over all pairs, and nothing is factored before it.  Otherwise the
+    isotropic 3- (else 4-) subforms are picked on the class ints of
+    localize(q) (_isotropic_subsets; a dim-4 form decides its own isotropy
+    on the same read, so each entry is factored once), any 5-dimensional
+    subform being isotropic, and a meet-in-the-middle search on packed
+    ints runs over polynomial vectors of growing degree on the chosen
+    subforms.  Every witness passes qforms.is_isotropic_vector.  Raises
+    BudgetExceeded if the form is isotropic but no witness appears within
+    WITNESS_DEGREE_CAP / WITNESS_SIDE_CAP.
     """
     n = q.dim
     read = None
@@ -375,7 +407,13 @@ def isotropic_vector_global(q):
     if not isotropic:
         return None
     tower = q.tower
+    F, norms = tower.chain[-1].inner, {}
     for i, j in _pairs_square_at_infinity(q):
+        for k in (i, j):
+            if k not in norms:
+                norms[k] = polys.pmul(F, *q.diag[k].raw)
+        if not _square_product(F, norms[i], norms[j]):
+            continue
         root = fl.try_sqrt(tower, -(q.diag[j] / q.diag[i]))
         if root is not None:
             vec = [tower.zero] * n
@@ -384,7 +422,7 @@ def isotropic_vector_global(q):
     if n >= 5:
         read = localize(q)
     found = _subform_witness(q, _candidates(read, n))
-    assert q.evaluate(found).is_zero()
+    assert qforms.is_isotropic_vector(q, found)
     return found
 
 
@@ -407,17 +445,39 @@ def _candidates(read, n):
 
 
 def _isotropic_subsets(read, k):
-    """The k-subsets (k >= 3) of diagonal positions whose subform is
+    """The k-subsets (k = 3 or 4) of diagonal positions whose subform is
     isotropic, in combinations order, decided on the bits of read =
     localize(q) at each place of the whole form: the subform's places lie
     among the form's, and at any other place its k unit entries make it
-    isotropic (Chevalley-Warning plus Hensel)."""
+    isotropic (Chevalley-Warning plus Hensel).
+
+    At a place the key is one valuation bit, so the k entries split into at
+    most two parts, and the subform is anisotropic there iff each part is
+    an anisotropic residue form (qforms.bits_dimension): a 3-subset iff it
+    splits 2 + 1 with an anisotropic pair, a 4-subset iff it splits 2 + 2
+    with both pairs anisotropic, a pair of one key being anisotropic iff
+    its non-square bits and that of -1 XOR to 1.  So two ints per pair,
+    with one bit per place (bit 2j of place_class), hold "same key" and
+    "anisotropic pair", and each subset is a few ANDs over all places."""
     places, minus_one, classes = read
-    bits = [_bits_at(j, minus_one, classes) for j in range(len(places))]
-    for idx in itertools.combinations(range(len(classes)), k):
-        if all(qforms.bits_dimension(minus_one, [entries[i] for i in idx]) < k
-               for minus_one, entries in bits):
-            yield idx
+    even = sum(1 << (2 * j) for j in range(len(places)))
+    m = (minus_one >> 1) & even
+    same, aniso = {}, {}
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        x = classes[i] ^ classes[j]
+        same[i, j] = ~x & even
+        aniso[i, j] = same[i, j] & ((x >> 1) ^ m)
+    if k == 3:
+        for a, b, c in itertools.combinations(range(len(classes)), 3):
+            if not (aniso[a, b] | aniso[a, c] | aniso[b, c]) \
+                    & ~(same[a, b] & same[a, c]):
+                yield a, b, c
+        return
+    for a, b, c, d in itertools.combinations(range(len(classes)), 4):
+        if not (aniso[a, b] & aniso[c, d] & ~same[a, c]
+                | (aniso[a, c] & aniso[b, d] | aniso[a, d] & aniso[b, c])
+                & ~same[a, b]):
+            yield a, b, c, d
 
 
 def _subform_witness(q, candidates):
@@ -430,9 +490,10 @@ def _subform_witness(q, candidates):
     WITNESS_SIDE_CAP, up to WITNESS_DEGREE_CAP.  The candidates come from
     an iterator, decided as the search reaches them, and are kept for the
     later degrees; an entry's representative is computed when a candidate
-    that holds it is first reached.  At each D the coordinates y and their squares are built once,
-    and each entry's column s_i*y^2 once, shared by every candidate that
-    holds the entry; every column has one length, from the bound
+    that holds it is first reached.  At each D the coordinates y and their
+    squares are built once, and each entry's column s_i*y^2 once, packed
+    into ints (_column) and shared by every candidate that holds the
+    entry; every sum has at most width + 2D + 1 slots, from the bound
     deg s_i <= deg num + deg den over all entries.
     """
     p, F, _ = _global_base(q.tower)
@@ -456,9 +517,9 @@ def _subform_witness(q, candidates):
                 if i not in columns:
                     if i not in reps:
                         reps[i] = square_class_rep(q.tower, q.diag[i])
-                    columns[i] = _column(F, reps[i][0], squares,
-                                         width + 2 * D + 1)
-            found = _mitm_search(p, [columns[i] for i in idx], half)
+                    columns[i] = _column(F, reps[i][0], squares)
+            found = _mitm_search(p, [columns[i] for i in idx], half,
+                                 width + 2 * D + 1)
             if found is not None:
                 out = [q.tower.zero] * q.dim
                 for pos, y in zip(idx, found):
@@ -483,46 +544,65 @@ def _coordinates(p, max_deg):
     return ys, tuple(polys.pmul(F, y, y) for y in ys)
 
 
-def _column(F, s, squares, length):
-    """s * y^2 for every square y^2, as coefficient tuples of one length."""
-    out = []
+def _column(F, s, squares):
+    """s * y^2 for every square y^2, each packed into one int: coefficient
+    i in the slot at bit w*i, w = bitlen(p) + 1 as in _packing."""
+    w, out = F.p.bit_length() + 1, []
     for y2 in squares:
-        c = polys.pmul(F, s, y2)
-        out.append(c + (0,) * (length - len(c)))
+        x = 0
+        for c in reversed(polys.pmul(F, s, y2)):
+            x = (x << w) | c
+        out.append(x)
     return out
 
 
-def _mitm_search(p, cols, half):
-    """The first nonzero index vector y with sum cols[i][y_i] = 0 mod p, or
-    None.
+@lru_cache(maxsize=None)
+def _packing(p, length):
+    """(w, ones, bias) for length slots of w = bitlen(p) + 1 bits: ones has
+    a 1 at the bottom of each slot and bias 2^(w-1) - p in each.  A slot
+    holding the sum v < 2p of two reduced values carries into bit w - 1
+    after adding bias iff v >= p, and v + bias < 2^w stays in the slot, so
+    x - (((x + bias) >> (w-1)) & ones) * p reduces every slot at once."""
+    w = p.bit_length() + 1
+    ones = sum(1 << (w * i) for i in range(length))
+    return w, ones, ((1 << (w - 1)) - p) * ones
 
-    The right side (the last len(cols) - half columns) fills a table of
-    negated sums, keeping the first vector of each sum in itertools.product
-    order; the left side is then scanned in the same order.
+
+def _mitm_search(p, cols, half, length):
+    """The first nonzero index vector y with sum cols[i][y_i] = 0 mod p, or
+    None, the columns being _column ints of at most length slots.
+
+    The right side (the last len(cols) - half columns) fills a table keyed
+    by the negated sums, keeping the first vector of each in
+    itertools.product order; the left side is then scanned in the same
+    order, each lookup one add, one reduce and one dict.get.
     """
+    w, ones, bias = _packing(p, length)
+    shift = w - 1
+
+    def sums(cols):
+        # every reduced sum of one entry per column, in product order
+        out = [0]
+        for col in reversed(cols):
+            out = [(x := a + b) - (((x + bias) >> shift) & ones) * p
+                   for a in col for b in out]
+        return out
+
+    negated = [[(x := p * ones - c) - (((x + bias) >> shift) & ones) * p
+                for c in col] for col in cols[half:]]
     table = {}
-    for r, key in enumerate(_column_sums(p, cols[half:])):
+    for r, key in enumerate(sums(negated)):
         table.setdefault(key, r)
-    outer, inner = cols[0], list(_column_sums(p, cols[1:half]))
+    get = table.get
+    outer, inner = cols[0], sums(cols[1:half])
     for a, ca in enumerate(outer):
         for b, cb in enumerate(inner):
-            r = table.get(tuple([(-x - y) % p for x, y in zip(ca, cb)]))
+            x = ca + cb
+            r = get(x - (((x + bias) >> shift) & ones) * p)
             if r is not None and (a or b or r):
                 return _digits(a * len(inner) + b, len(outer), half) + \
                     _digits(r, len(outer), len(cols) - half)
     return None
-
-
-def _column_sums(p, cols):
-    """Every sum mod p of one entry per column (one or more columns), in
-    itertools.product order."""
-    if len(cols) == 1:
-        yield from cols[0]
-        return
-    rest = list(_column_sums(p, cols[1:]))
-    for a in cols[0]:
-        for b in rest:
-            yield tuple([(x + y) % p for x, y in zip(a, b)])
 
 
 def _digits(index, base, count):

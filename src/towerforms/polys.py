@@ -6,10 +6,11 @@ coefficient field object F first; F must provide zero/one/add/neg/sub/mul/
 inv/div/eq/is_zero over its raw element type.
 
 When F's class sets ``_int_raws`` (only ffield.Zp does), the raws are ints
-in [0, p) and trim, padd, pneg, pmul, pscale, pshift_order and pdivmod work
-on them directly: a zero test is a truth test, a sum or product is reduced
-by one ``% p`` (pmul sums every product of an output coefficient first),
-and no field method is called per coefficient.  pmod, pgcd, ppowmod and
+in [0, p) and trim, padd, pneg, pmul, pscale, pshift_order, pdivmod and
+psqrt work on them directly: a zero test is a truth test, a sum or product
+is reduced by one ``% p`` (pmul sums every product of an output
+coefficient first, psqrt every product of a root coefficient), and no
+field method is called per coefficient.  pmod, pgcd, ppowmod and
 pxgcd reach that path through them.  Every other field (Fq, FracField)
 takes the generic path, which also serves the tests as the reference for
 the int path; both return the same tuples.  The generic padd and pmul call
@@ -206,6 +207,15 @@ def psqrt(F, a):
     if d % 2:
         return None
     m = d // 2
+    if getattr(F, "_int_raws", False):
+        p = F.p
+        half = (p + 1) // 2  # the inverse of 2
+        h = [0] * m + [1]
+        for j in range(m - 1, -1, -1):
+            s = sum([h[i] * h[m + j - i] for i in range(j + 1, m)])
+            h[j] = (a[m + j] - s) * half % p
+        hh = trim(F, h)
+        return hh if pmul(F, hh, hh) == a else None
     two = F.add(F.one, F.one)
     h = [F.zero] * (m + 1)
     h[m] = F.one

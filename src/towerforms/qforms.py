@@ -52,13 +52,25 @@ class QuadraticForm:
         return len(self.diag)
 
     def evaluate(self, vec):
+        """q(vec), vec having one coordinate per diagonal entry; a zero
+        coordinate adds nothing and is skipped."""
+        if len(vec) != self.dim:
+            raise TowerFormsError(
+                f"a vector of length {len(vec)} for a form of dim {self.dim}")
         total = self.tower.zero
         for d, c in zip(self.diag, vec):
-            total = total + d * c * c
+            if not c.is_zero():
+                total = total + d * c * c
         return total
 
     def __repr__(self):
         return "<" + ", ".join(fl.format_element(d) for d in self.diag) + ">"
+
+
+def is_isotropic_vector(q, vec):
+    """Whether vec is a nonzero vector with q(vec) = 0, the check on every
+    explicit witness."""
+    return any(not c.is_zero() for c in vec) and q.evaluate(vec).is_zero()
 
 
 def form(tower, *entries):

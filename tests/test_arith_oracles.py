@@ -217,7 +217,13 @@ def test_int_kernels_match_generic_path(p):
         c = rng.randrange(p)
         padded = a + (0,) * rng.randint(0, 3)
         shifted = (0,) * rng.randint(0, 3) + a
-        for name, args in (("trim", (padded,)), ("padd", (a, b)),
+        # psqrt takes monic input: a square, and mostly non-squares
+        monic = polys.pmonic(Z, a)
+        square = polys.pmul(Z, monic, monic)
+        near = polys.pmonic(Z, polys.padd(Z, square, b))
+        for name, args in (("psqrt", (square,)), ("psqrt", (monic,)),
+                           ("psqrt", (near,)),
+                           ("trim", (padded,)), ("padd", (a, b)),
                            ("padd", (b, a)), ("psub", (a, b)),
                            ("pneg", (a,)), ("pmul", (a, b)),
                            ("pmul", (padded, b)), ("pscale", (a, c)),
@@ -225,6 +231,7 @@ def test_int_kernels_match_generic_path(p):
                            ("pgcd", (a, b)), ("pxgcd", (a, b))):
             assert getattr(polys, name)(Z, *args) == \
                 getattr(polys, name)(G, *args), (name, args)
+        assert polys.psqrt(Z, square) == monic
         if not b:
             for F in (Z, G):
                 with pytest.raises(errors.DivisionByZero):

@@ -1,24 +1,48 @@
 """Places of GF(p)(X), localization, Hilbert symbols, global isotropy."""
 
 import itertools
+import random
 
 import pytest
 
-from towerforms import dsl, errors, polys
+from towerforms import dsl, errors, localglobal, polys
 from towerforms.fields import RATFUNC, SampleBudget, sample
+from towerforms.linkage import verify_higher_local_d1
 from towerforms.localglobal import (FINITE, INFINITY, Place, _bits_at,
                                     _factors, _global_base, _isotropic_subsets,
-                                    _split, _split_plane,
+                                    _legendre_nonsquare, _split_plane,
                                     hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
-                                    places_of_interest,
+                                    place_class, places_of_interest,
                                     square_class_rep,
                                     witt_decompose_global)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
-from towerforms.qforms import (QuadraticForm, form, is_isotropic, isometric,
-                               witt_index)
+from towerforms.qforms import (QuadraticForm, form, is_isotropic,
+                               is_isotropic_vector, isometric, witt_index)
 from towerforms.valuation import ValuationCtx
 from conftest import RefPlace, tower
+
+
+def _split(p, F, place, raw, factors):
+    """(v, nonsquare) of the nonzero raw = (num, den), den monic, at place,
+    one place at a time: the oracle for localglobal.place_class.
+
+    At infinity v = deg den - deg num, and the residue is lc(num).  At P of
+    degree m, v is the multiplicity of P in num minus that in den, read off
+    factors = (num_fac, den_fac) as factor gives them.  The residue is lc
+    times the other irreducible factors g^(+-e) mod P, so its bit is the XOR
+    of theirs: an even power adds nothing, an odd one the Legendre symbol
+    of g mod P, and lc its bit in GF(p) iff m is odd.
+    """
+    num, den = raw
+    nonsquare = place.degree % 2 == 1 and not F.is_square(num[-1])
+    if place.kind == INFINITY:
+        return polys.deg(den) - polys.deg(num), nonsquare
+    num_fac, den_fac = factors
+    for g, e in itertools.chain(num_fac.items(), den_fac.items()):
+        if e % 2 and g != place.poly:
+            nonsquare ^= _legendre_nonsquare(p, g, place.poly)
+    return num_fac.get(place.poly, 0) - den_fac.get(place.poly, 0), nonsquare
 
 
 def _place_names(q):
@@ -168,6 +192,25 @@ def test_witness_search_examples(gf3x):
     assert q.evaluate(list(vec)).is_zero()
 
 
+def test_witness_checks_refuse_zero_and_misshapen_vectors(gf3x, monkeypatch):
+    """evaluate refuses a vector of the wrong length, is_isotropic_vector
+    the zero vector, and the higher-local harness reports a zero witness as
+    witness-invalid."""
+    X = gf3x.gen("X")
+    q = form(gf3x, 1, 1, X)
+    for n in (2, 4):
+        with pytest.raises(errors.TowerFormsError):
+            q.evaluate([gf3x.one] * n)
+    zero = (gf3x.zero,) * 3
+    assert q.evaluate(zero).is_zero() and not is_isotropic_vector(q, zero)
+    assert not is_isotropic_vector(q, (gf3x.one, gf3x.one, gf3x.zero))
+    assert is_isotropic_vector(form(gf3x, 1, 1, 1), (gf3x.one,) * 3)
+    monkeypatch.setattr(localglobal, "isotropic_vector_global",
+                        lambda q: (q.tower.zero,) * q.dim)
+    report = verify_higher_local_d1(3, samples=4)
+    assert [f["kind"] for f in report.failures] == ["witness-invalid"] * 4
+
+
 def test_witness_agrees_with_global_verdict(gf3x):
     budget = SampleBudget()
     for seed in range(25):
@@ -269,6 +312,38 @@ def test_place_split_matches_reference_loops(p):
                 (v, not ref.is_square(r)), (P, a)
     with pytest.raises(errors.ZeroArgument):
         hilbert_symbol(K.zero, elems[0], places[0])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_place_class_matches_split_and_reference(p):
+    """place_class, the XOR of one mask per odd factor, against the place by
+    place _split and RefPlace, on 1000 (element, place list) pairs per
+    field: place lists drawn from the places of 60 elements, in any order,
+    most of them holding places that divide no factor of the element, and
+    with one masks dict shared by every element of a list."""
+    K = tower(p, 1, ("X", RATFUNC))
+    budget = SampleBudget(max_deg=4)
+    elems = [sample(K, budget, ("class", seed)) for seed in range(60)]
+    elems[0] = -K.one
+    pool = places_of_interest(QuadraticForm(K, tuple(elems)))
+    _, F, _ = _global_base(K)
+    refs = {P: RefPlace(p, P) for P in pool}
+    rng = random.Random(p)
+    pairs = 0
+    while pairs < 1000:
+        places = rng.sample(pool, rng.randint(1, 6))
+        masks = {}
+        for a in rng.sample(elems, 20):
+            factors = _factors(p, a)
+            want = 0
+            for k, P in enumerate(places):
+                v, nonsquare = _split(p, F, P, a.raw, factors)
+                v_ref, r = refs[P].split(a)
+                assert (v, nonsquare) == (v_ref, not refs[P].is_square(r))
+                want |= ((v & 1) | (nonsquare << 1)) << (2 * k)
+            assert place_class(places, a) == want, (places, a)
+            assert place_class(places, a, factors, masks) == want
+            pairs += 1
 
 
 @pytest.mark.parametrize("p", [3, 5])

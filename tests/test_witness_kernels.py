@@ -3,16 +3,18 @@
 The references below are the routines those kernels replaced: the
 meet-in-the-middle search over polynomial vectors with one product per
 coordinate and row, the square-class representative by division and an
-exact square root, and the finite rule on the residues of
-conftest.RefPlace.  Each new kernel must give the identical answer, so the
-witnesses built from them stay byte-identical.  The filter that picks the
-binary subforms worth a square root is checked against the reference
-residues at infinity and against fields.try_sqrt.
+exact square root, the isotropic subsets by qforms.bits_dimension at each
+place, and the finite rule on the residues of conftest.RefPlace.  Each new
+kernel must give the identical answer, so the witnesses built from them
+stay byte-identical.  The filters that pick the binary subforms worth a
+square root are checked against the reference residues at infinity and
+against fields.try_sqrt.
 """
 
 import functools
 import importlib.util
 import itertools
+import math
 import operator
 import random
 from pathlib import Path
@@ -77,12 +79,12 @@ def old_square_class_rep(tower, elem):
 
 
 def new_search(p, sq, half, max_deg):
-    """The new search on the columns _subform_witness would build."""
+    """The packed search on the columns _subform_witness would build."""
     F = ffield.finite_field(p)
     ys, squares = lg._coordinates(p, max_deg)
     length = max(map(polys.deg, sq)) + 2 * max_deg + 1
-    found = lg._mitm_search(p, [lg._column(F, s, squares, length)
-                                for s in sq], half)
+    found = lg._mitm_search(p, [lg._column(F, s, squares) for s in sq],
+                            half, length)
     return None if found is None else tuple(ys[i] for i in found)
 
 
@@ -106,9 +108,9 @@ def old_subform_witness(q, candidates):
             ys, squares = lg._coordinates(p, D)
             for i in idx:
                 if i not in columns:
-                    columns[i] = lg._column(F, reps[i][0], squares,
-                                            width + 2 * D + 1)
-            found = lg._mitm_search(p, [columns[i] for i in idx], half)
+                    columns[i] = lg._column(F, reps[i][0], squares)
+            found = lg._mitm_search(p, [columns[i] for i in idx], half,
+                                    width + 2 * D + 1)
             if found is not None:
                 out = [q.tower.zero] * q.dim
                 for pos, y in zip(idx, found):
@@ -146,6 +148,17 @@ def old_isotropic_vector(q):
     return old_subform_witness(q, candidates)
 
 
+def old_isotropic_subsets(read, k):
+    """The k-subsets whose subform has local anisotropic dimension < k at
+    every place of read = localize(q), by qforms.bits_dimension."""
+    places, minus_one, classes = read
+    bits = [lg._bits_at(j, minus_one, classes) for j in range(len(places))]
+    for idx in itertools.combinations(range(len(classes)), k):
+        if all(qforms.bits_dimension(m, [entries[i] for i in idx]) < k
+               for m, entries in bits):
+            yield idx
+
+
 def _ratfunc(p):
     return tower(p, 1, ("X", RATFUNC))
 
@@ -172,15 +185,16 @@ def test_mitm_search_matches_old_search(p, max_deg, forms):
     assert found >= forms // 2
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 101])
 def test_mitm_search_keeps_first_solution_of_many(p):
     """<1, 1, 1, 1> and <1, -1, X, -X> have many zeros at degree 1: the
-    first one in product order must come back."""
+    first one in product order must come back.  The larger primes fill the
+    packed slots of bitlen(p) + 1 bits up to p - 1 (31 = 2^5 - 1)."""
     F = ffield.finite_field(p)
     for sq in ([(1,)] * 4, [(1,), (p - 1,), (0, 1), (0, p - 1)],
                [(1,), (0, 1), (1, 1)]):
         for half in {(len(sq) + 1) // 2, len(sq) - 1}:
-            for max_deg in (0, 1):
+            for max_deg in (0, 1) if p < 10 else (0,):
                 assert new_search(p, sq, half, max_deg) == \
                     old_mitm_search(p, F, sq, half, max_deg)
 
@@ -260,6 +274,34 @@ def test_pairs_square_at_infinity_over_other_coefficient_fields(
             assert (i, j) in kept
 
 
+@pytest.mark.parametrize("field,max_deg", [
+    ("GF(3)(X)", 2), ("GF(5)(X)", 2), ("GF(7)(X)", 2), ("GF(9)(X)", 2),
+    # degree 1 keeps the quotients' gcds over GF(5)((t)) cheap
+    ("GF(5)((t))(X)", 1)])
+def test_square_product_keeps_every_pair_with_a_root(field, max_deg):
+    """The test on n_i*d_i and n_j*d_j passes every pair for which
+    -a_j/a_i has a fields.try_sqrt root, on 60 forms per field, each
+    extended by <-a c^2, a c^2> for its first entry a; it drops most
+    pairs without one."""
+    K = dsl.parse_field(field)
+    F = K.chain[-1].inner
+    budget = SampleBudget(max_deg=max_deg)
+    roots = dropped = 0
+    for seed in range(60):
+        entries = [sample(K, budget, ("norm", seed, i))
+                   for i in range(2 + seed % 3)]
+        c = sample(K, budget, ("norm", seed, "c"))
+        entries += [-entries[0] * c * c, entries[0] * c * c]
+        norms = [polys.pmul(F, *e.raw) for e in entries]
+        for i, j in itertools.combinations(range(len(entries)), 2):
+            root = fl.try_sqrt(K, -(entries[j] / entries[i])) is not None
+            passes = lg._square_product(F, norms[i], norms[j])
+            assert passes or not root, (entries, i, j)
+            roots += root
+            dropped += not passes
+    assert roots >= 60 and dropped >= 200
+
+
 def test_witness_needs_no_factoring_before_a_hyperbolic_pair(monkeypatch):
     """Binary forms, and larger ones with a hyperbolic pair, take their
     witness without factoring: over GF(9)(X) and GF(5)((t))(X), which have
@@ -337,6 +379,42 @@ def test_completion_bits_match_residues(p):
                 tuple((v % 2, not ref.is_square(r)) for v, r in splits))
             assert qforms.bits_dimension(*bits) == \
                 ref.local_dimension(q.diag)
+
+
+# ---------------------------------------------------------------------------
+# isotropic subsets on class ints
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_isotropic_subsets_match_bits_dimension(p):
+    """The pair masks against qforms.bits_dimension at every place, on every
+    3- and 4-subset of 100 sampled forms of dim 4-8 per field."""
+    K = _ratfunc(p)
+    budget = SampleBudget(max_deg=2)
+    kept = dropped = 0
+    for seed in range(100):
+        q = qforms.QuadraticForm(K, tuple(
+            sample(K, budget, ("subsets", seed, i))
+            for i in range(4 + seed % 5)))
+        read = lg.localize(q)
+        for k in (3, 4):
+            want = list(old_isotropic_subsets(read, k))
+            assert list(lg._isotropic_subsets(read, k)) == want, (q, k)
+            kept += len(want)
+            dropped += math.comb(q.dim, k) - len(want)
+    assert kept >= 1000 and dropped >= 1000
+
+
+def test_isotropic_subsets_on_every_bit_pattern_at_one_place():
+    """Every (key, non-square) pattern of 3 and 4 entries at one place, with
+    -1 a square and a non-square."""
+    places = [lg.Place(lg.INFINITY)]
+    for k in (3, 4):
+        for minus_one in (0, 2):
+            for classes in itertools.product(range(4), repeat=k):
+                read = (places, minus_one, list(classes))
+                assert list(lg._isotropic_subsets(read, k)) == \
+                    list(old_isotropic_subsets(read, k)), (minus_one, classes)
 
 
 # ---------------------------------------------------------------------------
