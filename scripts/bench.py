@@ -18,6 +18,13 @@ Python version, the CPU model and the median calibration speed over every
 --trace 0 run, with the sha256 of src/towerforms/*.py that run.py reports
 (the sha names the commit checked out, which the tree may differ from).
 
+--label also records micro timings under the micro key (see micro()): for
+each, the seconds of one in-process run on a fixed input, in its own
+interpreter under a timeout of MICRO_TIMEOUT_S.  A run past the timeout is
+recorded as {"timeout_s": MICRO_TIMEOUT_S}, not dropped.  The inputs are one
+large dense and one large sparse product per Laurent depth 1-3 over GF(3),
+and the DSL powers (1+t+u)^300, ^1000 and ^3000 over GF(3)((t))((u)).
+
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
 files from different machines (nproc, CPU model or Python version differ),
@@ -44,6 +51,88 @@ SCALED = ("setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "peak_rss_mb")
 WALL_CLOCK = {"ops_per_s": "raw_ops_per_s", "op_p50_ms": "raw_op_p50_ms",
               "op_p90_ms": "raw_op_p90_ms"}
 MACHINE = ("nproc", "cpu", "python")
+
+MICRO_TIMEOUT_S = 60
+MICRO_FIELDS = {1: "GF(3)((t))", 2: "GF(3)((t))((u))",
+                3: "GF(3)((t))((u))((w))"}
+SYMBOLS = "tuw"
+# dense operands: every exponent vector of a grid of this side
+DENSE_SIDE = {1: 3000, 2: 40, 3: 12}
+# sparse operands: 30 terms with exponents spread below this span
+SPARSE_SPAN = {1: 30000, 2: 3000, 3: 500}
+SPARSE_TERMS = 30
+POWERS = (300, 1000, 3000)
+
+
+def _monomial_text(coeff, exponents):
+    return "*".join([str(coeff)] + [f"{s}^{e}" for s, e in
+                                    zip(SYMBOLS, exponents)])
+
+
+def _operand_text(depth, kind, which):
+    """DSL text of a large dense or sparse operand at a Laurent depth;
+    which = 0 or 1 picks one of two different operands."""
+    if kind == "dense":
+        side = DENSE_SIDE[depth]
+        grid = [()]
+        for _ in range(depth):
+            grid = [e + (i,) for e in grid for i in range(side)]
+        return " + ".join(_monomial_text(1 + (sum(e) + which) % 2, e)
+                          for e in grid)
+    span = SPARSE_SPAN[depth]
+    steps = (997, 2111, 3331, 4391)[which:which + depth]
+    return " + ".join(
+        _monomial_text(1 + i % 2, [(i * k + which) % span for k in steps])
+        for i in range(SPARSE_TERMS))
+
+
+def _micro_inputs():
+    """{name: (field, operand texts, timed statement)}; the statement sees
+    the parsed operands as x and y, and dsl and the tower K."""
+    out = {}
+    for depth, field in MICRO_FIELDS.items():
+        for kind in ("dense", "sparse"):
+            out[f"product-{kind}-depth{depth}"] = (
+                field, [_operand_text(depth, kind, w) for w in (0, 1)],
+                "x * y")
+    for n in POWERS:
+        out[f"power-{n}"] = (MICRO_FIELDS[2], [],
+                             f"dsl.parse_element(K, '(1+t+u)^{n}')")
+    return out
+
+
+_MICRO_RUN = """
+import sys, time
+sys.path.insert(0, {src!r})
+from towerforms import dsl
+K = dsl.parse_field({field!r})
+operands = [dsl.parse_element(K, text) for text in {texts!r}]
+x, y = (operands + [None, None])[:2]
+start = time.perf_counter()
+{statement}
+print(time.perf_counter() - start)
+"""
+
+
+def micro():
+    """{name: {"seconds": s}} for each micro timing, or
+    {"timeout_s": MICRO_TIMEOUT_S} for one that ran past it."""
+    out = {}
+    for name, (field, texts, statement) in _micro_inputs().items():
+        code = _MICRO_RUN.format(src=os.path.join(ROOT, "src"), field=field,
+                                 texts=texts, statement=statement)
+        try:
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True, text=True,
+                                  timeout=MICRO_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            out[name] = {"timeout_s": MICRO_TIMEOUT_S}
+            continue
+        if proc.returncode != 0:
+            raise SystemExit(f"micro timing {name} failed:\n"
+                             f"{proc.stderr.strip()}")
+        out[name] = {"seconds": float(proc.stdout.split()[-1])}
+    return out
 
 
 def _cpu_model():
@@ -137,6 +226,9 @@ def _metrics(doc):
                 out[(workload, f"{kind}.{k}")] = v
         for k, v in w.get("per_layer", {}).items():
             out[(workload, f"per_layer.{k}")] = v
+    for name, entry in doc.get("micro", {}).items():
+        for k, v in entry.items():
+            out[("micro", f"{name}.{k}")] = v
     return out
 
 
@@ -177,6 +269,7 @@ def main(argv=None):
         print("\n".join(compare(*docs)))
         return 0
     doc = measure()
+    doc["micro"] = micro()
     doc["label"] = args.label
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:

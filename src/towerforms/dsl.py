@@ -39,8 +39,11 @@ Each such polynomial becomes a canonical raw once, with no gcd: its
 denominator is a power of the level symbol.  Where an operation leaves the
 polynomials, the parser falls back to ``fields.Element`` arithmetic on the
 raws built so far: a division by a non-monomial, and a power of a
-non-monomial, negative or not (``(1+t+u)^300`` is squared and multiplied,
-not multiplied out).  Raws are canonical, so every route gives the same
+non-monomial, negative or not.  Such a power is ``Element.__pow__``: the
+product of the (x^(p^i))^(n_i) over the base-p digits n_i of the exponent,
+each x^(p^i) a Frobenius image as sparse as x.  So ``(1+t+u)^3000`` over
+GF(3) is the product of four images of three terms each, with no dense
+intermediate power.  Raws are canonical, so every route gives the same
 raw.
 """
 

@@ -56,18 +56,21 @@ class FracField:
     A level whose coefficients are one-level fractions over Zp (the second
     level over GF(p): the outer one of GF(p)((t))((u)), the middle one of
     GF(p)((t))((u))((w))) multiplies two raws with dens X^i and X^j, whose
-    coefficients all have t^k dens, as one int product (_packed_mul).
-    Each operand's numerator coefficients are shifted to sit over its
-    largest t-power K, so that the operand is sum_m n_m(t) X^m / (t^K X^i),
-    and its rows n_m are laid end to end at stride S = la + lb - 1, la and
-    lb bounds on the rows' lengths in the two operands: X becomes t^S.  One
-    polys.pmul on the int lists gives every row of the product at once.  A
-    row of the product is a sum of products n_m * n'_m' of length at most
-    la + lb - 1 = S, so the rows cannot overlap, and cutting at stride S
-    gives them exactly.  Each row over t^(Ka + Kb), and then the outer
-    numerator over X^(i + j), is reduced by the _over_x_power rule.
+    coefficients all have t^k dens, as one Kronecker product of ints
+    (_packed_mul).  Each operand's numerator coefficients are shifted to
+    sit over its largest t-power K, so that the operand is
+    sum_m n_m(t) X^m / (t^K X^i), and polys._row_product multiplies the
+    two sums of rows n_m, int polynomials in t, at once: it packs the rows
+    end to end, so that X becomes a power of t, sizes the slots, reduces
+    once, and cuts each row of the product from the residues, with its
+    order in t capped at Ka + Kb (the polys docstring gives the layout and
+    the bounds).  Each row over t^(Ka + Kb), and then the outer numerator
+    over X^(i + j), is reduced by the _over_x_power rule.  A pair that the
+    density rule of polys.pmul calls sparse takes the generic mul, which
+    multiplies nonzero coefficients only: a Frobenius image such as
+    1 + t^2187 + u^2187 packs into millions of slots, but has three terms.
     Whether a level qualifies is decided once, in __init__; any other den
-    takes the generic mul, which is also the tests' reference.
+    takes the generic mul too, which is also the tests' reference.
     """
 
     def __init__(self, inner, symbol):
@@ -103,16 +106,18 @@ class FracField:
         return (num, den)
 
     def _x_power(self, den):
-        """k if the monic den is X^k, else None."""
+        """k if the monic den is X^k, else None: its other k coefficients
+        are zero (a zero raw equals F.zero, so count finds them)."""
         k = len(den) - 1
-        return k if not k or polys.pshift_order(self.inner, den) == k \
-            else None
+        return k if den.count(self.inner.zero) == k else None
 
     def _over_x_power(self, num, k):
         """The reduced raw of num / X^k, for num != 0: both divided by
         gcd(num, X^k) = X^min(k, ord num)."""
         F = self.inner
-        s = min(k, polys.pshift_order(F, num)) if k else 0
+        s = 0
+        while s < k and num[s] == F.zero:
+            s += 1
         return (num[s:], (F.zero,) * (k - s) + (F.one,))
 
     def add(self, a, b):
@@ -149,31 +154,11 @@ class FracField:
         if not an or not bn:
             return self.zero
         i, j = self._x_power(ad), self._x_power(bd)
-        if i is None or j is None:
-            return FracField.mul(self, a, b)
-        shape_a, shape_b = _t_power_shape(an), _t_power_shape(bn)
-        if shape_a is None or shape_b is None:
-            return FracField.mul(self, a, b)
-        (ka, la), (kb, lb) = shape_a, shape_b
-        stride = la + lb - 1
-        prod = polys.pmul(self.inner.inner, _laid_out(an, ka, stride),
-                          _laid_out(bn, kb, stride))
-        k, zero = ka + kb, self.inner.zero
-        num = []
-        for s in range(0, len(prod), stride):
-            row = prod[s:s + stride]
-            hi = len(row)
-            while hi and not row[hi - 1]:
-                hi -= 1
-            if not hi:
-                num.append(zero)
-                continue
-            # row / t^k, both divided by t^min(k, ord row)
-            lo = 0
-            while lo < k and not row[lo]:
-                lo += 1
-            num.append((row[lo:hi], (0,) * (k - lo) + (1,)))
-        return self._over_x_power(tuple(num), i + j)
+        if i is not None and j is not None:
+            num = polys._row_product(self.inner.inner.p, an, bn)
+            if num is not None:
+                return self._over_x_power(num, i + j)
+        return FracField.mul(self, a, b)
 
     def inv(self, a):
         if not a[0]:
@@ -205,36 +190,6 @@ class FracField:
         if e >= 0:
             return (shift + (c,), (self.inner.one,))
         return ((c,), shift + (self.inner.one,))
-
-
-def _t_power_shape(coeffs):
-    """(K, L) for the numerator coefficients of a raw whose coefficients
-    are one-level fractions over Zp: K the largest t-power of their dens,
-    and L the longest numerator once shifted to sit over t^K; None if some
-    den is not a power of t."""
-    top, width = 0, 0
-    for num, den in coeffs:
-        k = len(den) - 1
-        if k:
-            if den.count(0) != k:
-                return None
-            if k > top:
-                top = k
-        if num and len(num) - k > width:
-            width = len(num) - k
-    return top, top + width
-
-
-def _laid_out(coeffs, top, stride):
-    """The numerators shifted to sit over t^top, end to end as one int
-    list, each padded with zeros to the stride."""
-    out = []
-    for num, den in coeffs:
-        shift = top - len(den) + 1 if num else 0
-        out += (0,) * shift
-        out += num
-        out += (0,) * (stride - shift - len(num))
-    return out
 
 
 @dataclass(frozen=True)
@@ -339,7 +294,7 @@ class Element:
             return self.tower.from_int(other)
         if not isinstance(other, Element):
             return NotImplemented
-        if other.tower != self.tower:
+        if other.tower is not self.tower and other.tower != self.tower:
             raise TowerMismatch(
                 f"{self.tower.describe()} vs {other.tower.describe()}")
         return other
@@ -382,16 +337,27 @@ class Element:
         return Element(self.tower, self.tower.ops.neg(self.raw))
 
     def __pow__(self, n):
+        """self^n by the base-p digits n_i of n: the product of the
+        (self^(p^i))^(n_i), each self^(p^i) a Frobenius image (_frobenius),
+        which is as sparse as self and takes no product, and each power
+        n_i < p by squaring and multiplying."""
         if n < 0:
             return (self.tower.one / self) ** (-n)
-        result = self.tower.one
-        base = self
+        tower = self.tower
+        p, depth = tower.base_char, len(tower.levels)
+        result, q = tower.one, 1
         while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+            n, digit = divmod(n, p)
+            if digit:
+                base = self if q == 1 else \
+                    Element(tower, _frobenius(tower.chain, depth, self.raw, q))
+                power = base
+                for bit in bin(digit)[3:]:
+                    power = power * power
+                    if bit == "1":
+                        power = power * base
+                result = result * power
+            q *= p
         return result
 
     def __eq__(self, other):
@@ -409,6 +375,35 @@ class Element:
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.tower.describe()}>"
+
+
+def _frobenius(chain, depth, raw, q):
+    """raw^q in chain[depth], for q a power of the characteristic p.
+
+    x -> x^q is an injective ring map of every field of a tower of
+    characteristic p (Lidl-Niederreiter, Finite Fields, Thm 1.46).  On a
+    polynomial over a level it maps sum c_i X^i to sum c_i^q X^(q i): every
+    exponent is multiplied by q, and every coefficient is mapped one level
+    down.  At the base it is c -> c^q, the identity on GF(p).
+
+    The image of a canonical raw is canonical, with no gcd: the den stays
+    monic, since 1^q = 1; num and den stay coprime, since a Bezout identity
+    s num + t den = 1 maps to one between their images; and no top
+    coefficient vanishes, since the map is injective.
+    """
+    f = chain[depth]
+    if depth == 0:
+        return raw if f.k == 1 else f.pow_(raw, q)
+    zero = f.inner.zero
+
+    def image(poly):
+        if not poly:
+            return poly
+        out = [zero] * (q * (len(poly) - 1) + 1)
+        out[::q] = [_frobenius(chain, depth - 1, c, q) for c in poly]
+        return tuple(out)
+
+    return image(raw[0]), image(raw[1])
 
 
 # ---------------------------------------------------------------------------

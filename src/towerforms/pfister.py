@@ -162,10 +162,12 @@ def rewrite(symbol, rule):
 def _times_slots(diag, slots):
     """diag tensored with <1, -a> for each slot a: each slot is negated
     once, and -a itself, its product with the leading 1, is taken as it
-    is."""
+    is.  The entries share one tower, so the products are taken on raws."""
     for a in slots:
         na = -a
-        diag += [na] + [na * d for d in diag[1:]]
+        tower, mul = na.tower, na.tower.ops.mul
+        diag += [na] + [fl.Element(tower, mul(na.raw, d.raw))
+                        for d in diag[1:]]
     return diag
 
 

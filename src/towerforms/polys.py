@@ -8,22 +8,50 @@ inv/div/eq/is_zero over its raw element type.
 When F's class sets ``_int_raws`` (only ffield.Zp does), the raws are ints
 in [0, p) and trim, padd, pneg, pmul, pscale, pshift_order, pdivmod and
 psqrt work on them directly: a zero test is a truth test, a sum or product
-is reduced by one ``% p`` (pmul sums every product of an output
-coefficient first, psqrt every product of a root coefficient), and no
-field method is called per coefficient.  pmod, pgcd, ppowmod and
-pxgcd reach that path through them.  Every other field (Fq, FracField)
-takes the generic path, which also serves the tests as the reference for
-the int path; both return the same tuples.  The generic padd and pmul call
-the field only where both sides are nonzero: padd copies the longer
-operand and adds the other's nonzero coefficients, and pmul sums the
+is reduced by one ``% p`` (psqrt sums every product of a root coefficient
+first), and no field method is called per coefficient.  pmod, pgcd,
+ppowmod and pxgcd reach that path through them.  Every other field (Fq,
+FracField) takes the generic path, which also serves the tests as the
+reference for the int path; both return the same tuples.  The generic padd
+and pmul call the field only where both sides are nonzero: padd copies the
+longer operand and adds the other's nonzero coefficients, and pmul sums the
 products of nonzero coefficients only.
 
-The int pmul also multiplies two-level fractions over Zp
-(fields.FracField._packed_mul): the rows of each operand, int polynomials
-in t, are laid end to end at a stride at least the length of any row of
-the product, so that one int product holds every row of the product at
-its own offset and no two rows overlap.
+The int pmul takes a one-term operand as a scalar (pscale), and is
+otherwise a Kronecker product (von zur Gathen-Gerhard, Modern Computer
+Algebra, ch. 8): each operand is packed into one Python int,
+little-endian, one coefficient per slot of w bytes, and the two ints are
+multiplied once.  A coefficient of the product is a sum of at most
+min(len a, len b) products of ints below p, so it is at most
+(p-1)^2 min(len a, len b), and w is the byte length of that bound
+(_slot_bytes): no slot carries into the next.  The product is cut back
+into slots by int.to_bytes and reduced mod p once (_residues): with 1-byte
+slots, which every p up to 13 has on short operands, by one
+bytes.translate through a 256-entry table per p, and with wider slots
+through int.from_bytes slices.  The residues are bytes again, r =
+_slot_bytes(p - 1) per coefficient, so bytes.rstrip trims their zeros in C.
+
+The density rule picks the kernel (_is_sparse): when 4 na nb < n, with na
+and nb the nonzero terms of the operands and n the slots of the product,
+pmul instead sums the products of nonzero terms only, as the generic path
+does, and never lays out the zeros between them.  The factor
+four is measured, on random operands of length 20 to 10000 over GF(3),
+GF(101) and GF(1000003): at lengths of 100 and more the term sums are the
+faster below na nb = n/4, and up to length 1000 the Kronecker product is
+the faster above 4n; between the two the crossover moves with p and the
+length.  Four also keeps the small products of the packed two-level
+product on the Kronecker path, since its sparse route, the generic mul,
+costs microseconds a term.
+
+_row_product multiplies polynomials in X whose coefficients are fractions
+of int polynomials over powers of t, the rows, by the same kernel and the
+same rule (fields.FracField._packed_mul): the rows of each operand are
+packed end to end at a stride at least the length of any row of the
+product, so that one int product holds every row of the product at its own
+offset, and each row is a slice of the residue bytes.
 """
+
+from functools import cache
 
 from .errors import DivisionByZero
 
@@ -69,7 +97,7 @@ def pneg(F, a):
     if getattr(F, "_int_raws", False):
         p = F.p
         return tuple([-x % p for x in a])
-    return tuple(F.neg(x) for x in a)
+    return tuple([F.neg(x) for x in a])
 
 
 def psub(F, a, b):
@@ -80,12 +108,18 @@ def pmul(F, a, b):
     if not a or not b:
         return ()
     if getattr(F, "_int_raws", False):
-        p, n = F.p, len(b)
-        out = [0] * (len(a) + n - 1)
-        for i, x in enumerate(a):
-            if x:
-                out[i:i + n] = [z + x * y for z, y in zip(out[i:i + n], b)]
-        return trim(F, [z % p for z in out])
+        if len(a) == 1:  # a scalar multiple: no slots to pack
+            return pscale(F, b, a[0])
+        if len(b) == 1:
+            return pscale(F, a, b[0])
+        p, n = F.p, len(a) + len(b) - 1
+        if _is_sparse(len(a) - a.count(0), len(b) - b.count(0), n):
+            return trim(F, _sparse_product(p, a, b, n))
+        w = _slot_bytes((p - 1) ** 2 * min(len(a), len(b)))
+        buf, r = _residues(int.from_bytes(_pack(a, w), "little") *
+                           int.from_bytes(_pack(b, w), "little"), p, w, n)
+        hi = -(-len(buf.rstrip(b"\0")) // r)  # coefficients up to the top
+        return tuple(_unpack(buf[:hi * r], r))
     # products of nonzero raws only; a slot no product reached stays None
     out = [None] * (len(a) + len(b) - 1)
     terms = [(j, y) for j, y in enumerate(b) if not F.is_zero(y)]
@@ -96,6 +130,140 @@ def pmul(F, a, b):
             z = F.mul(x, y)
             out[i + j] = z if out[i + j] is None else F.add(out[i + j], z)
     return trim(F, [F.zero if z is None else z for z in out])
+
+
+def _is_sparse(na, nb, n):
+    """The density rule: whether a product of operands with na and nb
+    nonzero terms and n slots sums term products instead of packing."""
+    return 4 * na * nb < n
+
+
+def _sparse_product(p, a, b, n):
+    """The n reduced coefficients of a*b from the nonzero terms alone."""
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    sums = {}
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                sums[i + j] = sums.get(i + j, 0) + x * y
+    out = [0] * n
+    for k, z in sums.items():
+        out[k] = z % p
+    return out
+
+
+def _row_product(p, a, b):
+    """The product of two polynomials in X over Zp((t)) as one Kronecker
+    product, or None when some den is not a power of t or the density rule
+    calls the pair sparse.
+
+    a and b are the coefficient tuples, rows (c, d): reduced fractions c/d
+    of int polynomials in t, with d monic, the zero row ((), (1,)).  The
+    rows of each operand, shifted to sit over its largest power t^K of t
+    (_t_power_shape), are packed end to end at stride la + lb - 1, la and
+    lb bounds on the shifted rows' lengths in a and b (_pack_rows): a row
+    of the product is a sum of products of length at most la + lb - 1, so
+    none outgrows the stride, and X becomes t^(la + lb - 1).  A slot of the
+    product sums at most min(rows of a, rows of b) min(la, lb) products of
+    ints below p, which sizes the slot.  Each row of the product is a slice
+    of the residue bytes, over t^(Ka + Kb): bytes.rstrip of its zeros gives
+    its length, and lstrip, capped at Ka + Kb, the power of t that it and
+    its den are divided by.
+    """
+    shape_a, shape_b = _t_power_shape(a), _t_power_shape(b)
+    if shape_a is None or shape_b is None:
+        return None
+    (ka, la, na), (kb, lb, nb) = shape_a, shape_b
+    stride = la + lb - 1
+    slots = (len(a) + len(b) - 1) * stride
+    if _is_sparse(na, nb, slots):
+        return None
+    w = _slot_bytes((p - 1) ** 2 * min(len(a), len(b)) * min(la, lb))
+    buf, r = _residues(_pack_rows(a, ka, stride, w) *
+                       _pack_rows(b, kb, stride, w), p, w, slots)
+    vals = _unpack(buf, r)
+    k = ka + kb
+    den = (0,) * k + (1,)
+    out = []
+    for s in range(0, slots, stride):
+        row = buf[s * r:(s + stride) * r].rstrip(b"\0")
+        if row:
+            # row / t^k, both divided by t^min(k, ord row)
+            lo = min(k, (len(row) - len(row.lstrip(b"\0"))) // r) \
+                if k else 0
+            out.append((tuple(vals[s + lo:s - (-len(row) // r)]), den[lo:]))
+        else:
+            out.append(((), (1,)))
+    return tuple(out)
+
+
+def _t_power_shape(rows):
+    """(K, L, N) for rows (c, d) as in _row_product: K the largest t-power
+    of their dens, L the longest c once shifted to sit over t^K, and N the
+    number of nonzero ints in the c; None if some den is not a power of
+    t."""
+    top, width, nonzero = 0, 0, 0
+    for c, d in rows:
+        if c:
+            k = len(d) - 1
+            if k:
+                if d.count(0) != k:
+                    return None
+                if k > top:
+                    top = k
+            nonzero += len(c) - c.count(0)
+            if len(c) - k > width:
+                width = len(c) - k
+    return top, top + width, nonzero
+
+
+def _pack_rows(rows, top, stride, w):
+    """The rows (c, d) shifted to sit over t^top, end to end at the stride,
+    as one int at w bytes a slot."""
+    buf = bytearray(len(rows) * stride * w)
+    for m, (c, d) in enumerate(rows):
+        if c:
+            i = (m * stride + top - len(d) + 1) * w
+            buf[i:i + len(c) * w] = c if w == 1 else _pack(c, w)
+    return int.from_bytes(buf, "little")
+
+
+def _slot_bytes(bound):
+    """Bytes per slot for ints up to bound: its byte length."""
+    return (bound.bit_length() + 7) >> 3
+
+
+def _pack(seq, w):
+    """Little-endian bytes of the ints of seq, w bytes each."""
+    if w == 1:
+        return bytes(seq)
+    return b"".join([x.to_bytes(w, "little") for x in seq])
+
+
+def _unpack(buf, w):
+    """The ints of buf, w little-endian bytes each (inverse of _pack)."""
+    if w == 1:
+        return buf
+    return [int.from_bytes(buf[i:i + w], "little")
+            for i in range(0, len(buf), w)]
+
+
+@cache
+def _mod_table(p):
+    """bytes.translate table of a byte to its residue mod p.  Only 1-byte
+    slots use it, which need (p-1)^2 < 256, so it caches at most the five
+    primes up to 13."""
+    return bytes([i % p for i in range(256)])
+
+
+def _residues(product, p, w, n):
+    """(buf, r): the first n slots of w bytes of a Kronecker product, each
+    reduced mod p, in bytes buf at r = _slot_bytes(p - 1) bytes each."""
+    buf = product.to_bytes(n * w, "little")
+    if w == 1:
+        return buf.translate(_mod_table(p)), 1
+    r = _slot_bytes(p - 1)
+    return _pack([z % p for z in _unpack(buf, w)], r), r
 
 
 def pscale(F, a, c):

@@ -42,7 +42,7 @@ class QuadraticForm:
         if not self.diag:
             raise TowerFormsError("a form needs at least one diagonal entry")
         for d in self.diag:
-            if d.tower != self.tower:
+            if d.tower is not self.tower and d.tower != self.tower:
                 raise TowerMismatch("diagonal entry from a different tower")
             if d.is_zero():
                 raise SingularForm("zero diagonal entry")

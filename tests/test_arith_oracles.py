@@ -2,8 +2,10 @@
 
 Each test keeps the slow route as the reference: GF(p) as the 1-tuple field
 Fq(p, 1), the generic polys path (a Zp subclass without the int kernels),
-square roots by brute force in elements() order, powers by repeated
-products, fraction arithmetic that cross-multiplies denominators and
+the int product as a list loop over shifted rows (the kernel the Kronecker
+product replaced), square roots by brute force in elements() order, powers
+by repeated products and by squaring and multiplying over the generic
+path, fraction arithmetic that cross-multiplies denominators and
 normalizes through the gcd at every level of a tower, the sampler
 that lists every base element and multiplies t in one factor at a time, and
 sympy's primality and factoring (test-only).
@@ -15,7 +17,7 @@ import pytest
 import sympy
 
 from conftest import tower
-from towerforms import errors, ffield, polys
+from towerforms import errors, ffield, fields, polys
 from towerforms.ffield import Fq, Zp
 from towerforms.dsl import parse_element, parse_field
 from towerforms.fields import LAURENT, RATFUNC, FracField, SampleBudget, sample
@@ -189,6 +191,74 @@ def _random_poly(rng, p, length):
     them zero."""
     return polys.trim(Zp(p), [rng.randrange(p) if rng.random() < 0.8 else 0
                               for _ in range(length)])
+
+
+def _list_pmul(p, a, b):
+    """The int product as a list loop: each nonzero coefficient of a adds
+    its multiple of b into a list of sums, reduced mod p once at the end.
+    The reference for the Kronecker product."""
+    if not a or not b:
+        return ()
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + n] = [z + x * y for z, y in zip(out[i:i + n], b)]
+    return polys.trim(Zp(p), [z % p for z in out])
+
+
+P18 = 10 ** 18 + 3
+# the largest prime whose slots of 2 (p-1)^2 still fit 8 bytes, and the
+# next prime, whose slots need 9
+P64_BELOW, P64_ABOVE = 3037000493, 3037000507
+# seeded cases per prime, x 6 primes: 1800
+KRONECKER_CASES = 300
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1000003, P18])
+def test_kronecker_pmul_matches_list_loop(p):
+    """pmul on Zp equals the list loop on dense, sparse, all-zero,
+    zero-padded and unequal-length operands, up to lengths that take each
+    side of the density rule."""
+    Z = Zp(p)
+    rng = random.Random(p)
+    for case in range(KRONECKER_CASES):
+        length = rng.choice([1, 2, 3, 5, 8, 13, 30, 64, 120])
+        density = rng.choice([1.0, 0.8, 0.3, 0.05])
+        a = tuple(rng.randrange(1, p) if rng.random() < density else 0
+                  for _ in range(length))
+        b = tuple(rng.randrange(1, p) if rng.random() < density else 0
+                  for _ in range(rng.choice([1, 2, 4, length, 2 * length])))
+        kind = case % 4
+        if kind == 1:
+            b = (0,) * len(b)  # all zero, untrimmed
+        elif kind == 2:
+            a = a + (0,) * rng.randint(1, 5)  # zero-padded
+        elif kind == 3:
+            b = b[:1]  # one coefficient
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert polys.pmul(Z, x, y) == _list_pmul(p, x, y), (x, y)
+    # a sparse pair far longer than its terms: 1 + X^5000 times 2 + X^7000
+    a = (1,) + (0,) * 4999 + (1,)
+    b = (2 % p,) + (0,) * 6999 + (1,)
+    assert polys.pmul(Z, a, b) == _list_pmul(p, a, b)
+
+
+@pytest.mark.parametrize("p, length", [
+    (3, 63), (3, 64), (5, 15), (5, 16),           # (p-1)^2 n at 240 to 256
+    (17, 255), (17, 256), (257, 2),               # 65280 to 131072
+    (P64_BELOW, 2), (P64_ABOVE, 2),               # 8 and 9 bytes
+])
+def test_kronecker_slot_width_at_byte_boundaries(p, length):
+    """All coefficients p - 1, so that the middle slots of the product are
+    (p-1)^2 times the shorter length n, the bound the slot width is taken
+    from: a slot one byte too narrow carries into its neighbour here.  A
+    shorter length of 1 is a scalar multiple and packs no slots."""
+    Z = Zp(p)
+    for a, b in (((p - 1,) * length, (p - 1,) * (length + 3)),
+                 ((p - 1,) * length, (p - 1,) * length)):
+        assert polys.pmul(Z, a, b) == _list_pmul(p, a, b)
+        assert polys.pmul(Z, b, a) == _list_pmul(p, a, b)
 
 
 # seeded cases per prime, x 5 primes: 2100
@@ -526,12 +596,13 @@ def _packed_operand(rng, f, kind):
     return f.make(tuple(coeffs), den)
 
 
-# seeded pairs per tower, x 4 towers: 2080
+# seeded pairs per tower, x 6 towers: 3120
 PACKED_PAIRS = 520
 
 
 @pytest.mark.parametrize("field", ["GF(3)((t))((u))", "GF(5)((t))((u))",
-                                   "GF(101)((t))((u))",
+                                   "GF(7)((t))((u))", "GF(101)((t))((u))",
+                                   "GF(1000003)((t))((u))",
                                    "GF(3)((t))((u))((w))"])
 def test_packed_product_matches_generic_path(field):
     """The packed product of a two-level fraction equals the generic
@@ -561,3 +632,158 @@ def test_packed_product_matches_generic_path(field):
             a = sample(K, budget, ("a", seed)).raw
             b = sample(K, budget, ("b", seed)).raw
             assert K.ops.mul(a, b) == generic.mul(a, b)
+
+
+def _integer_rows(a, b):
+    """The rows of the packed product of two raws of a packed level before
+    any reduction mod p: row m is the sum over m1 + m2 = m of the integer
+    products of the operands' rows, each row shifted to sit over its
+    operand's largest power of t."""
+    def shifted(raw):
+        top = max(len(den) - 1 for _, den in raw[0])
+        return [(0,) * (top - len(den) + 1) + num if num else ()
+                for num, den in raw[0]]
+
+    ra, rb = shifted(a), shifted(b)
+    rows = [[0] * (max(map(len, ra)) + max(map(len, rb)))
+            for _ in range(len(ra) + len(rb) - 1)]
+    for m1, x in enumerate(ra):
+        for m2, y in enumerate(rb):
+            for i, c in enumerate(x):
+                for j, d in enumerate(y):
+                    rows[m1 + m2][i + j] += c * d
+    return rows
+
+
+def _signed_operand(rng, f):
+    """A raw of the packed level f whose numerator ints are 1 or p - 1, so
+    that the packed sums of a product often are nonzero multiples of p."""
+    g, p = f.inner, f.inner.inner.p
+    coeffs = []
+    for _ in range(rng.randint(1, 3)):
+        num = tuple(rng.choice([1, p - 1, 1, p - 1, 0])
+                    for _ in range(rng.randint(1, 3)))
+        coeffs.append(g.make(num, (0,) * rng.randint(0, 2) + (1,)))
+    den = (g.zero,) * rng.randint(0, 2) + (g.one,)
+    return f.make(tuple(coeffs), den)
+
+
+@pytest.mark.parametrize("field", ["GF(3)((t))((u))", "GF(5)((t))((u))",
+                                   "GF(7)((t))((u))",
+                                   "GF(1000003)((t))((u))",
+                                   "GF(3)((t))((u))((w))"])
+def test_packed_rows_cut_after_the_reduction(field):
+    """Products whose rows have a top or a bottom packed sum that is a
+    nonzero multiple of p equal the generic mul: the row's length and its
+    power of t are read after the reduction."""
+    K = parse_field(field)
+    f = K.chain[2]
+    p = K.base_char
+    rng = random.Random(field)
+    top = bottom = 0
+    for _ in range(400):
+        a, b = _signed_operand(rng, f), _signed_operand(rng, f)
+        if f.is_zero(a) or f.is_zero(b):
+            continue
+        assert f.mul(a, b) == FracField.mul(f, a, b), (a, b)
+        for row in _integer_rows(a, b):
+            sums = [z for z in row if z]
+            top += bool(sums) and sums[-1] % p == 0
+            bottom += bool(sums) and sums[0] % p == 0
+    assert top >= 10 and bottom >= 10, (top, bottom)
+
+
+@pytest.mark.parametrize("p, rows, length", [
+    (3, 7, 8), (3, 8, 8),       # slots up to 224, and 256 in the middle
+    (17, 16, 16),               # 65536 in the middle
+])
+def test_packed_product_slot_width_at_byte_boundaries(p, rows, length):
+    """Rows of p - 1 only, so that the middle slot of the product is
+    (p-1)^2 min(rows) min(row lengths), the bound the slot width is taken
+    from."""
+    K = tower(p, 1, ("t", LAURENT), ("u", LAURENT))
+    f = K.ops
+    row = f.inner.make((p - 1,) * length, (1,))
+    a = f.make((row,) * rows, (f.inner.one,))
+    b = f.make((row,) * (rows + 2), (f.inner.zero, f.inner.one))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert f.mul(x, y) == FracField.mul(f, x, y)
+
+
+def _reference_chain(K):
+    """K's chain on the generic path throughout: the generic-path Zp at the
+    base (under Fq for GF(p^k)) and every level on the generic mul."""
+    if K.base_degree == 1:
+        f = _GenericZp(K.base_char)
+    else:
+        f = Fq(K.base_char, K.base_degree)
+        f.base = _GenericZp(K.base_char)
+    for lv in K.levels:
+        f = FracField(f, lv.symbol)
+        vars(f).pop("mul", None)
+    return f
+
+
+def _square_and_multiply(f, raw, n):
+    """raw^n in f by squaring and multiplying, as powers once were taken."""
+    if n < 0:
+        raw, n = f.inv(raw), -n
+    result = f.one
+    while n:
+        if n & 1:
+            result = f.mul(result, raw)
+        n >>= 1
+        if n:
+            raw = f.mul(raw, raw)
+    return result
+
+
+# exponents per depth, from -12 to 500: the reference squares dense
+# intermediate powers, whose cost grows fastest with the exponent and depth
+POWER_EXPONENTS = {
+    1: list(range(-12, 101)) + [121, 125, 242, 243, 244, 343, 499, 500],
+    2: list(range(-6, 41)) + [80, 81, 82, 243, -81, -100],
+    3: list(range(-3, 13)) + [25, 26, 27, 28, 80, 81, 125, -27],
+}
+
+
+@pytest.mark.parametrize("field", [
+    "GF(3)((t))", "GF(5)((t))", "GF(9)((t))",
+    "GF(3)((t))((u))", "GF(5)((t))((u))", "GF(9)((t))((u))",
+    "GF(3)((t))((u))((w))", "GF(5)((t))((u))((w))", "GF(9)((t))((u))((w))",
+])
+def test_pow_matches_square_and_multiply(field):
+    """Element powers, taken by Frobenius images of the base-p digits of
+    the exponent, equal squaring and multiplying over the generic path, on
+    seeded binomials and trinomials at every depth and exponent sign."""
+    K = parse_field(field)
+    depth = len(K.levels)
+    ref = _reference_chain(K)
+    budget = SampleBudget(max_val=1, series_terms=1)
+    for seed in range(2):
+        x = sample(K, budget, ("pow", seed)) + 1
+        if x.is_zero():
+            continue
+        for n in POWER_EXPONENTS[depth]:
+            assert (x ** n).raw == _square_and_multiply(ref, x.raw, n), n
+
+
+@pytest.mark.parametrize("field", ["GF(3)((t))((u))", "GF(9)((t))((u))",
+                                   "GF(5)(X)", "GF(3)((t))((u))((w))"])
+def test_frobenius_image_is_canonical(field):
+    """The Frobenius image of a canonical raw, its exponents multiplied by
+    q and its base coefficients raised to q, is already the reduced
+    fraction that normalizing through the gcd gives, and it is the q-th
+    power."""
+    K = parse_field(field)
+    depth = len(K.levels)
+    euclid = K.chain[0] if K.base_degree > 1 else _GenericZp(K.base_char)
+    for lv in K.levels:
+        euclid = _EuclidFrac(euclid, lv.symbol)
+    p = K.base_char
+    for seed in range(25):
+        x = sample(K, SampleBudget(max_deg=3), ("frobenius", seed))
+        for q in (p, p * p):
+            image = fields._frobenius(K.chain, depth, x.raw, q)
+            assert euclid.make(*image) == image
+            assert image == _square_and_multiply(K.ops, x.raw, q)

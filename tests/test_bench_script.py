@@ -63,3 +63,34 @@ def test_bench_document_schema_on_a_few_ops():
     assert ratios[f"per_layer.{doubled}"] == "2.000"
     assert ratios[f"per_layer.{dropped}"] == "0.000"
     assert ratios["per_layer.cli.main.calls"] == "n/a"
+
+
+def test_micro_timings_record_seconds_or_a_timeout(monkeypatch):
+    """A micro input is timed in its own interpreter; one that runs past
+    the timeout is recorded with it, and compare reads both kinds.  The
+    timed inputs are one small product and a sleep past a short timeout."""
+    names = set(bench._micro_inputs())
+    assert {f"power-{n}" for n in bench.POWERS} <= names
+    assert sum(name.startswith("product-") for name in names) == 6
+
+    monkeypatch.setattr(bench, "_micro_inputs", lambda: {
+        "small": (bench.MICRO_FIELDS[2], ["1 + t", "u"], "x * y")})
+    timed = bench.micro()
+    assert set(timed) == {"small"} and set(timed["small"]) == {"seconds"}
+    assert timed["small"]["seconds"] > 0
+    monkeypatch.setattr(bench, "MICRO_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(bench, "_micro_inputs", lambda: {
+        "sleep": (bench.MICRO_FIELDS[1], [], "time.sleep(30)")})
+    late = bench.micro()
+    assert late == {"sleep": {"timeout_s": 0.5}}
+
+    doc = {"context": {k: None for k in bench.MACHINE + ("speed",)},
+           "workloads": {}, "micro": timed}
+    doc["context"]["speed"] = 1.0
+    other = copy.deepcopy(doc)
+    other["micro"].update(late)
+    other["micro"]["small"]["seconds"] *= 2
+    lines = {line.split()[1]: line.split()[-1]
+             for line in bench.compare(doc, other)[1:]}
+    assert lines["small.seconds"] == "2.000"
+    assert lines["sleep.timeout_s"] == "n/a"
