@@ -23,7 +23,11 @@ each, the seconds of one in-process run on a fixed input, in its own
 interpreter under a timeout of MICRO_TIMEOUT_S.  A run past the timeout is
 recorded as {"timeout_s": MICRO_TIMEOUT_S}, not dropped.  The inputs are one
 large dense and one large sparse product per Laurent depth 1-3 over GF(3),
-and the DSL powers (1+t+u)^300, ^1000 and ^3000 over GF(3)((t))((u)).
+the DSL powers (1+t+u)^300, ^1000 and ^3000 over GF(3)((t))((u)), and
+EXPAND_REPEAT runs of pfister.expand on each of EXPAND_SYMBOLS over
+GF(3)((t))((u)): a 4-fold and a dense 6-fold symbol, whose expansions take
+every product from one packed layout, and Frobenius images that pack
+sparse and are multiplied pair by pair.
 
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
@@ -62,6 +66,13 @@ DENSE_SIDE = {1: 3000, 2: 40, 3: 12}
 SPARSE_SPAN = {1: 30000, 2: 3000, 3: 500}
 SPARSE_TERMS = 30
 POWERS = (300, 1000, 3000)
+EXPAND_SYMBOLS = {
+    "4fold": "<<(2+t)*u^-1 + t, (1+t*u)/t^2, 2 + t + u; (2+t^-1) + t*u]]",
+    "6fold": "<<(1+t+u)^8, (2+t+u^2)^5, (1+t^2+u)^4, (1+t+t*u)^6, "
+             "(2+u+t^3)^7; (1+t)^4*(1+u)^5]]",
+    "sparse": "<<(1+t+u)^2187, (1+t+u)^729, t + u^3; 1 + u^2187]]",
+}
+EXPAND_REPEAT = 100
 
 
 def _monomial_text(coeff, exponents):
@@ -88,7 +99,8 @@ def _operand_text(depth, kind, which):
 
 def _micro_inputs():
     """{name: (field, operand texts, timed statement)}; the statement sees
-    the parsed operands as x and y, and dsl and the tower K."""
+    the parsed operands (a text that starts with << is a Pfister symbol)
+    as x and y, and dsl, pfister and the tower K."""
     out = {}
     for depth, field in MICRO_FIELDS.items():
         for kind in ("dense", "sparse"):
@@ -98,15 +110,20 @@ def _micro_inputs():
     for n in POWERS:
         out[f"power-{n}"] = (MICRO_FIELDS[2], [],
                              f"dsl.parse_element(K, '(1+t+u)^{n}')")
+    for name, text in EXPAND_SYMBOLS.items():
+        out[f"expand-{name}"] = (
+            MICRO_FIELDS[2], [text],
+            f"for _ in range({EXPAND_REPEAT}): pfister.expand(x)")
     return out
 
 
 _MICRO_RUN = """
 import sys, time
 sys.path.insert(0, {src!r})
-from towerforms import dsl
+from towerforms import dsl, pfister
 K = dsl.parse_field({field!r})
-operands = [dsl.parse_element(K, text) for text in {texts!r}]
+operands = [(dsl.parse_pfister if text.startswith("<<") else
+             dsl.parse_element)(K, text) for text in {texts!r}]
 x, y = (operands + [None, None])[:2]
 start = time.perf_counter()
 {statement}

@@ -62,15 +62,23 @@ class FracField:
     sum_m n_m(t) X^m / (t^K X^i), and polys._row_product multiplies the
     two sums of rows n_m, int polynomials in t, at once: it packs the rows
     end to end, so that X becomes a power of t, sizes the slots, reduces
-    once, and cuts each row of the product from the residues, with its
-    order in t capped at Ka + Kb (the polys docstring gives the layout and
-    the bounds).  Each row over t^(Ka + Kb), and then the outer numerator
-    over X^(i + j), is reduced by the _over_x_power rule.  A pair that the
-    density rule of polys.pmul calls sparse takes the generic mul, which
-    multiplies nonzero coefficients only: a Frobenius image such as
-    1 + t^2187 + u^2187 packs into millions of slots, but has three terms.
-    Whether a level qualifies is decided once, in __init__; any other den
-    takes the generic mul too, which is also the tests' reference.
+    once, and cuts the product from the residues into its reduced raw,
+    each row's order in t capped at Ka + Kb and the zero rows at the
+    bottom capped at i + j (the polys docstring gives the layout and the
+    bounds).  A pair that the density rule of polys.pmul calls sparse
+    takes the generic mul, which multiplies nonzero coefficients only: a
+    Frobenius image such as 1 + t^2187 + u^2187 packs into millions of
+    slots, but has three terms.  Any other den takes the generic mul too,
+    which is also the tests' reference.
+
+    Such a level also gives pfister's expansion the products of every
+    subset of a list of raws (subset_products, _packed_subset_products):
+    polys._subset_row_products packs each raw once into one layout and
+    takes each product as one int product of an earlier, reduced product
+    and one raw.  It returns None, and the expansion multiplies pair by
+    pair, when some den is not a power of X or of t, or when the density
+    rule calls the layout sparse.  Whether a level has the packed product
+    and the subset products is decided once, in __init__.
     """
 
     def __init__(self, inner, symbol):
@@ -82,6 +90,7 @@ class FracField:
         if isinstance(inner, FracField) and \
                 getattr(inner.inner, "_int_raws", False):
             self.mul = self._packed_mul
+            self.subset_products = self._packed_subset_products
 
     def make(self, num, den):
         F = self.inner
@@ -155,10 +164,27 @@ class FracField:
             return self.zero
         i, j = self._x_power(ad), self._x_power(bd)
         if i is not None and j is not None:
-            num = polys._row_product(self.inner.inner.p, an, bn)
-            if num is not None:
-                return self._over_x_power(num, i + j)
+            raw = polys._row_product(self.inner.inner.p, an, bn, i + j)
+            if raw is not None:
+                return raw
         return FracField.mul(self, a, b)
+
+    def _packed_subset_products(self, gens):
+        """The products of every subset of the nonzero raws gens, in subset
+        order (entry e is the product of the gens[j] at the bits j of e,
+        entry 0 is one and entry 2^j is gens[j] itself), from one layout;
+        or None when some den is not a power of X or of t, or the layout is
+        sparse (see the class docstring)."""
+        powers = [self._x_power(d) for _, d in gens]
+        if None in powers:
+            return None
+        out = polys._subset_row_products(self.inner.inner.p,
+                                         [n for n, _ in gens], powers)
+        if out is not None:
+            out[0] = self.one
+            for j, g in enumerate(gens):
+                out[1 << j] = g
+        return out
 
     def inv(self, a):
         if not a[0]:

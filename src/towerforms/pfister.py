@@ -157,29 +157,41 @@ def rewrite(symbol, rule):
 
 # ---------------------------------------------------------------------------
 # expansion
+#
+# The entries of <1, -x_1> x ... x <1, -x_k> are the products of the
+# subsets of the generators -x_i, each negated once.  A level with the
+# packed product (GF(p)((t))((u)) and the like, see fields.FracField)
+# computes them from one layout: each generator is packed once, and each
+# entry is one int product of an earlier entry and a generator, cut once
+# into its raw.  Every other level, and generators that do not fit that
+# layout (dens that are not monomials, Frobenius images that pack sparse),
+# take each entry as one field product of an earlier entry and a
+# generator.
 
 
-def _times_slots(diag, slots):
-    """diag tensored with <1, -a> for each slot a: each slot is negated
-    once, and -a itself, its product with the leading 1, is taken as it
-    is.  The entries share one tower, so the products are taken on raws."""
-    for a in slots:
-        na = -a
-        tower, mul = na.tower, na.tower.ops.mul
-        diag += [na] + [fl.Element(tower, mul(na.raw, d.raw))
-                        for d in diag[1:]]
+def _times_slots(tower, gens):
+    """The entries of <1, -x_1> x ... x <1, -x_k> in order, from gens =
+    [-x_i]: entry e is the product of the gens at the bits of e, so entry
+    2^j is gens[j] itself."""
+    products = getattr(tower.ops, "subset_products", None)
+    raws = products([g.raw for g in gens]) if products else None
+    if raws is not None:
+        return [fl.Element(tower, raw) for raw in raws]
+    diag, mul = [tower.one], tower.ops.mul
+    for g in gens:
+        diag += [g] + [fl.Element(tower, mul(g.raw, d.raw)) for d in diag[1:]]
     return diag
 
 
 def expand_bilinear(symbol):
-    return qforms.QuadraticForm(
-        symbol.tower, tuple(_times_slots([symbol.tower.one], symbol.slots)))
+    return qforms.QuadraticForm(symbol.tower, tuple(
+        _times_slots(symbol.tower, [-a for a in symbol.slots])))
 
 
 def expand(symbol):
     """The 2^d-dimensional diagonal quadratic form of a quadratic symbol."""
-    return qforms.QuadraticForm(symbol.tower, tuple(
-        _times_slots([symbol.tower.one, -symbol.c], symbol.slots)))
+    return qforms.QuadraticForm(symbol.tower, tuple(_times_slots(
+        symbol.tower, [-symbol.c] + [-a for a in symbol.slots])))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,36 @@ def square_class_monomial(T, a):
     return ctx.monomial(tuple(c % 2 for c in w)) * T.embed(unit)
 
 
+def inner_fraction(rng, g, kind):
+    """A one-level fraction over Zp: a numerator with zero coefficients
+    over t^k (k >= 0), or over a den that is no power of t."""
+    p = g.inner.p
+    num = tuple(rng.randrange(p) if rng.random() < 0.7 else 0
+                for _ in range(rng.randint(0, 4)))
+    if kind == "den":
+        den = (rng.randrange(1, p),) + (0,) * rng.randint(0, 2) + (1,)
+    else:
+        den = (0,) * rng.randint(0, 3) + (1,)
+    return g.make(num, den)
+
+
+def packed_operand(rng, f, kind):
+    """A raw of the packed level f: coefficients over t^k, some of them
+    zero, over u^i; kind "inner" gives one coefficient a non-monomial den,
+    kind "outer" makes the den at f itself non-monomial."""
+    g = f.inner
+    coeffs = [inner_fraction(rng, g, "t") if rng.random() < 0.8 else g.zero
+              for _ in range(rng.randint(1, 4))]
+    if kind == "inner":
+        coeffs[rng.randrange(len(coeffs))] = inner_fraction(rng, g, "den")
+    if kind == "outer":
+        c = inner_fraction(rng, g, "t")
+        den = (g.one if g.is_zero(c) else c, g.zero, g.one)
+    else:
+        den = (g.zero,) * rng.randint(0, 2) + (g.one,)
+    return f.make(tuple(coeffs), den)
+
+
 @lru_cache(maxsize=None)
 def _squares_mod(p, modulus):
     """Every nonzero y^2 mod modulus, y running over the polynomials of

@@ -16,7 +16,7 @@ import random
 import pytest
 import sympy
 
-from conftest import tower
+from conftest import packed_operand, tower
 from towerforms import errors, ffield, fields, polys
 from towerforms.ffield import Fq, Zp
 from towerforms.dsl import parse_element, parse_field
@@ -249,16 +249,43 @@ def test_kronecker_pmul_matches_list_loop(p):
     (17, 255), (17, 256), (257, 2),               # 65280 to 131072
     (P64_BELOW, 2), (P64_ABOVE, 2),               # 8 and 9 bytes
 ])
-def test_kronecker_slot_width_at_byte_boundaries(p, length):
+def test_kronecker_slot_width_at_byte_boundaries(p, length, monkeypatch):
     """All coefficients p - 1, so that the middle slots of the product are
     (p-1)^2 times the shorter length n, the bound the slot width is taken
     from: a slot one byte too narrow carries into its neighbour here.  A
-    shorter length of 1 is a scalar multiple and packs no slots."""
+    shorter length of 1 is a scalar multiple and packs no slots.  The
+    short pairs over p > 16 would sum their terms, so here every pair
+    that the density rule leaves dense is packed."""
+    monkeypatch.setattr(polys, "_WIDE_SLOT_PAIRS", 0)
     Z = Zp(p)
     for a, b in (((p - 1,) * length, (p - 1,) * (length + 3)),
                  ((p - 1,) * length, (p - 1,) * length)):
         assert polys.pmul(Z, a, b) == _list_pmul(p, a, b)
         assert polys.pmul(Z, b, a) == _list_pmul(p, a, b)
+
+
+@pytest.mark.parametrize("p, la, lb, summed", [
+    (101, 3, 3, True), (101, 7, 9, True), (101, 8, 8, False),
+    (1000003, 5, 5, True), (1000003, 2, 40, False),
+    (17, 2, 31, True), (17, 2, 32, False),
+    (13, 3, 3, False), (3, 2, 2, False),   # 1-byte products: packed
+])
+def test_pmul_kernel_on_short_operands(p, la, lb, summed, monkeypatch):
+    """Over p > 16 a product of two ints below p fills more than a byte,
+    and pmul sums the term products of operands with fewer than 64 pairs of
+    nonzero terms instead of packing them; for p up to 13 only the density
+    rule picks the kernel, so short dense operands are packed."""
+    calls = []
+    kernel = polys._sparse_product
+
+    def recorded(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(polys, "_sparse_product", recorded)
+    a, b = (p - 1,) * la, tuple(1 + i % (p - 1) for i in range(lb))
+    assert polys.pmul(Zp(p), a, b) == _list_pmul(p, a, b)
+    assert bool(calls) == summed
 
 
 # seeded cases per prime, x 5 primes: 2100
@@ -542,21 +569,27 @@ def test_sampler_matches_listing_draw(field, budget):
 
 def _generic_chain(K):
     """K's chain rebuilt with every level on the generic mul: the packed
-    product that FracField.__init__ picks is dropped again."""
+    product and subset products that FracField.__init__ picks are dropped
+    again."""
     f = ffield.finite_field(K.base_char, K.base_degree)
     for lv in K.levels:
         f = FracField(f, lv.symbol)
         vars(f).pop("mul", None)
+        vars(f).pop("subset_products", None)
     return f
 
 
 def test_packed_product_is_chosen_once_per_level():
     """Only a level whose coefficients are one-level fractions over Zp
-    gets the packed product, as an instance attribute set on
-    construction: depth-1 levels, GF(p)(X) and an Fq base keep the class's
-    mul with no per-call test."""
+    gets the packed product and the subset products, as instance
+    attributes set on construction: depth-1 levels, GF(p)(X) and an Fq
+    base keep the class's mul and no subset products, with no per-call
+    test."""
     def packed(field):
-        return ["mul" in vars(f) for f in parse_field(field).chain[1:]]
+        chain = parse_field(field).chain[1:]
+        assert ["mul" in vars(f) for f in chain] == \
+            ["subset_products" in vars(f) for f in chain]
+        return ["mul" in vars(f) for f in chain]
 
     assert packed("GF(3)((t))") == [False]
     assert packed("GF(5)(X)") == [False]
@@ -564,36 +597,6 @@ def test_packed_product_is_chosen_once_per_level():
     assert packed("GF(3)((t))((u))") == [False, True]
     assert packed("GF(3)((t))(X)") == [False, True]
     assert packed("GF(3)((t))((u))((w))") == [False, True, False]
-
-
-def _inner_fraction(rng, g, kind):
-    """A one-level fraction over Zp: a numerator with zero coefficients
-    over t^k (k >= 0), or over a den that is no power of t."""
-    p = g.inner.p
-    num = tuple(rng.randrange(p) if rng.random() < 0.7 else 0
-                for _ in range(rng.randint(0, 4)))
-    if kind == "den":
-        den = (rng.randrange(1, p),) + (0,) * rng.randint(0, 2) + (1,)
-    else:
-        den = (0,) * rng.randint(0, 3) + (1,)
-    return g.make(num, den)
-
-
-def _packed_operand(rng, f, kind):
-    """A raw of the packed level f: coefficients over t^k, some of them
-    zero, over u^i; kind "inner" gives one coefficient a non-monomial den,
-    kind "outer" makes the den at f itself non-monomial."""
-    g = f.inner
-    coeffs = [_inner_fraction(rng, g, "t") if rng.random() < 0.8 else g.zero
-              for _ in range(rng.randint(1, 4))]
-    if kind == "inner":
-        coeffs[rng.randrange(len(coeffs))] = _inner_fraction(rng, g, "den")
-    if kind == "outer":
-        c = _inner_fraction(rng, g, "t")
-        den = (g.one if g.is_zero(c) else c, g.zero, g.one)
-    else:
-        den = (g.zero,) * rng.randint(0, 2) + (g.one,)
-    return f.make(tuple(coeffs), den)
 
 
 # seeded pairs per tower, x 6 towers: 3120
@@ -616,8 +619,8 @@ def test_packed_product_matches_generic_path(field):
     rng = random.Random(field)
     kinds = ["t"] * 6 + ["inner", "outer"]
     for case in range(PACKED_PAIRS):
-        a = _packed_operand(rng, f, rng.choice(kinds))
-        b = _packed_operand(rng, f, rng.choice(kinds))
+        a = packed_operand(rng, f, rng.choice(kinds))
+        b = packed_operand(rng, f, rng.choice(kinds))
         if case % 5 == 0:
             b = f.make(tuple(c if m % 2 == 0 else f.inner.neg(c)
                              for m, c in enumerate(a[0])), a[1])

@@ -68,16 +68,20 @@ def test_bench_document_schema_on_a_few_ops():
 def test_micro_timings_record_seconds_or_a_timeout(monkeypatch):
     """A micro input is timed in its own interpreter; one that runs past
     the timeout is recorded with it, and compare reads both kinds.  The
-    timed inputs are one small product and a sleep past a short timeout."""
+    timed inputs are one small product, one small expansion and a sleep
+    past a short timeout."""
     names = set(bench._micro_inputs())
     assert {f"power-{n}" for n in bench.POWERS} <= names
+    assert {f"expand-{n}" for n in ("4fold", "6fold", "sparse")} <= names
     assert sum(name.startswith("product-") for name in names) == 6
 
     monkeypatch.setattr(bench, "_micro_inputs", lambda: {
-        "small": (bench.MICRO_FIELDS[2], ["1 + t", "u"], "x * y")})
+        "small": (bench.MICRO_FIELDS[2], ["1 + t", "u"], "x * y"),
+        "symbol": (bench.MICRO_FIELDS[2], ["<<t; u]]"], "pfister.expand(x)")})
     timed = bench.micro()
-    assert set(timed) == {"small"} and set(timed["small"]) == {"seconds"}
-    assert timed["small"]["seconds"] > 0
+    assert set(timed) == {"small", "symbol"}
+    assert all(set(v) == {"seconds"} and v["seconds"] > 0
+               for v in timed.values())
     monkeypatch.setattr(bench, "MICRO_TIMEOUT_S", 0.5)
     monkeypatch.setattr(bench, "_micro_inputs", lambda: {
         "sleep": (bench.MICRO_FIELDS[1], [], "time.sleep(30)")})

@@ -23,6 +23,11 @@ through field elements.  Squaring and multiplying them took 1.2 s for
 (1+t+u)^300 over GF(3)((t))((u)) and ran past 40 s for (1+t+u)^3000, whose
 answer has 81 terms; the power is now a product of Frobenius images
 x^(3^i), one per nonzero base-3 digit of the exponent, each as sparse as x.
+The two pfister-expand lines over GF(3)((t))((u)) bound the one layout in
+which an expansion packs all its slots: the Frobenius images there would
+pack into millions of slots, so the density rule leaves them to the
+products pair by pair, and the dense 6-fold symbol takes the 57 products
+of two or more of its six generators from one layout.
 """
 
 import shlex
@@ -58,6 +63,11 @@ DEPTH3_PAIR = ("--p1 '<<1/(1+t+w) + u/(1+u*w), (1+t)/(1+u+w); 1/(1+t*u*w)]]' "
     "--p2 '<<X^3+2*X+1; X^3+X+1]]'",
     "square --field 'GF(3)((t))((u))' --elem '(1+t+u)^300'",
     "square --field 'GF(3)((t))((u))' --elem '(1+t+u)^3000'",
+    "pfister-expand --field 'GF(3)((t))((u))' --pfister "
+    "'<<(1+t+u)^2187, (1+t+u)^729, t + u^3; 1 + u^2187]]'",
+    "pfister-expand --field 'GF(3)((t))((u))' --pfister "
+    "'<<(1+t+u)^8, (2+t+u^2)^5, (1+t^2+u)^4, (1+t+t*u)^6, (2+u+t^3)^7; "
+    "(1+t)^4*(1+u)^5]]'",
 ])
 def test_cli_line_within_bound(line, capsys):
     start = time.perf_counter()

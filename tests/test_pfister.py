@@ -1,6 +1,7 @@
 """Pfister symbols: expansion, rewriting, slot normalization, residues."""
 
 import os
+import random
 import sys
 
 import pytest
@@ -8,15 +9,15 @@ import pytest
 from towerforms import errors
 from towerforms.dsl import parse_field, parse_pfister
 from towerforms.linkage import sample_symbol
-from towerforms.fields import (LAURENT, SampleBudget, is_square, sample,
-                               sample_unit, valuation as val)
+from towerforms.fields import (LAURENT, Element, SampleBudget, is_square,
+                               sample, sample_unit, valuation as val)
 from towerforms.pfister import (BilinearPfisterSymbol, QuadraticPfisterSymbol,
                                 expand, expand_bilinear,
                                 good_slot_presentation, normalize_last_slot,
                                 pfister_residues, rewrite)
 from towerforms.qforms import form, is_isotropic, isometric
 from towerforms.valuation import ValuationCtx, springer_decompose
-from conftest import tower
+from conftest import packed_operand, tower
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -306,3 +307,154 @@ def test_expand_matches_products_oracle():
             bil = BilinearPfisterSymbol(s.tower, s.slots)
             assert expand_bilinear(bil).diag == \
                 tuple(_expand_bilinear_by_products(bil)), s.describe()
+
+
+def _times_slots_pairwise(diag, slots):
+    """expand's loop before the packed subset products, the reference: each
+    slot is negated once, and each new entry is one product, on raws, of -a
+    and an earlier entry."""
+    for a in slots:
+        na = -a
+        tower, mul = na.tower, na.tower.ops.mul
+        diag += [na] + [Element(tower, mul(na.raw, d.raw)) for d in diag[1:]]
+    return diag
+
+
+def _assert_matches_pairwise(s):
+    """expand of the quadratic symbol s, and expand_bilinear of its slots,
+    give the raws of the pairwise loop, entry by entry."""
+    want = _times_slots_pairwise([s.tower.one, -s.c], s.slots)
+    assert [x.raw for x in expand(s).diag] == [x.raw for x in want], \
+        s.describe()
+    if s.slots:
+        bil = BilinearPfisterSymbol(s.tower, s.slots)
+        want = _times_slots_pairwise([s.tower.one], s.slots)
+        assert [x.raw for x in expand_bilinear(bil).diag] == \
+            [x.raw for x in want], s.describe()
+
+
+def _subset_product_calls(monkeypatch, K):
+    """A list that records, for each call of K's subset products, whether
+    it returned the products (True) or left them to the pairwise loop."""
+    f, took = K.ops, []
+    subset_products = f.subset_products
+
+    def recorded(gens):
+        raws = subset_products(gens)
+        took.append(raws is not None)
+        return raws
+
+    monkeypatch.setattr(f, "subset_products", recorded)
+    return took
+
+
+def _packed_element(rng, K, kind):
+    """A nonzero element of K from conftest.packed_operand, some of them
+    moved by a high power of t."""
+    while True:
+        x = Element(K, packed_operand(rng, K.ops, kind))
+        if not x.is_zero():
+            return x * K.gen("t") ** rng.choice([0] * 8 + [-9, 11])
+
+
+def _packed_symbol(rng, K, fold, kinds):
+    """A quadratic symbol of the fold whose slots and last slot are
+    _packed_element draws of the given kinds."""
+    while True:
+        slots = tuple(_packed_element(rng, K, rng.choice(kinds))
+                      for _ in range(fold - 1))
+        last = _packed_element(rng, K, rng.choice(kinds))
+        if not (K.one + 4 * last).is_zero():
+            return QuadraticPfisterSymbol(K, slots, last)
+
+
+# symbols per base field, folds 1-5 in turn
+TREE_SYMBOLS = 60
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 17])
+def test_expand_subset_products_match_pairwise_loop(p, monkeypatch):
+    """Over GF(p)((t))((u)) the subset products of one packed layout give
+    the raws of the pairwise loop: rows over high powers of t (up to t^12
+    after the shift by t^-9), zero rows, dens u^i, folds 1 to 5, and over
+    GF(17) slots wider than a byte.  Most symbols take the layout; the
+    others pack sparse."""
+    K = tower(p, 1, ("t", LAURENT), ("u", LAURENT))
+    took = _subset_product_calls(monkeypatch, K)
+    rng = random.Random(p)
+    for i in range(TREE_SYMBOLS):
+        _assert_matches_pairwise(_packed_symbol(rng, K, 1 + i % 5, ["t"]))
+    assert len(took) == 2 * TREE_SYMBOLS - TREE_SYMBOLS // 5
+    assert sum(took) >= len(took) // 2, took
+
+
+def _monomial_dens(raw):
+    """Whether the den of a two-level raw and those of its coefficients
+    are all powers of the level's generator."""
+    num, den = raw
+    return all(not any(d[:-1]) for _, d in num) and \
+        all(c == ((), (1,)) for c in den[:-1])
+
+
+def test_expand_falls_back_to_pairwise_products(monkeypatch):
+    """A slot with a den that is no power of t or of u, and Frobenius
+    images whose layout the density rule calls sparse, leave the products
+    to the pairwise loop, with the same raws.  Folds 2 to 4: over such dens
+    a 5-fold expansion runs Euclid on every entry."""
+    K = tower(3, 1, ("t", LAURENT), ("u", LAURENT))
+    took = _subset_product_calls(monkeypatch, K)
+    rng = random.Random("fallback")
+    fallbacks = 0
+    for i in range(TREE_SYMBOLS):
+        s = _packed_symbol(rng, K, 2 + i % 3, ["t", "inner", "outer"])
+        took.clear()
+        _assert_matches_pairwise(s)
+        monomial = [_monomial_dens((-x).raw) for x in (s.c,) + s.slots]
+        if not all(monomial):
+            fallbacks += 1
+            assert not took[0], s.describe()
+        if not all(monomial[1:]):
+            assert not took[1], s.describe()
+    assert fallbacks >= TREE_SYMBOLS // 2, fallbacks
+    took.clear()
+    _assert_matches_pairwise(parse_pfister(
+        K, "<<(1+t+u)^2187, (1+t+u)^729, t + u^3; 1 + u^2187]]"))
+    assert took == [False, False]
+
+
+@pytest.mark.parametrize("field", ["GF(9)((t))((u))", "GF(3)((t))(X)"])
+def test_expand_over_other_levels_matches_pairwise_loop(field, monkeypatch):
+    """GF(9)((t))((u)) has no packed level, so its expansions multiply
+    pair by pair; GF(3)((t))(X) has the packed product at X, and its
+    sampled slots, whose dens are mostly no power of X, take either route.
+    Folds 1 to 4: a 5-fold expansion over GF(3)((t))(X) runs Euclid on
+    every entry and takes seconds."""
+    K = parse_field(field)
+    took = []
+    if K.base_degree > 1:
+        assert not hasattr(K.ops, "subset_products")
+    else:
+        took = _subset_product_calls(monkeypatch, K)
+    for i in range(TREE_SYMBOLS // 2):
+        _assert_matches_pairwise(sample_symbol(K, 1 + i % 4, ("tree", i)))
+    assert K.base_degree > 1 or 0 < sum(took) < len(took)
+
+
+@pytest.mark.parametrize("p, rows, length", [
+    (3, 7, 9), (3, 8, 8),         # 4 * 63 = 252 and 4 * 64 = 256
+    (17, 15, 17), (17, 16, 16),   # 256 * 255 = 65280 and 256 * 256
+])
+def test_expand_subset_products_slot_width_at_byte_boundaries(
+        p, rows, length, monkeypatch):
+    """Slots whose negation has rows by length ints p - 1, so that the
+    middle slot of the product of two is (p-1)^2 rows length, the bound
+    the slot width is taken from; the third slot multiplies a reduced
+    product again."""
+    K = tower(p, 1, ("t", LAURENT), ("u", LAURENT))
+    f = K.ops
+    took = _subset_product_calls(monkeypatch, K)
+    row = f.inner.make((1,) * length, (1,))
+    a = Element(K, f.make((row,) * rows, (f.inner.one,)))
+    b = Element(K, f.make((row,) * rows, (f.inner.zero, f.inner.one)))
+    _assert_matches_pairwise(QuadraticPfisterSymbol(K, (a, b, a), b))
+    assert took == [True, True]
