@@ -55,30 +55,20 @@ class FracField:
 
     A level whose coefficients are one-level fractions over Zp (the second
     level over GF(p): the outer one of GF(p)((t))((u)), the middle one of
-    GF(p)((t))((u))((w))) multiplies two raws with dens X^i and X^j, whose
-    coefficients all have t^k dens, as one Kronecker product of ints
-    (_packed_mul).  Each operand's numerator coefficients are shifted to
-    sit over its largest t-power K, so that the operand is
-    sum_m n_m(t) X^m / (t^K X^i), and polys._row_product multiplies the
-    two sums of rows n_m, int polynomials in t, at once: it packs the rows
-    end to end, so that X becomes a power of t, sizes the slots, reduces
-    once, and cuts the product from the residues into its reduced raw,
-    each row's order in t capped at Ka + Kb and the zero rows at the
-    bottom capped at i + j (the polys docstring gives the layout and the
-    bounds).  A pair that the density rule of polys.pmul calls sparse
-    takes the generic mul, which multiplies nonzero coefficients only: a
-    Frobenius image such as 1 + t^2187 + u^2187 packs into millions of
-    slots, but has three terms.  Any other den takes the generic mul too,
-    which is also the tests' reference.
-
-    Such a level also gives pfister's expansion the products of every
-    subset of a list of raws (subset_products, _packed_subset_products):
-    polys._subset_row_products packs each raw once into one layout and
+    GF(p)((t))((u))((w))) gives pfister's expansion the products of every
+    subset of a list of raws (subset_products, _packed_subset_products),
+    all from one Kronecker layout of ints: polys._subset_row_products
+    shifts each raw's numerator coefficients, the rows, to sit over one
+    power of t, packs them end to end so that X becomes a power of t, and
     takes each product as one int product of an earlier, reduced product
-    and one raw.  It returns None, and the expansion multiplies pair by
-    pair, when some den is not a power of X or of t, or when the density
-    rule calls the layout sparse.  Whether a level has the packed product
-    and the subset products is decided once, in __init__.
+    and one raw, cut once into its reduced raw (the polys docstring gives
+    the layout and the bounds).  It returns None, and the expansion
+    multiplies pair by pair through mul, when some den is not a power of X
+    or of t, or when the density rule of polys.pmul calls the layout
+    sparse: a Frobenius image such as 1 + t^2187 + u^2187 packs into
+    millions of slots, but has three terms.  Whether a level has the
+    subset products is decided once, in __init__; every level multiplies
+    a pair through mul.
     """
 
     def __init__(self, inner, symbol):
@@ -89,7 +79,6 @@ class FracField:
         self.gen = ((inner.zero, inner.one), (inner.one,))
         if isinstance(inner, FracField) and \
                 getattr(inner.inner, "_int_raws", False):
-            self.mul = self._packed_mul
             self.subset_products = self._packed_subset_products
 
     def make(self, num, den):
@@ -155,19 +144,6 @@ class FracField:
             return self.make(polys.pmul(F, an, bn), polys.pmul(F, ad, bd))
         num = polys.pmul(F, an, bn)
         return self._over_x_power(num, i + j) if num else self.zero
-
-    def _packed_mul(self, a, b):
-        """mul as one int product, for a level whose coefficients are
-        one-level fractions over Zp (see the class docstring)."""
-        (an, ad), (bn, bd) = a, b
-        if not an or not bn:
-            return self.zero
-        i, j = self._x_power(ad), self._x_power(bd)
-        if i is not None and j is not None:
-            raw = polys._row_product(self.inner.inner.p, an, bn, i + j)
-            if raw is not None:
-                return raw
-        return FracField.mul(self, a, b)
 
     def _packed_subset_products(self, gens):
         """The products of every subset of the nonzero raws gens, in subset

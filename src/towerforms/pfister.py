@@ -160,7 +160,7 @@ def rewrite(symbol, rule):
 #
 # The entries of <1, -x_1> x ... x <1, -x_k> are the products of the
 # subsets of the generators -x_i, each negated once.  A level with the
-# packed product (GF(p)((t))((u)) and the like, see fields.FracField)
+# subset products (GF(p)((t))((u)) and the like, see fields.FracField)
 # computes them from one layout: each generator is packed once, and each
 # entry is one int product of an earlier entry and a generator, cut once
 # into its raw.  Every other level, and generators that do not fit that

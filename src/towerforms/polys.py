@@ -6,16 +6,17 @@ coefficient field object F first; F must provide zero/one/add/neg/sub/mul/
 inv/div/eq/is_zero over its raw element type.
 
 When F's class sets ``_int_raws`` (only ffield.Zp does), the raws are ints
-in [0, p) and trim, padd, pneg, pmul, pscale, pshift_order, pdivmod and
-psqrt work on them directly: a zero test is a truth test, a sum or product
-is reduced by one ``% p`` (psqrt sums every product of a root coefficient
-first), and no field method is called per coefficient.  pmod, pgcd,
-ppowmod and pxgcd reach that path through them.  Every other field (Fq,
-FracField) takes the generic path, which also serves the tests as the
-reference for the int path; both return the same tuples.  The generic padd
-and pmul call the field only where both sides are nonzero: padd copies the
-longer operand and adds the other's nonzero coefficients, and pmul sums the
-products of nonzero coefficients only.
+in [0, p) and padd, pneg, pmul, pscale, pdivmod and psqrt work on them
+directly: a sum or product is reduced by one ``% p`` (psqrt sums every
+product of a root coefficient first), and no field method is called per
+coefficient.  pmod, pgcd, ppowmod and pxgcd reach that path through them.
+Every other field (Fq, FracField) takes the generic path, which also
+serves the tests as the reference for the int path; both return the same
+tuples.  Every raw is canonical, so trim and pshift_order find zeros by
+comparing with F.zero on every field.  The generic padd and pmul call the
+field only where both sides are nonzero: padd copies the longer operand
+and adds the other's nonzero coefficients, and pmul sums the products of
+nonzero coefficients only.
 
 The int pmul takes a one-term operand as a scalar (pscale), and is
 otherwise a Kronecker product (von zur Gathen-Gerhard, Modern Computer
@@ -39,9 +40,7 @@ four is measured, on random operands of length 20 to 10000 over GF(3),
 GF(101) and GF(1000003): at lengths of 100 and more the term sums are the
 faster below na nb = n/4, and up to length 1000 the Kronecker product is
 the faster above 4n; between the two the crossover moves with p and the
-length.  Four also keeps the small products of the packed two-level
-product on the Kronecker path, since its sparse route, the generic mul,
-costs microseconds a term.
+length.
 
 Short products over p > 16, where a product of two ints below p fills more
 than a byte and every slot is wider, sum their term products when there
@@ -54,35 +53,30 @@ GF(1000003) they meet between 100 and 144 pairs (5 by 5: 6.5/3.6 us, 12
 by 12: 12.8/13.5 us); 64 is between the two.  For p up to 13 only the
 density rule applies.
 
-One layout serves the product of two polynomials in X whose coefficients
-are fractions of int polynomials over powers of t, the rows, and the
-products of every subset of several of them (fields.FracField, whose
-packed product and Pfister expansion use them): the rows of each operand
-are shifted to sit over its largest power of t (_t_power_shape) and
-packed end to end at a stride at least the length of any row of the
-product (_pack_rows), so that X becomes a power of t and one int product
-holds every row of the product at its own offset; the product is reduced
-once (_residues), and each row is a slice of the residue bytes (_cut).
-_row_product multiplies a pair by the same kernel and density rule as
-pmul.  _subset_row_products packs each operand once at the stride of the
-product of all of them, and takes each product of a subset as one int
-product of a smaller subset's reduced product and one operand.
+One layout serves pfister's expansion, which fields.FracField hands it:
+the products of every subset of several polynomials in X whose
+coefficients, the rows, are fractions of int polynomials over powers of
+t.  _subset_row_products shifts the rows of each operand to sit over the
+operand's lowest power of t (_t_power_shape) and packs them end to end
+once, at a stride at least the length of any row of the product of all
+the operands (_pack_rows).  X then becomes a power of t, and one int
+product holds every row of a product at its own offset.  Each product of
+a subset is one int product of a smaller subset's reduced product and one
+operand; it is reduced once, and each of its rows is a slice of the
+residue bytes (_cut).
 """
 
 from functools import cache
 from math import prod
+from sys import maxsize
 
 from .errors import DivisionByZero
 
 
 def trim(F, coeffs):
-    n = len(coeffs)
-    if getattr(F, "_int_raws", False):
-        while n and not coeffs[n - 1]:
-            n -= 1
-    else:
-        while n and F.is_zero(coeffs[n - 1]):
-            n -= 1
+    n, zero = len(coeffs), F.zero
+    while n and coeffs[n - 1] == zero:
+        n -= 1
     return tuple(coeffs[:n])
 
 
@@ -178,57 +172,29 @@ def _sparse_product(p, a, b, n):
     return out
 
 
-def _row_product(p, a, b, x):
-    """The reduced raw of a b / X^x, for nonzero polynomials a and b in X
-    over Zp((t)), as one Kronecker product, or None when some den is not a
-    power of t or the density rule calls the pair sparse.
-
-    a and b are the coefficient tuples, rows (c, d): reduced fractions c/d
-    of int polynomials in t, with d monic, the zero row ((), (1,)).  The
-    rows of each operand, shifted to sit over its largest power t^K of t
-    (_t_power_shape), are packed end to end at stride la + lb - 1, la and
-    lb bounds on the shifted rows' lengths in a and b (_pack_rows): a row
-    of the product is a sum of products of length at most la + lb - 1, so
-    none outgrows the stride, and X becomes t^(la + lb - 1).  A slot of the
-    product sums at most min(rows of a, rows of b) min(la, lb) products of
-    ints below p, which sizes the slot.  The raw is cut from the residue
-    bytes over t^(Ka + Kb) X^x (_cut).
-    """
-    shape_a, shape_b = _t_power_shape(a), _t_power_shape(b)
-    if shape_a is None or shape_b is None:
-        return None
-    (ka, la, na), (kb, lb, nb) = shape_a, shape_b
-    stride = la + lb - 1
-    slots = (len(a) + len(b) - 1) * stride
-    if _is_sparse(na, nb, slots):
-        return None
-    w = _slot_bytes((p - 1) ** 2 * min(len(a), len(b)) * min(la, lb))
-    buf, r = _residues(_pack_rows(a, ka, stride, w) *
-                       _pack_rows(b, kb, stride, w), p, w, slots)
-    return _cut(buf, r, stride, ka + kb, x)
-
-
 def _subset_row_products(p, operands, powers):
     """The reduced raws of the products of every subset of two or more of
     the fractions a_j / X^(powers[j]), a_j = operands[j] nonzero
-    polynomials in X over Zp((t)) with rows as in _row_product, from one
-    layout; or None when some den is not a power of t or the density rule
-    calls the layout sparse.
+    polynomials in X over Zp((t)), from one layout; or None when some den
+    is not a power of t or the density rule calls the layout sparse.  The
+    coefficients of each a_j are its rows (c, d): reduced fractions c/d of
+    int polynomials in t, with d monic, the zero row ((), (1,)).
 
     Entry e of the returned list is the product of the fractions j at the
     bits of e, for each e with two or more bits; the other entries (the
     empty product and the fractions themselves) are None.  Each operand is
-    shifted to sit over its own t^K and packed once (_pack_rows), all at
-    one stride: the length of a row of the product of all the operands,
-    one plus the sum of their t-degree spans L - 1, so that X becomes the
-    same power of t in every product.  Entry e with top bit j is one int
-    product, of entry e - 2^j and operand j, reduced mod p at once, by one
-    bytes.translate for 1-byte slots and by _residues for wider ones, so
-    that a later product reads slots below p again: a slot of a product
-    sums at most as many products of ints below p as operand j has nonzero
-    ints, which sizes the slot.  Each entry is cut once (_cut).  The
-    density rule weighs the last product, the largest, whose first factor
-    has at most the product of the other operands' nonzero counts.
+    shifted to sit over its own t^K, t^-K its lowest power of t
+    (_t_power_shape), and packed once (_pack_rows), all at one stride: the
+    length of a row of the product of all the operands, one plus the sum of
+    their t-degree spans L - 1, so that X becomes the same power of t in
+    every product.  Entry e with top bit j is one int product, of entry
+    e - 2^j and operand j, reduced mod p at once, by one bytes.translate for
+    1-byte slots and by _residues for wider ones, so that a later product
+    reads slots below p again: a slot of a product sums at most as many
+    products of ints below p as operand j has nonzero ints, which sizes the
+    slot.  Each entry is cut once (_cut).  The density rule weighs the last
+    product, the largest, whose first factor has at most the product of the
+    other operands' nonzero counts.
     """
     shapes = [_t_power_shape(a) for a in operands]
     if None in shapes:
@@ -266,11 +232,11 @@ def _cut(buf, r, stride, k, x):
     residue bytes buf at r bytes a slot, each row of num a slice of stride
     slots, the top one nonzero.  bytes.rstrip of a row's zeros gives its
     length, and lstrip, capped at k, the power of t that it and its den are
-    divided by; the zero rows at the bottom, capped at x, give the power of
-    X that num and X^x are divided by."""
+    divided by; for k < 0 the row is multiplied by t^-k.  The zero rows at
+    the bottom, capped at x, give the power of X that num and X^x are
+    divided by."""
     step = stride * r
     s = min(x, (len(buf) - len(buf.lstrip(b"\0"))) // step) if x else 0
-    vals = _unpack(buf, r)
     den = (0,) * k + (1,)
     num = []
     for i in range(s * step, len(buf), step):
@@ -278,46 +244,56 @@ def _cut(buf, r, stride, k, x):
         if not row:
             num.append(((), (1,)))
             continue
-        j = i // r
-        end = j - (-len(row) // r)
-        if k:
+        c = row if r == 1 else _unpack(row, r)
+        if k > 0:
             # row / t^k, both divided by t^min(k, ord row)
             lo = (len(row) - len(row.lstrip(b"\0"))) // r
             if lo > k:
                 lo = k
-            num.append((tuple(vals[j + lo:end]), den[lo:]))
+            num.append((tuple(c[lo:]), den[lo:]))
+        elif k:
+            num.append(((0,) * -k + tuple(c), den))
         else:
-            num.append((tuple(vals[j:end]), den))
+            num.append((tuple(c), den))
     return tuple(num), (((), (1,)),) * (x - s) + (((1,), (1,)),)
 
 
 def _t_power_shape(rows):
-    """(K, L, N) for rows (c, d) as in _row_product: K the largest t-power
-    of their dens, L the longest c once shifted to sit over t^K, and N the
-    number of nonzero ints in the c; None if some den is not a power of
-    t."""
-    top, width, nonzero = 0, 0, 0
+    """(K, L, N) for rows (c, d) as in _subset_row_products: t^-K the
+    lowest power of t in the rows, so K is the largest t-power of their
+    dens, or minus the least order at t of the c when no den has one; L
+    the longest c once shifted to sit over t^K, and N the number of
+    nonzero ints in the c; None if some den is not a power of t."""
+    top = width = -maxsize
+    nonzero = 0
     for c, d in rows:
         if c:
             k = len(d) - 1
+            if len(c) - k > width:
+                width = len(c) - k
             if k:
                 if d.count(0) != k:
                     return None
-                if k > top:
-                    top = k
+            elif top < 0:  # only then can a row over t^0 raise K
+                while not c[-k]:  # c / t^k with k = -(order of c at t)
+                    k -= 1
+            if k > top:
+                top = k
             nonzero += len(c) - c.count(0)
-            if len(c) - k > width:
-                width = len(c) - k
     return top, top + width, nonzero
 
 
 def _pack_rows(rows, top, stride, w):
     """The rows (c, d) shifted to sit over t^top, end to end at the stride,
-    as one int at w bytes a slot."""
+    as one int at w bytes a slot; the zeros of a c below t^-top are
+    dropped."""
     buf = bytearray(len(rows) * stride * w)
     for m, (c, d) in enumerate(rows):
         if c:
-            i = (m * stride + top - len(d) + 1) * w
+            i = top - len(d) + 1
+            if i < 0:
+                c, i = c[-i:], 0
+            i = (m * stride + i) * w
             buf[i:i + len(c) * w] = c if w == 1 else _pack(c, w)
     return int.from_bytes(buf, "little")
 
@@ -446,13 +422,9 @@ def pxgcd(F, a, b):
 
 def pshift_order(F, a):
     """Number of leading zero coefficients (order of vanishing at 0)."""
-    if getattr(F, "_int_raws", False):
-        for i, c in enumerate(a):
-            if c:
-                return i
-        return len(a)
+    zero = F.zero
     for i, c in enumerate(a):
-        if not F.is_zero(c):
+        if c != zero:
             return i
     return len(a)
 
@@ -460,8 +432,9 @@ def pshift_order(F, a):
 def psqrt(F, a):
     """Exact square root of a monic polynomial, or None.
 
-    Solves h^2 = a coefficient by coefficient from the top; requires
-    char(F) != 2.
+    Solves h^2 = a coefficient by coefficient from the top, h_m = 1 and
+    h_j = (a_(m+j) - sum_(i=j+1)^(m-1) h_i h_(m+j-i)) / 2 for j = m-1 down
+    to 0; requires char(F) != 2.
     """
     d = deg(a)
     if d < 0:
@@ -476,23 +449,13 @@ def psqrt(F, a):
         for j in range(m - 1, -1, -1):
             s = sum([h[i] * h[m + j - i] for i in range(j + 1, m)])
             h[j] = (a[m + j] - s) * half % p
-        hh = trim(F, h)
-        return hh if pmul(F, hh, hh) == a else None
-    two = F.add(F.one, F.one)
-    h = [F.zero] * (m + 1)
-    h[m] = F.one
-    # coefficient of X^(m+j) in h^2 determines h[j], from j = m-1 down
-    for j in range(m - 1, -1, -1):
-        s = F.zero
-        for i in range(j + 1, m):
-            k = m + j - i
-            if 0 <= k <= m and i > k:
-                s = F.add(s, F.add(F.mul(h[i], h[k]), F.mul(h[i], h[k])))
-            elif i == k:
-                s = F.add(s, F.mul(h[i], h[i]))
-        # a[m+j] = 2*h[m]*h[j] + s  (h[m] = 1)
-        target = a[m + j] if m + j < len(a) else F.zero
-        h[j] = F.div(F.sub(target, s), two)
+    else:
+        two = F.add(F.one, F.one)
+        h = [F.zero] * m + [F.one]
+        for j in range(m - 1, -1, -1):
+            s = F.zero
+            for i in range(j + 1, m):
+                s = F.add(s, F.mul(h[i], h[m + j - i]))
+            h[j] = F.div(F.sub(a[m + j], s), two)
     hh = trim(F, h)
-    sq = pmul(F, hh, hh)
-    return hh if sq == a else None
+    return hh if pmul(F, hh, hh) == a else None

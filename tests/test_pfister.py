@@ -425,7 +425,7 @@ def test_expand_falls_back_to_pairwise_products(monkeypatch):
 @pytest.mark.parametrize("field", ["GF(9)((t))((u))", "GF(3)((t))(X)"])
 def test_expand_over_other_levels_matches_pairwise_loop(field, monkeypatch):
     """GF(9)((t))((u)) has no packed level, so its expansions multiply
-    pair by pair; GF(3)((t))(X) has the packed product at X, and its
+    pair by pair; GF(3)((t))(X) has the subset products at X, and its
     sampled slots, whose dens are mostly no power of X, take either route.
     Folds 1 to 4: a 5-fold expansion over GF(3)((t))(X) runs Euclid on
     every entry and takes seconds."""
@@ -438,6 +438,17 @@ def test_expand_over_other_levels_matches_pairwise_loop(field, monkeypatch):
     for i in range(TREE_SYMBOLS // 2):
         _assert_matches_pairwise(sample_symbol(K, 1 + i % 4, ("tree", i)))
     assert K.base_degree > 1 or 0 < sum(took) < len(took)
+
+
+def test_expand_packs_rows_over_their_lowest_power_of_t(monkeypatch):
+    """Slots whose rows all vanish at t, such as t^11 (1 + u), are packed
+    from their lowest power of t, not from t^0: the layout stays dense and
+    takes the products, with the raws of the pairwise loop."""
+    K = tower(3, 1, ("t", LAURENT), ("u", LAURENT))
+    took = _subset_product_calls(monkeypatch, K)
+    _assert_matches_pairwise(parse_pfister(
+        K, "<<t^11*(1+u), t^9*(2+u), 1+t; u]]"))
+    assert took == [True, True]
 
 
 @pytest.mark.parametrize("p, rows, length", [
