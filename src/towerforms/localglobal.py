@@ -45,9 +45,7 @@ from .errors import (BudgetExceeded, ConfigUnsupported, TowerFormsError,
 INFINITY = "infinity"
 FINITE = "finite"
 
-# witness search limits: polynomial degree of the coordinates, and the size
-# of one side of the meet-in-the-middle table
-WITNESS_DEGREE_CAP = 12
+# the witness search's limit on one side of the meet-in-the-middle table
 WITNESS_SIDE_CAP = 400_000
 
 
@@ -394,8 +392,8 @@ def isotropic_vector_global(q):
     subform being isotropic, and a meet-in-the-middle search on packed
     ints runs over polynomial vectors of growing degree on the chosen
     subforms.  Every witness passes qforms.is_isotropic_vector.  Raises
-    BudgetExceeded if the form is isotropic but no witness appears within
-    WITNESS_DEGREE_CAP / WITNESS_SIDE_CAP.
+    BudgetExceeded if the form is isotropic but no witness appears before
+    every candidate's table outgrows WITNESS_SIDE_CAP.
     """
     n = q.dim
     read = None
@@ -487,10 +485,11 @@ def _subform_witness(q, candidates):
 
     Degrees D = 0, 1, ... are tried in turn, on every candidate whose
     meet-in-the-middle side of (p^(D+1))^ceil(k/2) vectors stays within
-    WITNESS_SIDE_CAP, up to WITNESS_DEGREE_CAP.  The candidates come from
-    an iterator, decided as the search reaches them, and are kept for the
-    later degrees; an entry's representative is computed when a candidate
-    that holds it is first reached.  At each D the coordinates y and their
+    WITNESS_SIDE_CAP, until no candidate's does (so D <= 10, as p >= 3);
+    then BudgetExceeded is raised.  The candidates come from an iterator,
+    decided as the search reaches them, and are kept for the later
+    degrees; an entry's representative is computed when a candidate that
+    holds it is first reached.  At each D the coordinates y and their
     squares are built once, and each entry's column s_i*y^2 once, packed
     into ints (_column) and shared by every candidate that holds the
     entry; every sum has at most width + 2D + 1 slots, from the bound
@@ -500,8 +499,7 @@ def _subform_witness(q, candidates):
     width = max(polys.deg(num) + polys.deg(den)
                 for num, den in (d.raw for d in q.diag))
     decided, reps = [], {}
-    exhausted = True
-    for D in range(WITNESS_DEGREE_CAP + 1):
+    for D in itertools.count():
         exhausted = True
         columns = {}
         # D = 0 reaches every candidate unless it returns
@@ -527,10 +525,7 @@ def _subform_witness(q, candidates):
                         out[pos] = _embed_poly(q.tower, ys[y]) / reps[pos][1]
                 return tuple(out)
         if exhausted:
-            break
-    if exhausted:
-        raise BudgetExceeded("witness search budget exhausted")
-    raise BudgetExceeded(f"no witness up to degree {WITNESS_DEGREE_CAP}")
+            raise BudgetExceeded("witness search budget exhausted")
 
 
 @lru_cache(maxsize=None)

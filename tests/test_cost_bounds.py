@@ -15,8 +15,12 @@ the prime.  Over GF(3)((t))((u))((w)) every product once ran Euclid on its
 c*w^k denominators over the nested fraction fields below, and every
 linkage decision multiplied out its symbols' expansions: link and certify
 below took 14 s and more than 60 s, and the pfister-expand line more than
-10 s.  Over GF(101)(X) the same expansions made the link line factor
-degree-6 entries by trial division over every cubic (4 s); it now reads
+10 s.  The fold-4 certify line over that tower was refused by a budget
+of 512 candidate tests; in itertools.product order its certificate is the
+11,138th, and the search now reaches it over multisets of shared slots,
+testing each common factor as a subform of both symbols first.  Over
+GF(101)(X) the same expansions made the link line factor degree-6
+entries by trial division over every cubic (4 s); it now reads
 the place classes of the cubic slots and of c = 1 + 4b alone.  The parser
 builds sums and products as sparse polynomials and raises a sum to a power
 through field elements.  Squaring and multiplying them took 1.2 s for
@@ -44,6 +48,13 @@ BOUND_S = 5.0
 DEPTH3 = "GF(3)((t))((u))((w))"
 DEPTH3_PAIR = ("--p1 '<<1/(1+t+w) + u/(1+u*w), (1+t)/(1+u+w); 1/(1+t*u*w)]]' "
                "--p2 '<<t/(1+u) + w/(2+t), u; w/(1+t)]]'")
+# sample_symbol(T, 4, (3, 1)) and (3, 2) over DEPTH3, as describe() prints them
+FOLD4_PAIR = (
+    "--p1 '<<((2/t)*u + ((1 + 2*t + t^2)/t^2)*u^2)/w^2, (2*t^2 + t^3)/u^2, "
+    "(1 + 2*t)*u^2 + (1 + 2*t)*u^3 + ((1 + 2*t)/t)*u^4; "
+    "((2/t^2 + (2*t^2 + t^3 + 2*t^4)*u)/u)*w]]' "
+    "--p2 '<<((2 + t)*u)/w^2, (2*u^2 + u^3)/w, ((2/t^2)*u^2 + u^3)/w^2; "
+    "((2/t)*u^2 + (2*t + t^2)*u^3 + (t^2*u + t*u^2 + 2*u^3)*w)/w^2]]'")
 
 
 @pytest.mark.parametrize("line", [
@@ -58,6 +69,7 @@ DEPTH3_PAIR = ("--p1 '<<1/(1+t+w) + u/(1+u*w), (1+t)/(1+u+w); 1/(1+t*u*w)]]' "
     "square --field 'GF(1000000000000000003)((t))' --elem 3",
     f"link --field '{DEPTH3}' {DEPTH3_PAIR}",
     f"certify --field '{DEPTH3}' {DEPTH3_PAIR}",
+    f"certify --field '{DEPTH3}' {FOLD4_PAIR}",
     f"verify top-linked --field '{DEPTH3}' --d 4 --samples 20",
     "link --field 'GF(101)(X)' --p1 '<<X^3+X+3; X^3+5]]' "
     "--p2 '<<X^3+2*X+1; X^3+X+1]]'",

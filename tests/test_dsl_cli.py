@@ -184,8 +184,8 @@ def test_cli_certify_text_names_the_common_presentation(capsys):
 
 
 def test_cli_certify_not_found_names_no_budget(capsys):
-    # the candidate slots run out before the candidate-test budget does, so
-    # the text answer must not blame the budget; the pair is still linked
+    # the candidate slots run out, and the search has no budget, so the
+    # text answer must not blame one; the pair is still linked
     pair = ("--field", "GF(3)(X)", "--p1", "<<(2 + 2*X)/(2 + X); 2*X]]",
             "--p2", "<<2 + X; 2/X]]")
     code, out, _ = run_cli(capsys, "certify", *pair)

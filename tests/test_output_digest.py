@@ -18,7 +18,7 @@ cli-certify       360 378f2e434734faefecd0e56e9450a80028c7870bb1709577e57ce027a7
 global-witness     96 fcd8e21edccf95c9d11acc46ccc6b9684641cdaf1fc8014e62f14c1d0b53f047
 laurent-linkage    48 11484e1737115c81ed35204e8aa464298790884659e4092088827e4ca2ef6142
 global-decisions  180 001b6d12695f489dc392d8cb76518ed229d039abdb65cce3c0131060d8f1b5f4
-certificates      180 27886785b4afb227357edcd08e695c509e39eb199db8da9956015ee5a601a7d6
+certificates      180 6f848268458e2747eef55d60d731aa96495e70147fd075119657d8f5e497e5eb
 """
 
 

@@ -1,30 +1,52 @@
-"""Inputs that would check nothing are refused, and the certificate search
-runs within a fixed budget of candidate tests."""
+"""Inputs that would check nothing are refused, no command takes a budget
+flag, and the certificate search refuses (NOT_FOUND) exactly the pairs
+that are not linked."""
 
 import shlex
 
 import pytest
 
-from towerforms import dsl, linkage
+from conftest import tower
+from towerforms import dsl
 from towerforms.cli import main
-from towerforms.errors import BudgetExceeded, ConfigUnsupported
+from towerforms.errors import ConfigUnsupported
+from towerforms.fields import LAURENT
 from towerforms.linkage import (NOT_FOUND, check_top_d_linked,
-                                find_certificate, sample_symbol,
-                                verify_higher_local_d1,
+                                find_certificate, is_linked_pair,
+                                sample_symbol, verify_higher_local_d1,
                                 verify_lifting_equivalence,
                                 verify_residue_transfer)
-from towerforms.pfister import (QuadraticPfisterSymbol, expand,
-                                symbol_isotropic)
+from towerforms.pfister import expand, symbol_isotropic
 
 
-def test_certificate_budget_is_a_constant(monkeypatch, gf3t):
-    s = QuadraticPfisterSymbol(gf3t, (gf3t.gen("t"),), gf3t.one)
-    assert linkage.CERTIFICATE_BUDGET == 512
-    assert find_certificate(s, s) != NOT_FOUND
-    # a certificate needs one candidate test per symbol, so one is too few
-    monkeypatch.setattr(linkage, "CERTIFICATE_BUDGET", 1)
-    with pytest.raises(BudgetExceeded):
-        find_certificate(s, s)
+COMPLETE_PAIRS = 500
+# each tower with its unlinked draws by fold
+COMPLETE_TOWERS = [
+    (tower(3, 1, ("t", LAURENT)), {}),
+    (tower(5, 1, ("t", LAURENT), ("u", LAURENT)), {}),
+    (tower(3, 1, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT)), {2: 40}),
+]
+
+
+@pytest.mark.parametrize("T, unlinked", COMPLETE_TOWERS,
+                         ids=[T.describe() for T, _ in COMPLETE_TOWERS])
+def test_certificate_search_is_complete(T, unlinked):
+    """On 500 seeded pairs of each fold 2-4 the search ends on its own
+    candidates: NOT_FOUND exactly when is_linked_pair is False, and every
+    certificate re-verifies.  Only fold 2 over GF(3)((t))((u))((w)) draws
+    unlinked pairs (40 of 500)."""
+    counts = {}
+    for fold in (2, 3, 4):
+        for i in range(COMPLETE_PAIRS):
+            s1 = sample_symbol(T, fold, ("complete-a", i))
+            s2 = sample_symbol(T, fold, ("complete-b", i))
+            cert = find_certificate(s1, s2)
+            if not is_linked_pair(s1, s2):
+                assert cert == NOT_FOUND, (fold, i)
+                counts[fold] = counts.get(fold, 0) + 1
+            else:
+                assert cert != NOT_FOUND and cert.verify(s1, s2), (fold, i)
+    assert counts == unlinked
 
 
 def test_certify_has_no_budget_flag(capsys):

@@ -96,8 +96,7 @@ def old_subform_witness(q, candidates):
     reps = {i: lg.square_class_rep(q.tower, q.diag[i])
             for i in set().union(*candidates)}
     width = max(polys.deg(s) for s, _ in reps.values())
-    exhausted = True
-    for D in range(lg.WITNESS_DEGREE_CAP + 1):
+    for D in itertools.count():
         exhausted = True
         columns = {}
         for idx in candidates:
@@ -118,10 +117,7 @@ def old_subform_witness(q, candidates):
                         out[pos] = lg._embed_poly(q.tower, ys[y]) / reps[pos][1]
                 return tuple(out)
         if exhausted:
-            break
-    if exhausted:
-        raise lg.BudgetExceeded("witness search budget exhausted")
-    raise lg.BudgetExceeded(f"no witness up to degree {lg.WITNESS_DEGREE_CAP}")
+            raise lg.BudgetExceeded("witness search budget exhausted")
 
 
 def old_isotropic_vector(q):
