@@ -27,7 +27,9 @@ the DSL powers (1+t+u)^300, ^1000 and ^3000 over GF(3)((t))((u)), and
 EXPAND_REPEAT runs of pfister.expand on each of EXPAND_SYMBOLS over
 GF(3)((t))((u)): a 4-fold and a dense 6-fold symbol, whose expansions take
 every product from one packed layout, and Frobenius images that pack
-sparse and are multiplied pair by pair.
+sparse and are multiplied pair by pair.  Two more time the factoring of
+GF(p)[X]: localglobal.factor of FACTOR_POLY over GF(5), and building
+LARGE_FIELD, whose defining polynomial canonical_modulus finds.
 
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
@@ -73,6 +75,8 @@ EXPAND_SYMBOLS = {
     "sparse": "<<(1+t+u)^2187, (1+t+u)^729, t + u^3; 1 + u^2187]]",
 }
 EXPAND_REPEAT = 100
+FACTOR_POLY = "X^20 + X + 1"
+LARGE_FIELD = "GF(1000006000009)"  # GF(p^2), p = 1000003
 
 
 def _monomial_text(coeff, exponents):
@@ -100,7 +104,7 @@ def _operand_text(depth, kind, which):
 def _micro_inputs():
     """{name: (field, operand texts, timed statement)}; the statement sees
     the parsed operands (a text that starts with << is a Pfister symbol)
-    as x and y, and dsl, pfister and the tower K."""
+    as x and y, and dsl, localglobal, pfister and the tower K."""
     out = {}
     for depth, field in MICRO_FIELDS.items():
         for kind in ("dense", "sparse"):
@@ -114,13 +118,17 @@ def _micro_inputs():
         out[f"expand-{name}"] = (
             MICRO_FIELDS[2], [text],
             f"for _ in range({EXPAND_REPEAT}): pfister.expand(x)")
+    out["factor-degree20"] = ("GF(5)(X)", [FACTOR_POLY],
+                              "localglobal.factor(5, x.raw[0])")
+    out["field-p2"] = (MICRO_FIELDS[1], [],
+                       f"dsl.parse_field({LARGE_FIELD!r}).ops")
     return out
 
 
 _MICRO_RUN = """
 import sys, time
 sys.path.insert(0, {src!r})
-from towerforms import dsl, pfister
+from towerforms import dsl, localglobal, pfister
 K = dsl.parse_field({field!r})
 operands = [(dsl.parse_pfister if text.startswith("<<") else
              dsl.parse_element)(K, text) for text in {texts!r}]

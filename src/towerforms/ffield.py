@@ -7,9 +7,16 @@ roots, shared through _FiniteField).  GF(p) is Zp, whose raws are ints in
 [0, p); field towers use it as their base whenever k = 1.  GF(p^k), k > 1,
 is Fq, whose raws are little-endian int tuples of length <= k with no
 trailing zeros (the zero element is the empty tuple).
+
+GF(p)[X] is factored by factor_monic alone: distinct-degree factorization,
+then Cantor-Zassenhaus splitting along a fixed walk, not random choices
+(von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14), each power
+O(d log p) products.  canonical_modulus stops each candidate at its first
+split, yet walks O(p) of them when many come first (k = 4, p = 3 mod 4).
 """
 
-from functools import cached_property, lru_cache
+import itertools
+from functools import cached_property, lru_cache, partial
 
 from . import polys
 from .errors import ConfigUnsupported, DivisionByZero, TowerFormsError
@@ -196,54 +203,70 @@ def finite_field(p, k=1):
     return Fq(p, k) if k > 1 else Zp(p)
 
 
-def irreducible_over(F, poly):
-    """Trial-division irreducibility test for a monic polynomial over a finite field."""
-    d = polys.deg(poly)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for g in monic_polys(F, 1, d // 2):
-        if not polys.pmod(F, poly, g):
-            return False
-    return True
+def _digits(p, i):
+    """The polynomial whose coefficients are the base-p digits of i."""
+    out = []
+    while i:
+        i, r = divmod(i, p)
+        out.append(r)
+    return tuple(out)
 
 
-def monic_polys(F, lo, hi):
-    """Yield all monic polynomials of degree lo..hi, in lex order of coefficients."""
-    elts = list(F.elements())
-    for d in range(lo, hi + 1):
-        idx = [0] * d
-        while True:
-            yield tuple(elts[i] for i in idx) + (F.one,)
-            k = 0
-            while k < d:
-                idx[k] += 1
-                if idx[k] < len(elts):
-                    break
-                idx[k] = 0
-                k += 1
-            else:
-                break
-            if k == d:
-                break
+def _distinct_degree(F, f):
+    """(d, product of the degree-d irreducible factors of monic f) for each d
+    that has some, lazily by increasing d: gcd(X^(p^d) - X, f) once lower
+    degrees are divided out; a rest of degree < 2(d + 1) is irreducible."""
+    h, d = (0, 1), 0
+    while 2 * (d + 1) <= polys.deg(f):
+        d += 1
+        h = polys.ppowmod(F, h, F.p, f)
+        g = polys.pgcd(F, polys.psub(F, h, (0, 1)), f)
+        if polys.deg(g) > 0:
+            yield d, g
+            while polys.deg(g) > 0:
+                f = polys.pdivmod(F, f, g)[0]
+                g = polys.pgcd(F, f, g)
+    if polys.deg(f) > 0:
+        yield polys.deg(f), f
 
 
-def irreducibles(F, d):
-    """All monic irreducible polynomials of degree d over a finite field F."""
-    return [g for g in monic_polys(F, d, d) if irreducible_over(F, g)]
+def _equal_degree(F, g, d):
+    """The irreducible factors of g, a product of distinct ones of degree d:
+    a = X, X + 1, ... in _digits order until gcd(g, a) or gcd(g, a^((p^d -
+    1)/2) - 1) splits g, as by CRT some a of degree < deg g does."""
+    if polys.deg(g) == d:
+        return [g]
+    e = (F.p ** d - 1) // 2
+    for i in itertools.count(F.p):
+        a = _digits(F.p, i)
+        for u in (polys.pgcd(F, g, a), polys.pgcd(
+                F, g, polys.psub(F, polys.ppowmod(F, a, e, g), (1,)))):
+            if 0 < polys.deg(u) < polys.deg(g):
+                return (_equal_degree(F, u, d) +
+                        _equal_degree(F, polys.pdivmod(F, g, u)[0], d))
+
+
+@lru_cache(maxsize=None)
+def factor_monic(p, f):
+    """{monic irreducible: multiplicity} of a monic f over GF(p), by degree,
+    then by coefficients from the top; multiplicities by exact division."""
+    F = finite_field(p)
+    out = {}
+    for g in sorted((g for d, part in _distinct_degree(F, f)
+                     for g in _equal_degree(F, part, d)),
+                    key=lambda g: (len(g), g[::-1])):
+        out[g] = 0
+        while not polys.pmod(F, f, g):
+            f, out[g] = polys.pdivmod(F, f, g)[0], out[g] + 1
+    return out
 
 
 @lru_cache(maxsize=None)
 def canonical_modulus(p, k):
-    """The lexicographically minimal monic irreducible of degree k over GF(p)."""
-    F = finite_field(p)
-    if k == 1:
-        return (0, 1)
-    for g in monic_polys(F, k, k):
-        if irreducible_over(F, g):
-            return g
-    raise TowerFormsError(f"no irreducible of degree {k} over GF({p})")  # unreachable
+    """The first monic irreducible of degree k over GF(p), by coefficients
+    from the top; each candidate stops at its first split."""
+    return next(g for g in map(partial(_digits, p), range(p ** k, 2 * p ** k))
+                if next(_distinct_degree(finite_field(p), g))[0] == k)
 
 
 class Fq(_FiniteField):
@@ -295,8 +318,7 @@ class Fq(_FiniteField):
 
     def nth(self, i):
         """The i-th element in elements() order: the base-p digits of i."""
-        return polys.trim(self.base, [i // self.p ** j % self.p
-                                      for j in range(self.k)])
+        return _digits(self.p, i)
 
     def _lead_digit(self, a):
         return a[-1]

@@ -16,7 +16,8 @@ Place machinery is implemented for prime base fields GF(p)(X) only, whose
 numerators and denominators are int polynomials over ffield.Zp.  An
 element's square class over a place list is one int (place_class), two
 bits per place: its valuation mod 2 and whether its unit residue is a
-non-square in GF(p^deg), read off one factorization by Legendre symbols.
+non-square in GF(p^deg), read off by Legendre symbols from one cached
+factorization (ffield.factor_monic, polynomial in the degree and log p).
 localize, the one class reader, factors each entry once for the global
 decisions, the witness search and pfister's decisions alike, and XORs one
 mask per odd factor, built once per form; the local dimension is
@@ -89,30 +90,6 @@ def _global_base(tower):
     return tower.base_char, tower.chain[0], tower.levels[0].symbol
 
 
-@lru_cache(maxsize=None)
-def _factor_monic(p, f):
-    """Factor a monic polynomial over GF(p) into {irreducible: multiplicity}."""
-    F = ffield.finite_field(p)
-    out = {}
-    rem = f
-    d = 1
-    while polys.deg(rem) > 0:
-        if 2 * d > polys.deg(rem):
-            out[rem] = out.get(rem, 0) + 1
-            break
-        for g in _irreducibles(p, d):
-            while polys.deg(rem) >= d and not polys.pmod(F, rem, g):
-                rem = polys.pdivmod(F, rem, g)[0]
-                out[g] = out.get(g, 0) + 1
-        d += 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _irreducibles(p, d):
-    return tuple(ffield.irreducibles(ffield.finite_field(p), d))
-
-
 def factor(p, f):
     """Factor a nonzero GF(p)[X] polynomial: (leading unit, {irred: mult})."""
     F = ffield.finite_field(p)
@@ -120,7 +97,7 @@ def factor(p, f):
     if not f:
         raise ZeroArgument("cannot factor the zero polynomial")
     lc = f[-1]
-    return lc, _factor_monic(p, f if lc == 1 else polys.pmonic(F, f))
+    return lc, ffield.factor_monic(p, f if lc == 1 else polys.pmonic(F, f))
 
 
 def _factors(p, elem):

@@ -7,11 +7,14 @@ product replaced), square roots by brute force in elements() order, powers
 by repeated products and by squaring and multiplying over the generic
 path, fraction arithmetic that cross-multiplies denominators and
 normalizes through the gcd at every level of a tower, the sampler
-that lists every base element and multiplies t in one factor at a time, and
-sympy's primality and factoring (test-only).
+that lists every base element and multiplies t in one factor at a time,
+GF(p)[X] factoring and irreducibility by trial division over every monic
+polynomial of each degree, and sympy's primality and factoring (test-only).
 """
 
+import itertools
 import random
+from functools import partial
 
 import pytest
 import sympy
@@ -142,6 +145,110 @@ def test_primality_matches_sympy():
     with pytest.raises(errors.ConfigUnsupported):
         ffield.prime_power(2 ** 89 - 1)
     assert ffield.prime_power(10 ** 30) is None
+
+
+def _monic_polys(p, d):
+    """Every monic polynomial of degree d over GF(p), by coefficients from
+    the top."""
+    for top in itertools.product(range(p), repeat=d):
+        yield top[::-1] + (1,)
+
+
+def _is_irreducible(p, g):
+    """Trial division by every monic polynomial of degree 1..deg g / 2."""
+    F = Zp(p)
+    return all(polys.pmod(F, g, h) for e in range(1, polys.deg(g) // 2 + 1)
+               for h in _monic_polys(p, e))
+
+
+def _trial_factor(p, f):
+    """{irreducible: multiplicity} of a monic f over GF(p), dividing by the
+    irreducibles of each degree in _monic_polys order until the rest has
+    no factor of at most half its degree."""
+    F, out, d = Zp(p), {}, 1
+    while 2 * d <= polys.deg(f):
+        for g in filter(partial(_is_irreducible, p), _monic_polys(p, d)):
+            while not polys.pmod(F, f, g):
+                f = polys.pdivmod(F, f, g)[0]
+                out[g] = out.get(g, 0) + 1
+        d += 1
+    if polys.deg(f) > 0:
+        out[f] = 1
+    return out
+
+
+def _sympy_factor(p, f):
+    lc, factors = sympy.Poly(f[::-1], sympy.Symbol("X"),
+                             modulus=p).factor_list()
+    assert lc % p == 1
+    return {tuple(int(c) % p for c in g.all_coeffs()[::-1]): m
+            for g, m in factors}
+
+
+def _seeded_monic(rng, p, degree):
+    """A monic polynomial of degree <= degree: one random factor, or a
+    product of random factors of which some are squared or cubed."""
+    F = Zp(p)
+    if rng.random() < 0.5:
+        d = rng.randint(1, degree)
+        return tuple(rng.randrange(p) for _ in range(d)) + (1,)
+    f = (1,)
+    while polys.deg(f) < degree // 2:
+        d = rng.randint(1, 4)
+        g = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            if polys.deg(f) + d <= degree:
+                f = polys.pmul(F, f, g)
+    return f
+
+
+# polynomials per prime, within about 2 s with sympy's share: an input
+# over GF(1000003) costs about ten times one over GF(3)
+FACTOR_SAMPLES = {3: 250, 5: 200, 7: 150, 101: 80, 1000003: 30}
+
+
+@pytest.mark.parametrize("p", sorted(FACTOR_SAMPLES))
+def test_factor_matches_sympy(p):
+    """Distinct-degree and equal-degree factoring against sympy on seeded
+    monic polynomials of degree <= 20, half of them products with
+    repeated factors."""
+    rng = random.Random(p)
+    repeated = 0
+    for _ in range(FACTOR_SAMPLES[p]):
+        f = _seeded_monic(rng, p, 20)
+        got = ffield.factor_monic(p, f)
+        assert got == _sympy_factor(p, f), f
+        repeated += max(got.values(), default=1) > 1
+    assert repeated >= FACTOR_SAMPLES[p] // 5
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_matches_trial_division_in_order(p):
+    """The factor dict, order included (by degree, then by coefficients
+    from the top), against trial division: every monic polynomial of
+    degree <= 5 over GF(3) and <= 3 otherwise, and seeded products of
+    degree <= 8."""
+    top = 5 if p == 3 else 3
+    inputs = [f for d in range(top + 1) for f in _monic_polys(p, d)]
+    rng = random.Random(p)
+    inputs += [_seeded_monic(rng, p, 8) for _ in range(50)]
+    for f in inputs:
+        assert list(ffield.factor_monic(p, f).items()) == \
+            list(_trial_factor(p, f).items()), f
+
+
+def test_canonical_modulus_is_first_irreducible():
+    """canonical_modulus(p, k), which fixes every GF(p^k) raw, is the first
+    irreducible of _monic_polys(p, k) for p <= 23 and k <= 5 (k <= 3 from
+    p = 11 on), and its walk leaves the factoring cache as it was."""
+    before = ffield.factor_monic.cache_info()
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        for k in range(1, (5 if p < 11 else 3) + 1):
+            want = next(filter(partial(_is_irreducible, p),
+                               _monic_polys(p, k)))
+            assert ffield.canonical_modulus.__wrapped__(p, k) == want, (p, k)
+    assert ffield.canonical_modulus(3, 2) == (1, 0, 1)
+    assert ffield.factor_monic.cache_info() == before
 
 
 def _make_by_gcd(f, num, den):

@@ -5,8 +5,15 @@ GF(10^9 + 7) (38256316 = -12345686^2 there, so the second form splits a
 hyperbolic plane off through that root; the first, with the opposite sign,
 is anisotropic and takes no root), and a sampler that listed all of
 GF(1000003) for every coefficient.  The binary form over GF(10^9 + 7)(X)
-is hyperbolic, and its witness must come from one square root, not from
-factoring X^2 + 1, which lists the irreducibles of degree 1.  The dim-6
+is hyperbolic, and its witness comes from one square root, without
+factoring X^2 + 1.  Factoring over GF(p)[X] once trial-divided by every
+monic irreducible of each degree up to half the degree, and the defining
+polynomial of GF(p^2) was found the same way: the GF(1000003)(X) isotropy
+line and the GF(1000006000009) square line took 8 s each, the X^6 form
+over GF(101)(X) and the degree-20 form over GF(5)(X) ran past 40 s, and
+GF(1000000014000000049) ran out of memory listing GF(10^9 + 7).
+Distinct-degree factorization with equal-degree splitting now costs a
+polynomial in the degree and log p.  The dim-6
 form over GF(5)(X) (Witt index 2) exercises the slow tail of the witness
 search, which once took 15 s on it by recomputing every s*y^2 product per
 table row.  The fields over the prime 10^18 + 3 once ran past 15 s in two
@@ -67,6 +74,13 @@ FOLD4_PAIR = (
     "square --field 'GF(1000000000000000003)' --elem 3",
     "square --field 'GF(1000000000000000003)(X)' --elem 3",
     "square --field 'GF(1000000000000000003)((t))' --elem 3",
+    "isotropy --field 'GF(1000003)(X)' --form 'diag[1, X^2+1, X]'",
+    "square --field 'GF(1000006000009)' --elem 3",
+    "square --field 'GF(1000000014000000049)' --elem 3",
+    "isotropy --field 'GF(101)(X)' --form 'diag[1, X^5+X+3, X]'",
+    "isotropy --field 'GF(101)(X)' --form 'diag[1, X^6+X+3, X]'",
+    "isotropy --field 'GF(5)(X)' --form "
+    "'diag[X^20+X+1, X^19+2, X^17+X]'",
     f"link --field '{DEPTH3}' {DEPTH3_PAIR}",
     f"certify --field '{DEPTH3}' {DEPTH3_PAIR}",
     f"certify --field '{DEPTH3}' {FOLD4_PAIR}",

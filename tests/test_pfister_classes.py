@@ -238,8 +238,11 @@ def test_global_difference_matches_expansion(p):
 def _ref_find_certificate(q1, q2):
     """The search on the symbols' own expansions, by isometry tests: same
     candidates and order, with the shared slots in itertools.product order
-    and no subform test first.  Over GF(p)(X) there is no pool of class
-    representatives."""
+    and no subform test first.  Each psi = <<shared; b]] is expanded once,
+    each product -a*e is formed once, and a candidate <<a, shared; b]] =
+    psi _|_ -a*psi is isometric to a target when -target _|_ psi _|_ -a*psi
+    is hyperbolic, with -target negated once.  Over GF(p)(X) there is no
+    pool of class representatives."""
     T, d = q1.tower, q1.fold
     try:
         classes = linkage.square_class_reps(T)
@@ -248,12 +251,21 @@ def _ref_find_certificate(q1, q2):
     reps = list(dict.fromkeys(list(q1.slots) + list(q2.slots) + classes))
     lasts = list(dict.fromkeys([q1.last, q2.last] +
                                [(s - 1) / 4 for s in classes]))
-    e1, e2 = expand(q1), expand(q2)
+    m1, m2 = neg(expand(q1)), neg(expand(q2))
 
-    def first_slot(target, shared, b):
+    products = {}
+
+    def times(a, e):
+        key = (a.raw, e.raw)
+        if key not in products:
+            products[key] = -a * e
+        return products[key]
+
+    def first_slot(minus_target, psi):
         for a in reps:
-            cand = QuadraticPfisterSymbol(T, (a,) + shared, b)
-            if isometric(target, expand(cand)):
+            scaled = QuadraticForm(T, tuple(times(a, e) for e in psi.diag))
+            if anisotropic_dimension(
+                    orth_sum(minus_target, orth_sum(psi, scaled))) == 0:
                 return a
         return None
 
@@ -261,9 +273,10 @@ def _ref_find_certificate(q1, q2):
         if (T.one + 4 * b).is_zero():
             continue
         for shared in itertools.product(reps, repeat=d - 2):
-            left1 = first_slot(e1, shared, b)
+            psi = expand(QuadraticPfisterSymbol(T, shared, b))
+            left1 = first_slot(m1, psi)
             if left1 is not None and \
-                    (left2 := first_slot(e2, shared, b)) is not None:
+                    (left2 := first_slot(m2, psi)) is not None:
                 return linkage.LinkageCertificate(T, left1, left2, shared, b)
     return linkage.NOT_FOUND
 

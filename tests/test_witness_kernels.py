@@ -301,8 +301,8 @@ def test_square_product_keeps_every_pair_with_a_root(field, max_deg):
 def test_witness_needs_no_factoring_before_a_hyperbolic_pair(monkeypatch):
     """Binary forms, and larger ones with a hyperbolic pair, take their
     witness without factoring: over GF(9)(X) and GF(5)((t))(X), which have
-    no place machinery, and over GF(p)(X), where factoring over a large p
-    lists the irreducibles of degree 1."""
+    no place machinery, and over GF(p)(X), where the pair alone answers
+    and the entries' places are never read."""
     def no_factoring(p, f):
         raise AssertionError(f"factored {f} over GF({p})")
 
