@@ -26,12 +26,13 @@ built.  Pfister decisions take the places of the slots and 1 + 4b plus
 infinity, which support every entry of the expansion
 (pfister.expansion_classes).
 
-The witness search tests and searches without field arithmetic: its
-candidate pairs are tested on the polynomials n*d of the entries, its
-candidate subforms on pair masks of the class ints, and its
-meet-in-the-middle search adds and reduces coefficient vectors packed
-into one int each.  Field elements are built only for a pair that passes,
-for the square-class representatives, and for the witness.
+The witness search reads the same localize result: a pair is hyperbolic
+iff its class ints XOR to that of -1, candidate subforms are decided on
+pair masks of the class ints, the square-class representatives come from
+the entries' factor dicts, and the meet-in-the-middle search adds and
+reduces coefficient vectors packed into one int each.  Field elements are
+built only for the pair that passes, for the representatives, and for the
+witness.
 """
 
 import itertools
@@ -203,12 +204,13 @@ def places_dimension(places, minus_one, classes):
                for k in range(len(places)))
 
 
-def localize(q):
+def localize(q, factored=None):
     """(places, minus_one, classes) of the diagonal form q: its
     places_of_interest and the place_class ints of -1 and of each entry,
     every entry factored once and each factor's mask built once; the one
-    class read over GF(p)(X)."""
-    factored, masks = [], {}
+    class read over GF(p)(X).  When factored is a list, the entries'
+    _factors are appended to it, as places_of_interest does."""
+    factored, masks = [] if factored is None else factored, {}
     places = places_of_interest(q, factored)
     minus_one = place_class(places, -q.tower.one, masks=masks)
     return places, minus_one, [place_class(places, d, f, masks)
@@ -284,22 +286,21 @@ def hilbert_symbol(a, b, v):
 # explicit witnesses and Witt decomposition
 
 
-def square_class_rep(tower, elem):
+def square_class_rep(tower, elem, factors=None):
     """(s, c) with elem = s*c^2 and s a squarefree-polynomial representative.
 
-    Both are read off the factorization lc * prod g^m / prod h^m of elem: s
-    is the product of the g and h of odd multiplicity, and
-    c = sqrt(lc) * prod g^(m//2) / prod h^ceil(m/2).  When lc is a
-    non-square, s is scaled by the first non-square nu of GF(p) and
-    sqrt(lc / nu) replaces sqrt(lc); the root is the first one in GF(p)
-    order, the one fields.try_sqrt takes.
+    Both are read off the factorization lc * prod g^m / prod h^m of elem
+    (its _factors, unless given): s is the product of the g and h of odd
+    multiplicity, and c = sqrt(lc) * prod g^(m//2) / prod h^ceil(m/2).
+    When lc is a non-square, s is scaled by the first non-square nu of
+    GF(p) and sqrt(lc / nu) replaces sqrt(lc); the root is the first one in
+    GF(p) order, the one fields.try_sqrt takes.
     """
     p, F, _ = _global_base(tower)
     if elem.is_zero():
         raise ZeroArgument("square class of zero")
-    num, den = elem.raw
-    lc, num_fac = factor(p, num)
-    _, den_fac = factor(p, den)
+    num_fac, den_fac = _factors(p, elem) if factors is None else factors
+    lc = elem.raw[0][-1]
     s = (1,)
     for g in sorted(g for fac in (num_fac, den_fac)
                     for g, m in fac.items() if m % 2):
@@ -322,81 +323,55 @@ def _embed_poly(tower, f):
     return tower.element((tuple(f), (1,)))
 
 
-def _pairs_square_at_infinity(q):
-    """The pairs i < j, in combinations order, for which -a_j/a_i has the
-    leading term of a square at infinity: even degree, then even values and
-    a square residue for its leading coefficient down the Laurent levels.
-    Every hyperbolic pair <a_i, a_j> is among them, and they are read
-    without factoring: the square classes of the finite base field are F2,
-    so each entry gives its parities and one non-square bit."""
-    chain = q.tower.chain
-    base, coeffs = chain[0], chain[-1].inner
-    minus_one = qforms.minus_one_class(q.tower)
-    lead = []
-    for d in q.diag:
-        num, den = d.raw
-        w, r = fl.leading_term(chain[-2:0:-1], coeffs.div(num[-1], den[-1]))
-        lead.append(((polys.deg(num) - polys.deg(den)) % 2,
-                     tuple(v % 2 for v in w), not base.is_square(r)))
-    return [(i, j) for i, j in itertools.combinations(range(q.dim), 2)
-            if lead[i][:2] == lead[j][:2]
-            and lead[i][2] ^ lead[j][2] == minus_one]
-
-
-def _square_product(F, g, h):
-    """Whether the monic part of g*h is a square polynomial over F.  With g
-    = n_i*d_i and h = n_j*d_j for entries n/d, this holds whenever
-    -a_j/a_i = -(n_j d_i)/(d_j n_i) has a fields.try_sqrt root: that root
-    needs the monic parts of the reduced numerator and denominator to be
-    squares, and their product is monic(g*h) over the square of the
-    monic gcd cancelled."""
-    return polys.psqrt(F, polys.pmonic(F, polys.pmul(F, g, h))) is not None
-
-
 def isotropic_vector_global(q):
     """An explicit nontrivial zero over GF(p)(X), or None if q is anisotropic.
 
-    A hyperbolic binary subform <a_i, a_j> gives an exact square-root
-    witness.  The quotient -a_j/a_i is built and fields.try_sqrt run only
-    on the pairs for which it is a square at infinity and the monic part of
-    (n_i d_i)(n_j d_j) is a square polynomial (_square_product), n/d being
-    the entries' raws and n*d computed once per entry.  Both tests are
-    necessary for a root, so the first pair with a root is the same as
-    over all pairs, and nothing is factored before it.  Otherwise the
-    isotropic 3- (else 4-) subforms are picked on the class ints of
-    localize(q) (_isotropic_subsets; a dim-4 form decides its own isotropy
-    on the same read, so each entry is factored once), any 5-dimensional
-    subform being isotropic, and a meet-in-the-middle search on packed
-    ints runs over polynomial vectors of growing degree on the chosen
-    subforms.  Every witness passes qforms.is_isotropic_vector.  Raises
+    A binary form is decided by its discriminant, and an isotropic one
+    takes its witness from one fields.try_sqrt of -a_1/a_0, with nothing
+    factored.  A form of dimension >= 3 is read once by localize(q), which
+    keeps each entry's factor dicts, and everything else comes from that
+    read.  Isotropy is places_dimension for n <= 4 and the u-invariant 4
+    for n >= 5.  The hyperbolic pair is the first (i, j) in combinations
+    order with classes[i] ^ classes[j] == minus_one, and that test is
+    exact: the class of -a_j/a_i is minus_one ^ classes[i] ^ classes[j],
+    as classes multiply by XOR and 1/a has the class of a, and a
+    place_class int over these places is 0 iff the element is a square.
+    For the places hold every odd factor g of a_i and a_j, hence of the
+    quotient, and each sets the valuation bit at its own place, which no
+    other factor's mask touches; with no odd factor the quotient is lc
+    times a square, and its class is that of the constant lc, whose
+    residue bit at infinity (a place of degree 1) is set iff lc is a
+    non-square.
+    So the pair is the first for which -a_j/a_i has a fields.try_sqrt root,
+    and that root is taken once.  Otherwise the isotropic 3- (else 4-)
+    subforms are picked on the same class ints (_isotropic_subsets), any
+    5-dimensional subform being isotropic, and a meet-in-the-middle search
+    on packed ints runs over polynomial vectors of growing degree on the
+    chosen subforms, its square-class representatives built from the same
+    factor dicts.  Every witness passes qforms.is_isotropic_vector.  Raises
     BudgetExceeded if the form is isotropic but no witness appears before
     every candidate's table outgrows WITNESS_SIDE_CAP.
     """
-    n = q.dim
-    read = None
-    if n == 4:
-        read = localize(q)
-        isotropic = places_dimension(*read) < n
+    n, tower = q.dim, q.tower
+    if n <= 2:
+        if not is_isotropic_global(q):
+            return None
+        read, factored, pair = None, [None] * n, (0, 1)
     else:
-        isotropic = is_isotropic_global(q)
-    if not isotropic:
-        return None
-    tower = q.tower
-    F, norms = tower.chain[-1].inner, {}
-    for i, j in _pairs_square_at_infinity(q):
-        for k in (i, j):
-            if k not in norms:
-                norms[k] = polys.pmul(F, *q.diag[k].raw)
-        if not _square_product(F, norms[i], norms[j]):
-            continue
+        factored = []
+        read = _, minus_one, classes = localize(q, factored)
+        if n <= 4 and places_dimension(*read) == n:
+            return None
+        pair = next(((i, j) for i, j in itertools.combinations(range(n), 2)
+                     if classes[i] ^ classes[j] == minus_one), None)
+    if pair is not None:
+        i, j = pair
         root = fl.try_sqrt(tower, -(q.diag[j] / q.diag[i]))
         if root is not None:
             vec = [tower.zero] * n
             vec[i], vec[j] = root, tower.one
             return tuple(vec)
-    if n >= 5:
-        read = localize(q)
-    found = _subform_witness(q, _candidates(read, n))
+    found = _subform_witness(q, _candidates(read, n), factored)
     assert qforms.is_isotropic_vector(q, found)
     return found
 
@@ -455,9 +430,10 @@ def _isotropic_subsets(read, k):
             yield a, b, c, d
 
 
-def _subform_witness(q, candidates):
+def _subform_witness(q, candidates, factored):
     """A zero of q supported on one candidate subform, from the square-class
-    representatives (s_i, c_i) of its entries: a polynomial y with
+    representatives (s_i, c_i) of its entries, read off factored[i] (the
+    entry's _factors, or None to factor it): a polynomial y with
     sum s_i*y_i^2 = 0 gives the witness y_i / c_i.
 
     Degrees D = 0, 1, ... are tried in turn, on every candidate whose
@@ -491,7 +467,8 @@ def _subform_witness(q, candidates):
             for i in idx:
                 if i not in columns:
                     if i not in reps:
-                        reps[i] = square_class_rep(q.tower, q.diag[i])
+                        reps[i] = square_class_rep(q.tower, q.diag[i],
+                                                   factored[i])
                     columns[i] = _column(F, reps[i][0], squares)
             found = _mitm_search(p, [columns[i] for i in idx], half,
                                  width + 2 * D + 1)

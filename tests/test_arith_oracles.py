@@ -815,18 +815,24 @@ def _reference_chain(K):
     return f
 
 
-def _square_and_multiply(f, raw, n):
-    """raw^n in f by squaring and multiplying, as powers once were taken."""
-    if n < 0:
-        raw, n = f.inv(raw), -n
-    result = f.one
-    while n:
-        if n & 1:
-            result = f.mul(result, raw)
-        n >>= 1
-        if n:
-            raw = f.mul(raw, raw)
-    return result
+def _square_and_multiply(f, raw):
+    """n -> raw^n in f by squaring and multiplying, as powers once were
+    taken: f.one times raw^(2^i) (raw^-1 in place of raw for n < 0) for
+    each set bit i of |n|, lowest first.  The squarings, and the product
+    over each run of low bits, are made once and shared by every exponent."""
+    squares, products = {False: [raw], True: []}, {0: f.one}
+
+    def power(n):
+        if n not in products:
+            chain, top = squares[n < 0], abs(n).bit_length() - 1
+            if not chain:
+                chain.append(f.inv(raw))
+            while len(chain) <= top:
+                chain.append(f.mul(chain[-1], chain[-1]))
+            low = abs(n) - (1 << top)
+            products[n] = f.mul(power(-low if n < 0 else low), chain[top])
+        return products[n]
+    return power
 
 
 # exponents per depth, from -12 to 500: the reference squares dense
@@ -855,8 +861,9 @@ def test_pow_matches_square_and_multiply(field):
         x = sample(K, budget, ("pow", seed)) + 1
         if x.is_zero():
             continue
+        power = _square_and_multiply(ref, x.raw)
         for n in POWER_EXPONENTS[depth]:
-            assert (x ** n).raw == _square_and_multiply(ref, x.raw, n), n
+            assert (x ** n).raw == power(n), n
 
 
 @pytest.mark.parametrize("field", ["GF(3)((t))((u))", "GF(9)((t))((u))",
@@ -877,4 +884,4 @@ def test_frobenius_image_is_canonical(field):
         for q in (p, p * p):
             image = fields._frobenius(K.chain, depth, x.raw, q)
             assert euclid.make(*image) == image
-            assert image == _square_and_multiply(K.ops, x.raw, q)
+            assert image == _square_and_multiply(K.ops, x.raw)(q)

@@ -6,12 +6,14 @@ hyperbolic plane off through that root; the first, with the opposite sign,
 is anisotropic and takes no root), and a sampler that listed all of
 GF(1000003) for every coefficient.  The binary form over GF(10^9 + 7)(X)
 is hyperbolic, and its witness comes from one square root, without
-factoring X^2 + 1.  Factoring over GF(p)[X] once trial-divided by every
-monic irreducible of each degree up to half the degree, and the defining
-polynomial of GF(p^2) was found the same way: the GF(1000003)(X) isotropy
-line and the GF(1000006000009) square line took 8 s each, the X^6 form
-over GF(101)(X) and the degree-20 form over GF(5)(X) ran past 40 s, and
-GF(1000000014000000049) ran out of memory listing GF(10^9 + 7).
+factoring X^2 + 1; the dim-6 form there reads its places before its
+hyperbolic pair, so it factors its degree-20 entries first.  Factoring
+over GF(p)[X] once trial-divided by every monic irreducible of each degree
+up to half the degree, and the defining polynomial of GF(p^2) was found
+the same way: the GF(1000003)(X) isotropy line and the GF(1000006000009)
+square line took 8 s each, the X^6 form over GF(101)(X) and the degree-20
+form over GF(5)(X) ran past 40 s, and GF(1000000014000000049) ran out of
+memory listing GF(10^9 + 7).
 Distinct-degree factorization with equal-degree splitting now costs a
 polynomial in the degree and log p.  The dim-6
 form over GF(5)(X) (Witt index 2) exercises the slow tail of the witness
@@ -68,6 +70,8 @@ FOLD4_PAIR = (
     "witt --field 'GF(1000000007)(X)' --form 'diag[1, -38256316, X]' --json",
     "witt --field 'GF(1000000007)(X)' --form 'diag[1, 38256316, X]' --json",
     "witt --field 'GF(1000000007)(X)' --form 'diag[X^2 + 1, -X^2 - 1]' --json",
+    "witt --field 'GF(1000000007)(X)' --form 'diag[X^20 + X + 1, "
+    "-X^20 - X - 1, X^7 + 3, X^5 + X, 2*X^3 + 1, X]'",
     "verify top-linked --field 'GF(1000003)' --d 1 --samples 3",
     "witt --field 'GF(5)(X)' --form 'diag[(2 + 4*X + 2*X^2)/(2 + X), 2, "
     "3/(3 + 4*X + X^2), 1/(1 + X + X^2), (3 + 4*X)/X, 2 + 3*X]' --json",

@@ -6,9 +6,8 @@ coordinate and row, the square-class representative by division and an
 exact square root, the isotropic subsets by qforms.bits_dimension at each
 place, and the finite rule on the residues of conftest.RefPlace.  Each new
 kernel must give the identical answer, so the witnesses built from them
-stay byte-identical.  The filters that pick the binary subforms worth a
-square root are checked against the reference residues at infinity and
-against fields.try_sqrt.
+stay byte-identical.  The class-int rule that picks the hyperbolic pair is
+checked against fields.try_sqrt both ways.
 """
 
 import functools
@@ -121,12 +120,12 @@ def old_subform_witness(q, candidates):
 
 
 def old_isotropic_vector(q):
-    """isotropic_vector_global with every candidate subset decided before
-    the search starts."""
+    """isotropic_vector_global with a square root tried on every pair in
+    turn and every candidate subset decided before the search starts."""
     n = q.dim
     if not lg.is_isotropic_global(q):
         return None
-    for i, j in lg._pairs_square_at_infinity(q):
+    for i, j in itertools.combinations(range(n), 2):
         root = fl.try_sqrt(q.tower, -(q.diag[j] / q.diag[i]))
         if root is not None:
             vec = [q.tower.zero] * n
@@ -216,112 +215,57 @@ def test_square_class_rep_matches_division_and_sqrt(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_pairs_square_at_infinity_keep_every_hyperbolic_pair(p):
+def test_hyperbolic_pair_rule_matches_try_sqrt(p):
     """Every pair of 70 forms per field, each extended by <-a c^2, a c^2>
-    for its first entry a: the kept pairs are those where -a_j/a_i has even
-    valuation and a square residue at infinity, and they include every pair
-    with a square root."""
+    for its first entry a: the class ints of localize(q) XOR to that of -1
+    exactly when -a_j/a_i has a fields.try_sqrt root, and both outcomes
+    occur often."""
     K = _ratfunc(p)
-    infinity = RefPlace(p, lg.Place(lg.INFINITY))
     budget = SampleBudget(max_deg=2)
-    hyperbolic = dropped = kept_without_root = 0
+    hyperbolic = other = 0
     for seed in range(70):
         entries = [sample(K, budget, ("pair", seed, i))
                    for i in range(2 + seed % 3)]
         c = sample(K, budget, ("pair", seed, "c"))
         entries += [-entries[0] * c * c, entries[0] * c * c]
-        kept = lg._pairs_square_at_infinity(
+        _, minus_one, classes = lg.localize(
             qforms.QuadraticForm(K, tuple(entries)))
         for i, j in itertools.combinations(range(len(entries)), 2):
-            ratio = -(entries[j] / entries[i])
-            v, r = infinity.split(ratio)
-            square_at_infinity = v % 2 == 0 and infinity.is_square(r)
-            root = fl.try_sqrt(K, ratio) is not None
-            assert ((i, j) in kept) == square_at_infinity, (entries, i, j)
-            assert square_at_infinity or not root, (entries, i, j)
-            hyperbolic += root
-            dropped += not square_at_infinity
-            kept_without_root += square_at_infinity and not root
-    assert hyperbolic >= 70 and dropped >= 200 and kept_without_root >= 1
-
-
-@pytest.mark.parametrize("field,form,expected", [
-    # -1 is a non-square in GF(3): t*X with -t*X^3, 1 with 2, 2 with X^2
-    ("GF(3)((t))(X)", "diag[t*X, 1, X + t, -t*X^3, 2, X^2]",
-     [(0, 3), (1, 4), (4, 5)]),
-    # -1 is a square in GF(5); 2 and 3 are not: only 2*t*X with 3*t*X^3
-    ("GF(5)((t))(X)", "diag[t, 2*t*X, 1, X + t, 3*t*X^3]", [(1, 4)]),
-    # GF(3) lies in the squares of GF(9): pairs of one degree parity,
-    # (1, 2) among them without a root
-    ("GF(9)(X)", "diag[1, X, 1 + X, 2, 1, X]",
-     [(0, 3), (0, 4), (1, 2), (1, 5), (2, 5), (3, 4)]),
-])
-def test_pairs_square_at_infinity_over_other_coefficient_fields(
-        field, form, expected):
-    """Over a Laurent or non-prime coefficient field the pairs are read off
-    the leading terms down the levels; each pair with a square root of
-    -a_j/a_i is among them."""
-    K = dsl.parse_field(field)
-    q = dsl.parse_form(K, form)
-    kept = lg._pairs_square_at_infinity(q)
-    assert kept == expected
-    for i, j in itertools.combinations(range(q.dim), 2):
-        if fl.try_sqrt(K, -(q.diag[j] / q.diag[i])) is not None:
-            assert (i, j) in kept
-
-
-@pytest.mark.parametrize("field,max_deg", [
-    ("GF(3)(X)", 2), ("GF(5)(X)", 2), ("GF(7)(X)", 2), ("GF(9)(X)", 2),
-    # degree 1 keeps the quotients' gcds over GF(5)((t)) cheap
-    ("GF(5)((t))(X)", 1)])
-def test_square_product_keeps_every_pair_with_a_root(field, max_deg):
-    """The test on n_i*d_i and n_j*d_j passes every pair for which
-    -a_j/a_i has a fields.try_sqrt root, on 60 forms per field, each
-    extended by <-a c^2, a c^2> for its first entry a; it drops most
-    pairs without one."""
-    K = dsl.parse_field(field)
-    F = K.chain[-1].inner
-    budget = SampleBudget(max_deg=max_deg)
-    roots = dropped = 0
-    for seed in range(60):
-        entries = [sample(K, budget, ("norm", seed, i))
-                   for i in range(2 + seed % 3)]
-        c = sample(K, budget, ("norm", seed, "c"))
-        entries += [-entries[0] * c * c, entries[0] * c * c]
-        norms = [polys.pmul(F, *e.raw) for e in entries]
-        for i, j in itertools.combinations(range(len(entries)), 2):
             root = fl.try_sqrt(K, -(entries[j] / entries[i])) is not None
-            passes = lg._square_product(F, norms[i], norms[j])
-            assert passes or not root, (entries, i, j)
-            roots += root
-            dropped += not passes
-    assert roots >= 60 and dropped >= 200
+            assert (classes[i] ^ classes[j] == minus_one) == root, \
+                (entries, i, j)
+            hyperbolic += root
+            other += not root
+    assert hyperbolic >= 140 and other >= 400
 
 
 def test_witness_needs_no_factoring_before_a_hyperbolic_pair(monkeypatch):
-    """Binary forms, and larger ones with a hyperbolic pair, take their
-    witness without factoring: over GF(9)(X) and GF(5)((t))(X), which have
-    no place machinery, and over GF(p)(X), where the pair alone answers
-    and the entries' places are never read."""
+    """Binary forms take their witness from the discriminant and one square
+    root, without factoring: over GF(9)(X) and GF(5)((t))(X), which have no
+    place machinery, and over GF(10^9 + 7)(X).  A larger form reads its
+    places first, so over GF(9)(X) it is refused, and over GF(5)(X) its
+    hyperbolic pair is the one the class ints pick."""
     def no_factoring(p, f):
         raise AssertionError(f"factored {f} over GF({p})")
 
-    monkeypatch.setattr(lg, "factor", no_factoring)
-    for field, form, vec in [
-            ("GF(9)(X)", "diag[1, -1]", ["1", "1"]),
-            ("GF(5)((t))(X)", "diag[X, -X]", ["1", "1"]),
-            ("GF(9)(X)", "diag[X, -X, 1, X + 1, X^2 + 1]",
-             ["1", "1", "0", "0", "0"]),
-            ("GF(1000000007)(X)", "diag[X^2 + 1, -X^2 - 1]", ["1", "1"]),
-            ("GF(5)(X)", "diag[X, X^2 + 2, 1 + X, 3*X, 2, 2*X^3]",
-             ["0", "0", "0", "X", "0", "1"])]:
+    def witness(field, form):
         K = dsl.parse_field(field)
-        q = dsl.parse_form(K, form)
-        assert [fl.format_element(c)
-                for c in lg.isotropic_vector_global(q)] == vec, form
-    K = dsl.parse_field("GF(9)(X)")
-    assert qforms.witt_decompose(dsl.parse_form(K, "diag[1, -1]")) \
-        .witt_index == 1
+        return [fl.format_element(c) for c in
+                lg.isotropic_vector_global(dsl.parse_form(K, form))]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lg, "factor", no_factoring)
+        for field, form in [("GF(9)(X)", "diag[1, -1]"),
+                            ("GF(5)((t))(X)", "diag[X, -X]"),
+                            ("GF(1000000007)(X)", "diag[X^2 + 1, -X^2 - 1]")]:
+            assert witness(field, form) == ["1", "1"], form
+        K = dsl.parse_field("GF(9)(X)")
+        assert qforms.witt_decompose(dsl.parse_form(K, "diag[1, -1]")) \
+            .witt_index == 1
+    with pytest.raises(lg.ConfigUnsupported, match="prime base field"):
+        witness("GF(9)(X)", "diag[X, -X, 1, X + 1, X^2 + 1]")
+    assert witness("GF(5)(X)", "diag[X, X^2 + 2, 1 + X, 3*X, 2, 2*X^3]") == \
+        ["0", "0", "0", "X", "0", "1"]
 
 
 # ---------------------------------------------------------------------------
