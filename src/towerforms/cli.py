@@ -325,6 +325,9 @@ def main(argv=None):
     except RecursionError:
         print("error: input too deeply nested", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: input too large", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

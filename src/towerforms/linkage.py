@@ -3,11 +3,12 @@
 Two d-fold Pfister symbols are linked when they share a (d-1)-fold Pfister
 subform, which is decided by the Witt index of the difference of their
 expansions being at least 2^{d-1}.  That index is read off the square
-classes of the slots and of 1 + 4b (pfister.expansion_classes): over
-Laurent towers one qforms.square_class int each, over GF(p)(X) one
-place-class int each over S, the places of all slots and 1 + 4b plus
-infinity.  The Laurent class representatives are qforms.class_rep of
-each int (square_class_reps); a negative's class is the int XOR that of -1.
+classes of the slots and of 1 + 4b (pfister.expansion_classes, from
+qforms.read_classes): over Laurent towers one qforms.square_class int
+each, over GF(p)(X) one place-class int each over S, the places of all
+slots and 1 + 4b plus infinity.  The Laurent class representatives are
+qforms.class_rep of each int (square_class_reps); a negative's class is
+the int XOR that of -1.
 Certificates exhibit an explicit common presentation
 <<a1, shared...; b]] / <<a1', shared...; b]].  The search decides every
 candidate on the same square classes, by XOR, with no expansion, and ends
@@ -153,7 +154,7 @@ def find_certificate(q1, q2):
     is skipped unless expand(q) _|_ -expand(psi) has dimension <= 2^(d-1)
     for both symbols; a test <<a, shared; b]] ~ q passes when expand(q)
     _|_ -expand(candidate) has dimension 0.  Each dimension is read off the
-    classes of the slots and c of both symbols (pfister._read_classes),
+    classes of the slots and c of both symbols (qforms.read_classes),
     the entries having the XOR of the classes of -c and the -slots
     (pfister.class_span).  That is exact on both kinds of tower, since
     every entry is a product of elements read, and over GF(p)(X) every
@@ -173,11 +174,11 @@ def find_certificate(q1, q2):
         raise ConfigUnsupported("certificates need fold >= 2")
     tower = q1.tower
     own = (q1.c, q2.c) + q1.slots + q2.slots
-    negs, minus_one, dimension = pfister._read_classes(tower, own)
+    classes, minus_one, dimension = qforms.read_classes(tower, own)
     pool, pool_negs = _class_pool(tower)
     # the class of -x, by raw: elements of one tower are equal iff their
     # raws are
-    neg = pool_negs | dict(zip((x.raw for x in own), negs))
+    neg = pool_negs | {x.raw: c ^ minus_one for x, c in zip(own, classes)}
     reps = [(a, neg[raw]) for raw, a in
             {a.raw: a for a in q1.slots + q2.slots + pool}.items()]
     # c -> (c, b or None): the c = 1 + 4b cover every class

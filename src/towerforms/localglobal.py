@@ -18,13 +18,13 @@ element's square class over a place list is one int (place_class), two
 bits per place: its valuation mod 2 and whether its unit residue is a
 non-square in GF(p^deg), read off by Legendre symbols from one cached
 factorization (ffield.factor_monic, polynomial in the degree and log p).
-localize, the one class reader, factors each entry once for the global
-decisions, the witness search and pfister's decisions alike, and XORs one
-mask per odd factor, built once per form; the local dimension is
+localize, the class reader over GF(p)(X), factors each entry once and
+XORs one mask per odd factor, built once per form; the local dimension is
 qforms.bits_dimension of the bits at a place, and no residue field is
-built.  Pfister decisions take the places of the slots and 1 + 4b plus
-infinity, which support every entry of the expansion
-(pfister.expansion_classes).
+built.  qforms.read_classes, which every decision above dimension 2
+calls, and the witness search read it alike.  Pfister decisions take the
+places of the slots and 1 + 4b plus infinity, which support every entry
+of the expansion (pfister.expansion_classes).
 
 The witness search reads the same localize result: a pair is hyperbolic
 iff its class ints XOR to that of -1, candidate subforms are decided on
@@ -224,27 +224,6 @@ def localize(q, factored=None):
 def is_isotropic_global(q):
     """qforms.is_isotropic on a GF(p)(X) form."""
     return qforms.is_isotropic(q)
-
-
-def anisotropic_dimension_global(q):
-    """dim of the anisotropic kernel, from local data.
-
-    Over a field with no real places the global anisotropic dimension is the
-    maximum of the local ones: every anisotropic kernel of dimension >= 2
-    stays anisotropic in some completion (dim >= 3 by Hasse-Minkowski, dim 2
-    because a global non-square is a non-square at some place), and places
-    outside the support contribute at most the parity/discriminant floor.
-    In dimension <= 2 that floor alone is exact and needs no factoring.  In
-    dimension >= 3 the maximum over the places of interest already reaches
-    it: for odd n every local dimension is odd, and for even n a signed
-    determinant that is a global non-square either has odd valuation at a
-    finite place of the support or is lc * square with lc a non-square, and
-    so a non-square at infinity; either completion has anisotropic
-    dimension >= 2.
-    """
-    if q.dim <= 2:
-        return len(qforms._finite_kernel(q.tower, q.diag))
-    return places_dimension(*localize(q))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from a normalized presentation.
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import fields as fl
-from . import localglobal, qforms
+from . import qforms
 from . import valuation as vmod
 from .errors import (ConfigUnsupported, IsotropicInput,
                      PreconditionSpanViolated, RuleNotApplicable,
@@ -197,13 +197,13 @@ def expand(symbol):
 # ---------------------------------------------------------------------------
 # decisions on square classes
 #
-# The square classes of a tower whose levels are all Laurent (one
-# qforms.square_class int per element) and those of GF(p)(X) over a place
-# list S (one localglobal.place_class int) both form F2-spaces in which the
-# class of a product is the XOR of the classes.  So the entry
-# -x_1 * ... * -x_k of <1, -c> x <1, -a_1> x ... has the XOR of the classes
-# of -c, -a_i: the 2^d classes of an expansion come from d + 1 reads, and
-# no decision multiplies an entry out.
+# The square classes that qforms.read_classes gives, one square_class int
+# per element over a finite or Laurent tower and one place_class int over
+# S on GF(p)(X), form an F2-space in which the class of a product is the
+# XOR of the classes.  So the entry -x_1 * ... * -x_k of
+# <1, -c> x <1, -a_1> x ... has the XOR of the classes of -c, -a_i: the
+# 2^d classes of an expansion come from d + 1 reads, and no decision
+# multiplies an entry out.
 
 
 def class_span(gens):
@@ -215,40 +215,16 @@ def class_span(gens):
     return out
 
 
-def _read_classes(tower, elems):
-    """(negs, minus_one, dimension) for nonzero elems over one tower: the
-    square classes of -x for x in elems, that of -1, and the rule that
-    gives the anisotropic dimension of a diagonal form whose entries are
-    products of elems and -1 from its entries' classes, the XOR of the
-    factors'.
-
-    Over Laurent towers they are qforms.square_class ints.  Over GF(p)(X)
-    they are place_class ints over S, the places of elems plus infinity,
-    from localglobal.localize of the form <elems>, and the rule is the
-    largest local dimension over S (localglobal.places_dimension): every
-    such entry is supported on S, so in dimension >= 3 that is the global
-    dimension, by the argument of localglobal.anisotropic_dimension_global.
-    """
-    if tower.laurent_rank() == len(tower.levels):
-        minus_one = qforms.minus_one_class(tower)
-        return ([qforms.square_class(tower, x) ^ minus_one for x in elems],
-                minus_one, partial(qforms.class_dimension, tower))
-    places, minus_one, classes = localglobal.localize(
-        qforms.QuadraticForm(tower, tuple(elems)))
-    return ([c ^ minus_one for c in classes], minus_one,
-            partial(localglobal.places_dimension, places, minus_one))
-
-
 def expansion_classes(*symbols):
     """(classes, minus_one, dimension) for symbols over one tower: the
     square classes of the entries of each expand(s), in its order, that of
     -1, and the rule that gives a diagonal form's anisotropic dimension
-    from its entries' classes (_read_classes of every c and slot)."""
+    from its entries' classes (qforms.read_classes of every c and slot)."""
     gens = [(s.c,) + s.slots for s in symbols]
-    negs, minus_one, dimension = _read_classes(symbols[0].tower,
-                                               sum(gens, ()))
-    read = iter(negs)
-    return ([class_span(list(itertools.islice(read, len(g)))) for g in gens],
+    classes, minus_one, dimension = qforms.read_classes(symbols[0].tower,
+                                                        sum(gens, ()))
+    negs = (c ^ minus_one for c in classes)
+    return ([class_span(list(itertools.islice(negs, len(g)))) for g in gens],
             minus_one, dimension)
 
 
@@ -261,15 +237,15 @@ def difference_dimension(s1, s2):
 
 def symbol_isotropic(symbol):
     """Whether expand(symbol) is isotropic: always when its dimension 2^d
-    exceeds the u-invariant (qforms.u_invariant).  Otherwise, over a
-    tower with a rational-function level, a 1-fold symbol is isotropic iff
-    c is a square (the binary form's discriminant), and every other
-    decision reads the classes of expansion_classes."""
+    exceeds the u-invariant (qforms.u_invariant).  Otherwise a 1-fold
+    symbol is isotropic iff c is a square (the binary form's
+    discriminant), and every other decision reads the classes of
+    expansion_classes."""
     tower = symbol.tower
     u = qforms.u_invariant(tower)
     if u is not None and 2 ** symbol.fold > u:
         return True
-    if symbol.fold == 1 and tower.laurent_rank() < len(tower.levels):
+    if symbol.fold == 1:
         return fl.is_square(tower, symbol.c)
     (classes,), _, dimension = expansion_classes(symbol)
     return dimension(classes) < len(classes)

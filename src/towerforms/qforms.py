@@ -7,14 +7,16 @@ It rests on one finite-field rule (parity and discriminant, _finite_kernel
 on elements, _finite_kernel_dim on square-class bits), and one routine,
 bits_dimension, sums that rule over the parts of a diagonal form given as
 square-class bits: the -1 bit, and per entry a parity key and the
-non-square bit of its residue.  Each tower kind has one class reader.
-Over a finite field or an iterated Laurent tower it is square_class, one
-fields.leading_term read per entry into one int whose key is the value
-vector mod 2 (minus_one_class gives that of -1), and class_rep maps an int
-back to its representative t^eps * {1, nu}.  Over GF(p)(X) it is
-localglobal.localize, one place_class int per entry whose key at a place
-is the valuation mod 2; the global dimension is the largest local one, and
-witt_decompose also splits hyperbolic planes off on the diagonal.
+non-square bit of its residue.  read_classes is the one place where a
+tower's kind picks the class reader.  Over a finite field or an iterated
+Laurent tower it is square_class, one fields.leading_term read per entry
+into one int whose key is the value vector mod 2 (minus_one_class gives
+that of -1), and class_rep maps an int back to its representative
+t^eps * {1, nu}.  Over GF(p)(X) it is localglobal.localize, one
+place_class int per entry whose key at a place is the valuation mod 2;
+the global dimension is the largest local one, and witt_decompose also
+splits hyperbolic planes off on the diagonal.  A binary form needs no
+reader: minus its determinant is a square or not.
 
 One rule answers above every class read: u_invariant gives the largest
 dimension of an anisotropic form, 2^(r+1) over r Laurent levels on GF(q)
@@ -27,6 +29,7 @@ towers, such as GF(q)((t))(X), get no bound.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import fields as fl
 from .errors import SingularForm, TowerFormsError, TowerMismatch, ZeroScalar
@@ -220,17 +223,47 @@ def class_dimension(tower, classes):
                           [(c >> 1, c & 1) for c in classes])
 
 
+def read_classes(tower, elems):
+    """(classes, minus_one, dimension) for nonzero elems over one tower: the
+    elems' square classes as ints, that of -1, and the rule that gives the
+    anisotropic dimension of a diagonal form from its entries' classes, for
+    entries that are products of elems and -1 (the XOR of the factors').
+    The only place where a tower's kind picks the reader.
+
+    Finite and Laurent towers: square_class ints and class_dimension.
+    GF(p)(X): place_class ints over S, the places of elems plus infinity,
+    from localglobal.localize, and the largest local dimension over S
+    (localglobal.places_dimension).  In dimension >= 3 that is the global
+    one.  With no real places, an anisotropic kernel of dimension >= 3
+    stays anisotropic in some completion (Hasse-Minkowski), and places off
+    S add at most the parity/discriminant floor.  S reaches that floor: for
+    odd n every local dimension is odd, and for even n a signed determinant
+    that is a global non-square has odd valuation at a finite place of S or
+    is lc * square with lc a non-square, so a non-square at infinity.
+    """
+    if tower.laurent_rank() == len(tower.levels):
+        return ([square_class(tower, x) for x in elems],
+                minus_one_class(tower), partial(class_dimension, tower))
+    from . import localglobal
+    places, minus_one, classes = localglobal.localize(
+        QuadraticForm(tower, tuple(elems)))
+    return (classes, minus_one,
+            partial(localglobal.places_dimension, places, minus_one))
+
+
 def anisotropic_dimension(q):
     """Dimension of the anisotropic kernel of q: the one Witt decision.
 
-    Over a finite field or an iterated Laurent tower it reads one square
-    class per entry; over GF(p)(X) it is the largest local dimension
-    (localglobal).
+    In dimension <= 2 the finite rule on the entries (_finite_kernel) is
+    exact over any field of odd characteristic: a binary form is isotropic
+    iff minus its determinant is a square.  It reads no class and factors
+    nothing.  Above that it is the rule of read_classes on the entries'
+    classes.
     """
-    if _outer_kind(q.tower) == fl.RATFUNC:
-        from . import localglobal
-        return localglobal.anisotropic_dimension_global(q)
-    return class_dimension(q.tower, [square_class(q.tower, d) for d in q.diag])
+    if q.dim <= 2:
+        return len(_finite_kernel(q.tower, q.diag))
+    classes, _, dimension = read_classes(q.tower, q.diag)
+    return dimension(classes)
 
 
 def u_invariant(tower):

@@ -1,9 +1,10 @@
 """Pfister decisions on slot classes against multiplied-out expansions.
 
-Over a tower whose levels are all Laurent, and over GF(p)(X), isotropy of a
-symbol, the Witt index of the difference of two symbols and their isometry
-are read off the square classes of the slots and of c = 1 + 4b, combined by
-XOR, and so is each candidate of the certificate search.  Over Laurent
+Over a finite field, over a tower whose levels are all Laurent, and over
+GF(p)(X), isotropy of a symbol, the Witt index of the difference of two
+symbols and their isometry are read off the square classes of the slots
+and of c = 1 + 4b, combined by XOR (a 1-fold symbol by whether c is a
+square), and so is each candidate of the certificate search.  Over Laurent
 towers the reference expands the symbols and runs the anisotropic
 dimension as it was before square classes: the full-rank Springer split
 into residue forms, and the finite rule on the residues' product.  Over GF(p)(X) it expands them and takes the global
@@ -21,8 +22,7 @@ from conftest import RefPlace, tower
 from towerforms import linkage, pfister, qforms
 from towerforms.errors import ConfigUnsupported
 from towerforms.fields import LAURENT, RATFUNC, SampleBudget, sample
-from towerforms.localglobal import (anisotropic_dimension_global,
-                                    places_of_interest)
+from towerforms.localglobal import places_of_interest
 from towerforms.linkage import (check_top_d_linked, find_certificate,
                                 is_linked_pair, sample_symbol,
                                 verify_lifting_equivalence,
@@ -43,7 +43,8 @@ _SPEC.loader.exec_module(output_digest)
 
 TOWERS = [tower(3, 1, ("t", LAURENT)),
           tower(5, 1, ("t", LAURENT), ("u", LAURENT)),
-          tower(3, 1, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT))]
+          tower(3, 1, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT)),
+          tower(5)]
 SYMBOLS = 400  # per tower, plus PAIRS pairs: 1000 inputs
 PAIRS = 600
 BUDGET = SampleBudget(max_val=1, series_terms=1)
@@ -65,9 +66,9 @@ def _pair(T, i):
     """Independent symbols, symbols sharing every slot but the first (so
     linked), or a symbol and a rewritten copy (so isometric): its first
     slot scaled by a square and its slots reversed, in turn.  Folds 2 and
-    3: a 4-fold pair over the depth-3 tower, always linked, would double
-    the cost of the reference."""
-    d = 2 + i % min(2, len(T.levels))
+    3, or 2 alone below two levels: a 4-fold pair over the depth-3 tower,
+    always linked, would double the cost of the reference."""
+    d = 2 + (i % 2 if len(T.levels) > 1 else 0)
     s1 = sample_symbol(T, d, ("pair-a", i), BUDGET)
     if i % 3 == 0:
         return s1, sample_symbol(T, d, ("pair-b", i), BUDGET)
@@ -184,7 +185,7 @@ def _class_bits(places, c):
 @pytest.mark.parametrize("p", GLOBAL_PRIMES)
 def test_global_isotropy_matches_expansion(p):
     """symbol_isotropic and the dimension rule of expansion_classes against
-    anisotropic_dimension_global on the expansion, and the place class of
+    anisotropic_dimension on the expansion, and the place class of
     every entry against the reference bits at each place of S, the places
     of c and the slots plus infinity."""
     K = tower(p, 1, ("X", RATFUNC))
@@ -193,7 +194,7 @@ def test_global_isotropy_matches_expansion(p):
         d = 1 + i % 3
         s = sample_symbol(K, d, ("giso", i), GLOBAL_BUDGET)
         q = expand(s)
-        n = anisotropic_dimension_global(q)
+        n = anisotropic_dimension(q)
         assert symbol_isotropic(s) == (n < q.dim), s.describe()
         (classes,), minus_one, dimension = expansion_classes(s)
         if d > 1:
@@ -213,7 +214,7 @@ def test_global_isotropy_matches_expansion(p):
 @pytest.mark.parametrize("p", GLOBAL_PRIMES)
 def test_global_difference_matches_expansion(p):
     """difference_dimension, is_linked_pair and symbols_isometric against
-    anisotropic_dimension_global on the multiplied-out difference.  Every
+    anisotropic_dimension on the multiplied-out difference.  Every
     pair is linked (GF(p)(X) is top-2-linked, and 3-fold symbols are
     hyperbolic), so the dimensions carry the test."""
     K = tower(p, 1, ("X", RATFUNC))
@@ -221,7 +222,7 @@ def test_global_difference_matches_expansion(p):
     dims = set()
     for i in range(GLOBAL_PAIRS):
         s1, s2 = _global_pair(K, i)
-        n = anisotropic_dimension_global(
+        n = anisotropic_dimension(
             orth_sum(expand(s1), neg(expand(s2))))
         assert difference_dimension(s1, s2) == n, i
         d = s1.fold

@@ -95,6 +95,7 @@ def test_harnesses_refuse_fold_below_one(d, gf3t):
     "verify residue-transfer --field 'GF(3)((t))' --samples 0",
     "verify higher-local-d1 --q 3 --samples 0",
     "verify higher-local-d1 --q 3 --samples -1",
+    "square --field 'GF(3)((t))' --elem 't^99999999999'",
 ])
 def test_cli_refuses_empty_checks(line, capsys):
     assert main(shlex.split(line)) == 2

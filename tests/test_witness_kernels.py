@@ -241,10 +241,11 @@ def test_hyperbolic_pair_rule_matches_try_sqrt(p):
 
 def test_witness_needs_no_factoring_before_a_hyperbolic_pair(monkeypatch):
     """Binary forms take their witness from the discriminant and one square
-    root, without factoring: over GF(9)(X) and GF(5)((t))(X), which have no
-    place machinery, and over GF(10^9 + 7)(X).  A larger form reads its
-    places first, so over GF(9)(X) it is refused, and over GF(5)(X) its
-    hyperbolic pair is the one the class ints pick."""
+    root, and their anisotropic dimension and a 1-fold symbol its isotropy
+    from the discriminant, without factoring: over GF(9)(X) and
+    GF(5)((t))(X), which have no place machinery, and over GF(10^9 + 7)(X).
+    A larger form reads its places first, so over GF(9)(X) it is refused,
+    and over GF(5)(X) its hyperbolic pair is the one the class ints pick."""
     def no_factoring(p, f):
         raise AssertionError(f"factored {f} over GF({p})")
 
@@ -259,6 +260,14 @@ def test_witness_needs_no_factoring_before_a_hyperbolic_pair(monkeypatch):
                             ("GF(5)((t))(X)", "diag[X, -X]"),
                             ("GF(1000000007)(X)", "diag[X^2 + 1, -X^2 - 1]")]:
             assert witness(field, form) == ["1", "1"], form
+            K = dsl.parse_field(field)
+            X = K.gen("X")
+            assert qforms.anisotropic_dimension(dsl.parse_form(K, form)) == 0
+            assert qforms.anisotropic_dimension(qforms.form(K, 1, X)) == 2
+            hyperbolic = pfister.QuadraticPfisterSymbol(K, (), K.zero)
+            assert pfister.symbol_isotropic(hyperbolic), field
+            anisotropic = pfister.QuadraticPfisterSymbol(K, (), X)
+            assert not pfister.symbol_isotropic(anisotropic), field
         K = dsl.parse_field("GF(9)(X)")
         assert qforms.witt_decompose(dsl.parse_form(K, "diag[1, -1]")) \
             .witt_index == 1

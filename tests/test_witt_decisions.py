@@ -17,11 +17,11 @@ import pytest
 from conftest import RefPlace, tower
 from towerforms import fields as fl
 from towerforms.fields import LAURENT, RATFUNC, SampleBudget, sample
-from towerforms.localglobal import (anisotropic_dimension_global,
-                                    places_of_interest)
-from towerforms.qforms import (QuadraticForm, is_hyperbolic, is_isotropic,
-                               isometric, reduce_square_classes,
-                               witt_decompose, witt_index)
+from towerforms.localglobal import places_of_interest
+from towerforms.qforms import (QuadraticForm, anisotropic_dimension,
+                               is_hyperbolic, is_isotropic, isometric,
+                               reduce_square_classes, witt_decompose,
+                               witt_index)
 from towerforms.valuation import ValuationCtx, raw_springer_split
 
 LOCAL = [tower(3), tower(3, 2), tower(3, 1, ("t", LAURENT)),
@@ -186,7 +186,7 @@ def test_global_dimension_needs_no_floor_above_dim_two(p):
         dim = 3 + seed % 4
         q = QuadraticForm(T, tuple(sample(T, GLOBAL_BUDGET, ("floor", seed, i))
                                    for i in range(dim)))
-        assert anisotropic_dimension_global(q) == ref_global_dim(q), q
+        assert anisotropic_dimension(q) == ref_global_dim(q), q
         floor_two += ref_finite_kernel_dim(T, q.diag) == 2
     # even forms with a non-square signed determinant are the case the
     # argument covers; the samples must hold some
