@@ -27,9 +27,12 @@ the DSL powers (1+t+u)^300, ^1000 and ^3000 over GF(3)((t))((u)), and
 EXPAND_REPEAT runs of pfister.expand on each of EXPAND_SYMBOLS over
 GF(3)((t))((u)): a 4-fold and a dense 6-fold symbol, whose expansions take
 every product from one packed layout, and Frobenius images that pack
-sparse and are multiplied pair by pair.  Two more time the factoring of
-GF(p)[X]: localglobal.factor of FACTOR_POLY over GF(5), and building
-LARGE_FIELD, whose defining polynomial canonical_modulus finds.
+sparse and are multiplied pair by pair.  The witness lines run
+localglobal.isotropic_vector_global WITNESS_REPEAT times on the expansion
+of each of WITNESS_SYMBOLS, over GF(5)(X) and GF(3)(X), whose search
+reaches 4-subsets at degree 1.  Two more time the factoring of GF(p)[X]:
+localglobal.factor of FACTOR_POLY over GF(5), and building LARGE_FIELD,
+whose defining polynomial canonical_modulus finds.
 
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
@@ -75,6 +78,13 @@ EXPAND_SYMBOLS = {
     "sparse": "<<(1+t+u)^2187, (1+t+u)^729, t + u^3; 1 + u^2187]]",
 }
 EXPAND_REPEAT = 100
+# 3-fold symbols from the global-witness tail (seed 1) whose expansions
+# take their witness from a 4-subset at degree 1
+WITNESS_SYMBOLS = {
+    "gf5": ("GF(5)(X)", "<<(3)/(4 + 3*X), (2*X)/(1 + 4*X); (3)/(3 + 3*X)]]"),
+    "gf3": ("GF(3)(X)", "<<(X)/(2 + X), (2 + 2*X)/(2*X); (1)/(X)]]"),
+}
+WITNESS_REPEAT = 100
 FACTOR_POLY = "X^20 + X + 1"
 LARGE_FIELD = "GF(1000006000009)"  # GF(p^2), p = 1000003
 
@@ -118,6 +128,11 @@ def _micro_inputs():
         out[f"expand-{name}"] = (
             MICRO_FIELDS[2], [text],
             f"for _ in range({EXPAND_REPEAT}): pfister.expand(x)")
+    for name, (field, text) in WITNESS_SYMBOLS.items():
+        out[f"witness-{name}"] = (
+            field, [text],
+            f"q = pfister.expand(x)\nfor _ in range({WITNESS_REPEAT}): "
+            "localglobal.isotropic_vector_global(q)")
     out["factor-degree20"] = ("GF(5)(X)", [FACTOR_POLY],
                               "localglobal.factor(5, x.raw[0])")
     out["field-p2"] = (MICRO_FIELDS[1], [],

@@ -28,11 +28,18 @@ of the expansion (pfister.expansion_classes).
 
 The witness search reads the same localize result: a pair is hyperbolic
 iff its class ints XOR to that of -1, candidate subforms are decided on
-pair masks of the class ints, the square-class representatives come from
-the entries' factor dicts, and the meet-in-the-middle search adds and
-reduces coefficient vectors packed into one int each.  Field elements are
-built only for the pair that passes, for the representatives, and for the
-witness.
+pair masks of the class ints, built once per read, and the entries'
+squarefree parts s_i come from their factor dicts.  At degree 0 a
+candidate whose zeros must have full support is skipped unless both end
+terms of sum s_i*y_i^2, at the top degree and at the lowest order in X,
+can vanish: a lone term cannot, and two only if minus the product of
+their coefficients is a square in GF(p) (the proof is at
+_subform_witness).  The meet-in-the-middle search adds and reduces
+coefficient vectors packed into one int each, at whole bytes a slot (one
+for p < 128), and an entry's column of s_i*y^2 over every y of one degree
+is one Kronecker product cut into such ints.  Field elements are built
+only for the pair that passes and for the witness, whose nonzero
+coordinates alone go through square_class_rep.
 """
 
 import itertools
@@ -270,23 +277,38 @@ def square_class_rep(tower, elem, factors=None):
 
     Both are read off the factorization lc * prod g^m / prod h^m of elem
     (its _factors, unless given): s is the product of the g and h of odd
-    multiplicity, and c = sqrt(lc) * prod g^(m//2) / prod h^ceil(m/2).
-    When lc is a non-square, s is scaled by the first non-square nu of
-    GF(p) and sqrt(lc / nu) replaces sqrt(lc); the root is the first one in
-    GF(p) order, the one fields.try_sqrt takes.
+    multiplicity (_squarefree_part), and c = sqrt(lc) * prod g^(m//2) /
+    prod h^ceil(m/2) (_square_part).  When lc is a non-square, s is scaled
+    by the first non-square nu of GF(p) and sqrt(lc / nu) replaces
+    sqrt(lc); the root is the first one in GF(p) order, the one
+    fields.try_sqrt takes.
     """
     p, F, _ = _global_base(tower)
     if elem.is_zero():
         raise ZeroArgument("square class of zero")
-    num_fac, den_fac = _factors(p, elem) if factors is None else factors
+    factors = _factors(p, elem) if factors is None else factors
     lc = elem.raw[0][-1]
-    s = (1,)
-    for g in sorted(g for fac in (num_fac, den_fac)
-                    for g, m in fac.items() if m % 2):
+    return (_squarefree_part(F, lc, factors),
+            _square_part(tower, F, lc, factors))
+
+
+def _squarefree_part(F, lc, factors):
+    """s of square_class_rep, from the leading coefficient lc of the
+    numerator and the factor dicts (num_fac, den_fac): the product of the g
+    and h of odd multiplicity, in sorted order, times nu if lc is a
+    non-square."""
+    odd = sorted(g for fac in factors for g, m in fac.items() if m % 2)
+    s = odd[0] if odd else (1,)
+    for g in odd[1:]:
         s = polys.pmul(F, s, g)
+    return s if F.is_square(lc) else polys.pscale(F, s, F.nonsquare)
+
+
+def _square_part(tower, F, lc, factors):
+    """c of square_class_rep, from the same lc and factor dicts."""
+    num_fac, den_fac = factors
     root = F.sqrt(lc)
     if root is None:
-        s = polys.pscale(F, s, F.nonsquare)
         root = F.sqrt(F.div(lc, F.nonsquare))
     c_num, c_den = (root,), (1,)
     for g, m in num_fac.items():
@@ -295,7 +317,7 @@ def square_class_rep(tower, elem, factors=None):
     for h, m in den_fac.items():
         for _ in range((m + 1) // 2):
             c_den = polys.pmul(F, c_den, h)
-    return s, tower.element((c_num, c_den))
+    return tower.element((c_num, c_den))
 
 
 def _embed_poly(tower, f):
@@ -326,8 +348,9 @@ def isotropic_vector_global(q):
     subforms are picked on the same class ints (_isotropic_subsets), any
     5-dimensional subform being isotropic, and a meet-in-the-middle search
     on packed ints runs over polynomial vectors of growing degree on the
-    chosen subforms, its square-class representatives built from the same
-    factor dicts.  Every witness passes qforms.is_isotropic_vector.  Raises
+    chosen subforms (_subform_witness), its squarefree parts and the
+    witness's square-class representatives built from the same factor
+    dicts.  Every witness passes qforms.is_isotropic_vector.  Raises
     BudgetExceeded if the form is isotropic but no witness appears before
     every candidate's table outgrows WITNESS_SIDE_CAP.
     """
@@ -359,21 +382,39 @@ def _candidates(read, n):
     """The subforms the witness search tries, in order, each decided only
     when the search reaches it: the isotropic 3-subsets, else the isotropic
     4-subsets (n >= 4, read being localize(q)), then the first five
-    positions when n >= 5, or all n when nothing came before."""
+    positions when n >= 5, or all n when nothing came before.  The pair
+    masks are built once for both k."""
     count = 0
-    for k in (3, 4) if n >= 4 else ():
-        for idx in _isotropic_subsets(read, k):
-            count += 1
-            yield idx
-        if count:
-            break
+    if n >= 4:
+        masks = _pair_masks(read)
+        for k in (3, 4):
+            for idx in _isotropic_subsets(read, k, masks):
+                count += 1
+                yield idx
+            if count:
+                break
     if n >= 5:
         yield tuple(range(5))
     elif not count:
         yield tuple(range(n))
 
 
-def _isotropic_subsets(read, k):
+def _pair_masks(read):
+    """(same, aniso) of _isotropic_subsets: per pair (i, j), i < j, the
+    places where entries i and j have the same key, and those where they
+    form an anisotropic pair, one bit per place (bit 2k of place_class)."""
+    places, minus_one, classes = read
+    even = sum(1 << (2 * j) for j in range(len(places)))
+    m = (minus_one >> 1) & even
+    same, aniso = {}, {}
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        x = classes[i] ^ classes[j]
+        same[i, j] = ~x & even
+        aniso[i, j] = same[i, j] & ((x >> 1) ^ m)
+    return same, aniso
+
+
+def _isotropic_subsets(read, k, masks=None):
     """The k-subsets (k = 3 or 4) of diagonal positions whose subform is
     isotropic, in combinations order, decided on the bits of read =
     localize(q) at each place of the whole form: the subform's places lie
@@ -386,23 +427,18 @@ def _isotropic_subsets(read, k):
     splits 2 + 1 with an anisotropic pair, a 4-subset iff it splits 2 + 2
     with both pairs anisotropic, a pair of one key being anisotropic iff
     its non-square bits and that of -1 XOR to 1.  So two ints per pair,
-    with one bit per place (bit 2j of place_class), hold "same key" and
-    "anisotropic pair", and each subset is a few ANDs over all places."""
-    places, minus_one, classes = read
-    even = sum(1 << (2 * j) for j in range(len(places)))
-    m = (minus_one >> 1) & even
-    same, aniso = {}, {}
-    for i, j in itertools.combinations(range(len(classes)), 2):
-        x = classes[i] ^ classes[j]
-        same[i, j] = ~x & even
-        aniso[i, j] = same[i, j] & ((x >> 1) ^ m)
+    with one bit per place, hold "same key" and "anisotropic pair"
+    (_pair_masks(read), unless masks gives them), and each subset is a few
+    ANDs over all places."""
+    same, aniso = _pair_masks(read) if masks is None else masks
+    n = len(read[2])
     if k == 3:
-        for a, b, c in itertools.combinations(range(len(classes)), 3):
+        for a, b, c in itertools.combinations(range(n), 3):
             if not (aniso[a, b] | aniso[a, c] | aniso[b, c]) \
                     & ~(same[a, b] & same[a, c]):
                 yield a, b, c
         return
-    for a, b, c, d in itertools.combinations(range(len(classes)), 4):
+    for a, b, c, d in itertools.combinations(range(n), 4):
         if not (aniso[a, b] & aniso[c, d] & ~same[a, c]
                 | (aniso[a, c] & aniso[b, d] | aniso[a, d] & aniso[b, c])
                 & ~same[a, b]):
@@ -410,30 +446,57 @@ def _isotropic_subsets(read, k):
 
 
 def _subform_witness(q, candidates, factored):
-    """A zero of q supported on one candidate subform, from the square-class
-    representatives (s_i, c_i) of its entries, read off factored[i] (the
-    entry's _factors, or None to factor it): a polynomial y with
-    sum s_i*y_i^2 = 0 gives the witness y_i / c_i.
+    """A zero of q supported on one candidate subform: a polynomial vector y
+    with sum s_i*y_i^2 = 0, s_i the _squarefree_part of entry i read off
+    factored[i] (the entry's _factors, or None to factor it), gives the
+    witness y_i / c_i, with c_i from square_class_rep, which runs only on
+    the nonzero coordinates of the returned vector.
 
     Degrees D = 0, 1, ... are tried in turn, on every candidate whose
     meet-in-the-middle side of (p^(D+1))^ceil(k/2) vectors stays within
     WITNESS_SIDE_CAP, until no candidate's does (so D <= 10, as p >= 3);
     then BudgetExceeded is raised.  The candidates come from an iterator,
     decided as the search reaches them, and are kept for the later
-    degrees; an entry's representative is computed when a candidate that
-    holds it is first reached.  At each D the coordinates y and their
-    squares are built once, and each entry's column s_i*y^2 once, packed
-    into ints (_column) and shared by every candidate that holds the
-    entry; every sum has at most width + 2D + 1 slots, from the bound
-    deg s_i <= deg num + deg den over all entries.
+    degrees; an entry's s_i is computed when a candidate that holds it is
+    first reached.
+
+    The degree-0 cut.  On a candidate of at most four positions every zero
+    has full support.  isotropic_vector_global reaches the search only when
+    no pair of entries is hyperbolic, so no zero has exactly two nonzero
+    coordinates (and one is impossible); 4-subsets come only when no
+    3-subset of q is isotropic, so no zero on one has three; and the all-n
+    candidate of a ternary form is a 3-subset.  At D = 0 such a zero is a
+    vector of nonzero constants y_i, and the coefficient of sum s_i*y_i^2
+    at X^t, t = max deg s_i, is the sum of lc(s_i)*y_i^2 over the i with
+    deg s_i = t.  With one such i it is nonzero; with two, a and b, it
+    vanishes only if -lc(s_a)/lc(s_b) = (y_b/y_a)^2, so only if
+    -lc(s_a)*lc(s_b) is a square in GF(p).  The same holds for the
+    coefficients at X^m, m = min ord_X s_i.  A candidate that fails at
+    either end (_end_terms_pass) has no zero at D = 0, so its search would
+    return None: it is skipped, with no column and no table built.  Three
+    or more terms at an end say nothing, as every ternary form over GF(p)
+    is isotropic.  The first-five candidate of n >= 5 may hold an isotropic
+    3-subset, and is never cut.
+
+    The columns.  At each D an entry's column is built once (_column) and
+    shared by every candidate that holds it: one int product of s_i and
+    every square y^2 of _coordinates(p, D), packed at a stride of
+    width + 2D + 1 slots.  Block j of the product is s_i*y_j^2, as
+    deg s_i <= width, from the bound deg s_i <= deg num + deg den over all
+    entries, and deg y_j^2 <= 2D.  Its slots are w bytes, w the byte length
+    of (p - 1)^2 * min(len s_i, 2D + 1), which bounds every coefficient
+    before reduction; the residues are laid out at _search_slot(p) bytes a
+    slot, which hold a sum of two residues, below 2p, and every sum of
+    columns has at most width + 2D + 1 of them.
     """
     p, F, _ = _global_base(q.tower)
     width = max(polys.deg(num) + polys.deg(den)
                 for num, den in (d.raw for d in q.diag))
-    decided, reps = [], {}
+    decided, parts = [], {}
     for D in itertools.count():
         exhausted = True
         columns = {}
+        stride = width + 2 * D + 1
         # D = 0 reaches every candidate unless it returns
         for idx in decided if D else candidates:
             if not D:
@@ -442,23 +505,46 @@ def _subform_witness(q, candidates, factored):
             if (p ** (D + 1)) ** half > WITNESS_SIDE_CAP:
                 continue
             exhausted = False
-            ys, squares = _coordinates(p, D)
+            for i in idx:
+                if i not in parts:
+                    d = q.diag[i]
+                    parts[i] = _squarefree_part(
+                        F, d.raw[0][-1],
+                        _factors(p, d) if factored[i] is None else factored[i])
+            if not D and len(idx) < 5 and \
+                    not _end_terms_pass(F, [parts[i] for i in idx]):
+                continue
             for i in idx:
                 if i not in columns:
-                    if i not in reps:
-                        reps[i] = square_class_rep(q.tower, q.diag[i],
-                                                   factored[i])
-                    columns[i] = _column(F, reps[i][0], squares)
-            found = _mitm_search(p, [columns[i] for i in idx], half,
-                                 width + 2 * D + 1)
+                    columns[i] = _column(p, parts[i], D, stride)
+            found = _mitm_search(p, [columns[i] for i in idx], half, stride)
             if found is not None:
+                ys = _coordinates(p, D)[0]
                 out = [q.tower.zero] * q.dim
                 for pos, y in zip(idx, found):
                     if y:
-                        out[pos] = _embed_poly(q.tower, ys[y]) / reps[pos][1]
+                        c = square_class_rep(q.tower, q.diag[pos],
+                                             factored[pos])[1]
+                        out[pos] = _embed_poly(q.tower, ys[y]) / c
                 return tuple(out)
         if exhausted:
             raise BudgetExceeded("witness search budget exhausted")
+
+
+def _end_terms_pass(F, parts):
+    """Whether sum s*y_s^2 over the squarefree polynomials s of parts
+    passes the end test of _subform_witness's degree-0 cut: at its top
+    degree and at its lowest order in X, the s that reach it are at least
+    two, and where exactly two, minus the product of their coefficients
+    there is a square in GF(p).  A squarefree s has order 0 or 1 at X."""
+    for ends in ([(len(s), s[-1]) for s in parts],
+                 [(1, s[0]) if s[0] else (0, s[1]) for s in parts]):
+        top = max(e for e, _ in ends)
+        coeffs = [c for e, c in ends if e == top]
+        if len(coeffs) == 1 or len(coeffs) == 2 and \
+                not F.is_square(F.neg(F.mul(*coeffs))):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -472,26 +558,60 @@ def _coordinates(p, max_deg):
     return ys, tuple(polys.pmul(F, y, y) for y in ys)
 
 
-def _column(F, s, squares):
-    """s * y^2 for every square y^2, each packed into one int: coefficient
-    i in the slot at bit w*i, w = bitlen(p) + 1 as in _packing."""
-    w, out = F.p.bit_length() + 1, []
-    for y2 in squares:
-        x = 0
-        for c in reversed(polys.pmul(F, s, y2)):
-            x = (x << w) | c
-        out.append(x)
-    return out
+@lru_cache(maxsize=None)
+def _packed_squares(p, max_deg, stride, w):
+    """The squares of _coordinates(p, max_deg) as one int, square j at slot
+    j * stride, little-endian at w bytes a slot."""
+    squares = _coordinates(p, max_deg)[1]
+    buf = bytearray(len(squares) * stride * w)
+    for j, y2 in enumerate(squares):
+        i = j * stride * w
+        buf[i:i + len(y2) * w] = polys._pack(y2, w)
+    return int.from_bytes(buf, "little")
+
+
+def _search_slot(p):
+    """Bytes per slot of the packed search: the whole bytes that hold a sum
+    of two residues mod p, below 2p: 1 for p < 128, 2 for 128 < p < 2^15."""
+    return polys._slot_bytes(2 * p - 1)
+
+
+def _column(p, s, max_deg, stride):
+    """s * y^2 for every y of _coordinates(p, max_deg), each one int of
+    stride slots of _search_slot(p) bytes, coefficient i in slot i.
+
+    One Kronecker product (polys.pmul's layout): s at w bytes a slot times
+    _packed_squares at the same w, w the byte length of the largest
+    coefficient, a sum of at most min(len s, 2 max_deg + 1) products of
+    ints below p; block j, s*y_j^2, has at most stride coefficients, so no
+    block reaches the next.  polys._residues reduces every slot mod p (by
+    one bytes.translate for 1-byte slots), and each block is one
+    int.from_bytes slice of the residues, laid out again at _search_slot(p)
+    bytes a slot where that is wider than the residues' own, as for
+    128 < p < 256.
+    """
+    count = p ** (max_deg + 1)
+    w = polys._slot_bytes((p - 1) ** 2 * min(len(s), 2 * max_deg + 1))
+    buf, r = polys._residues(
+        int.from_bytes(polys._pack(s, w), "little") *
+        _packed_squares(p, max_deg, stride, w), p, w, count * stride)
+    b = _search_slot(p)
+    if r != b:
+        buf = polys._pack(polys._unpack(buf, r), b)
+    step = stride * b
+    return [int.from_bytes(buf[i:i + step], "little")
+            for i in range(0, count * step, step)]
 
 
 @lru_cache(maxsize=None)
 def _packing(p, length):
-    """(w, ones, bias) for length slots of w = bitlen(p) + 1 bits: ones has
-    a 1 at the bottom of each slot and bias 2^(w-1) - p in each.  A slot
-    holding the sum v < 2p of two reduced values carries into bit w - 1
-    after adding bias iff v >= p, and v + bias < 2^w stays in the slot, so
+    """(w, ones, bias) for length slots of w = 8 * _search_slot(p) bits:
+    ones has a 1 at the bottom of each slot and bias 2^(w-1) - p in each.
+    A slot holding the sum v < 2p of two reduced values carries into bit
+    w - 1 after adding bias iff v >= p, and v + bias < 2^(w-1) + p <= 2^w
+    stays in the slot, as 2^(w-1) >= 2^bitlen(p) > p; so
     x - (((x + bias) >> (w-1)) & ones) * p reduces every slot at once."""
-    w = p.bit_length() + 1
+    w = 8 * _search_slot(p)
     ones = sum(1 << (w * i) for i in range(length))
     return w, ones, ((1 << (w - 1)) - p) * ones
 

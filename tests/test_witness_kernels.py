@@ -1,13 +1,14 @@
 """Oracle tests for the kernels of the GF(p)(X) witness search.
 
 The references below are the routines those kernels replaced: the
-meet-in-the-middle search over polynomial vectors with one product per
-coordinate and row, the square-class representative by division and an
-exact square root, the isotropic subsets by qforms.bits_dimension at each
-place, and the finite rule on the residues of conftest.RefPlace.  Each new
-kernel must give the identical answer, so the witnesses built from them
-stay byte-identical.  The class-int rule that picks the hyperbolic pair is
-checked against fields.try_sqrt both ways.
+meet-in-the-middle search over polynomial vectors, on coefficient tuples
+with no packing, the square-class representative by division and an exact
+square root, the isotropic subsets by qforms.bits_dimension at each place,
+and the finite rule on the residues of conftest.RefPlace.  Each new kernel
+must give the identical answer, so the witnesses built from them stay
+byte-identical.  The class-int rule that picks the hyperbolic pair is
+checked against fields.try_sqrt both ways, and the degree-0 cut of the
+search against old_mitm_search.
 """
 
 import functools
@@ -38,17 +39,34 @@ def old_poly_vectors(p, coords, max_deg):
 
 
 def old_mitm_search(p, F, sq, half, max_deg):
-    """Find polynomial y with sum sq[i]*y_i^2 = 0, each deg(y_i) <= max_deg."""
+    """Find polynomial y with sum sq[i]*y_i^2 = 0, each deg(y_i) <= max_deg:
+    the first nonzero vector in old_poly_vectors order whose left part (the
+    first half coordinates) has the negated sum of a right part, that right
+    part being the first of its sum in the same order.  Each s*y^2 is one
+    polys.pmul, padded with zeros to one length, and a vector's sum adds
+    those tuples coefficientwise mod p."""
+    length = max(map(len, sq)) + 2 * max_deg
+    singles = [y for y, in old_poly_vectors(p, 1, max_deg)]
+
+    def side_sums(side):
+        # the padded sum of every vector of one side, in product order
+        cols = [[tuple(t) + (0,) * (length - len(t)) for t in
+                 (polys.pmul(F, s, polys.pmul(F, y, y)) for y in singles)]
+                for s in side]
+        inner = [(0,) * length]
+        for col in reversed(cols[1:]):
+            inner = [tuple([(a + b) % p for a, b in zip(c, o)])
+                     for c in col for o in inner]
+        for c in cols[0]:
+            for o in inner:
+                yield tuple([(a + b) % p for a, b in zip(c, o)])
+
     table = {}
-    for right in old_poly_vectors(p, len(sq) - half, max_deg):
-        acc = ()
-        for s, y in zip(sq[half:], right):
-            acc = polys.padd(F, acc, polys.pmul(F, s, polys.pmul(F, y, y)))
-        table.setdefault(polys.pneg(F, acc), right)
-    for left in old_poly_vectors(p, half, max_deg):
-        acc = ()
-        for s, y in zip(sq, left):
-            acc = polys.padd(F, acc, polys.pmul(F, s, polys.pmul(F, y, y)))
+    for right, acc in zip(old_poly_vectors(p, len(sq) - half, max_deg),
+                          side_sums(sq[half:])):
+        table.setdefault(tuple([-a % p for a in acc]), right)
+    for left, acc in zip(old_poly_vectors(p, half, max_deg),
+                         side_sums(sq[:half])):
         right = table.get(acc)
         if right is not None:
             vec = left + right
@@ -79,41 +97,34 @@ def old_square_class_rep(tower, elem):
 
 def new_search(p, sq, half, max_deg):
     """The packed search on the columns _subform_witness would build."""
-    F = ffield.finite_field(p)
-    ys, squares = lg._coordinates(p, max_deg)
+    ys = lg._coordinates(p, max_deg)[0]
     length = max(map(polys.deg, sq)) + 2 * max_deg + 1
-    found = lg._mitm_search(p, [lg._column(F, s, squares) for s in sq],
-                            half, length)
+    found = lg._mitm_search(
+        p, [lg._column(p, s, max_deg, length) for s in sq], half, length)
     return None if found is None else tuple(ys[i] for i in found)
 
 
 def old_subform_witness(q, candidates):
     """The witness search on an eager candidate list, with the
     square-class representative of every entry of every candidate computed
-    first and the column length from their largest degree."""
+    first, no degree-0 cut, and old_mitm_search on the polynomials
+    themselves: the same candidate, degree and cap order."""
     p, F, _ = lg._global_base(q.tower)
     reps = {i: lg.square_class_rep(q.tower, q.diag[i])
             for i in set().union(*candidates)}
-    width = max(polys.deg(s) for s, _ in reps.values())
     for D in itertools.count():
         exhausted = True
-        columns = {}
         for idx in candidates:
             half = (len(idx) + 1) // 2
             if (p ** (D + 1)) ** half > lg.WITNESS_SIDE_CAP:
                 continue
             exhausted = False
-            ys, squares = lg._coordinates(p, D)
-            for i in idx:
-                if i not in columns:
-                    columns[i] = lg._column(F, reps[i][0], squares)
-            found = lg._mitm_search(p, [columns[i] for i in idx], half,
-                                    width + 2 * D + 1)
+            found = old_mitm_search(p, F, [reps[i][0] for i in idx], half, D)
             if found is not None:
                 out = [q.tower.zero] * q.dim
                 for pos, y in zip(idx, found):
                     if y:
-                        out[pos] = lg._embed_poly(q.tower, ys[y]) / reps[pos][1]
+                        out[pos] = lg._embed_poly(q.tower, y) / reps[pos][1]
                 return tuple(out)
         if exhausted:
             raise lg.BudgetExceeded("witness search budget exhausted")
@@ -184,7 +195,7 @@ def test_mitm_search_matches_old_search(p, max_deg, forms):
 def test_mitm_search_keeps_first_solution_of_many(p):
     """<1, 1, 1, 1> and <1, -1, X, -X> have many zeros at degree 1: the
     first one in product order must come back.  The larger primes fill the
-    packed slots of bitlen(p) + 1 bits up to p - 1 (31 = 2^5 - 1)."""
+    packed slots up to p - 1."""
     F = ffield.finite_field(p)
     for sq in ([(1,)] * 4, [(1,), (p - 1,), (0, 1), (0, p - 1)],
                [(1,), (0, 1), (1, 1)]):
@@ -192,6 +203,86 @@ def test_mitm_search_keeps_first_solution_of_many(p):
             for max_deg in (0, 1) if p < 10 else (0,):
                 assert new_search(p, sq, half, max_deg) == \
                     old_mitm_search(p, F, sq, half, max_deg)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31, 101, 127, 131])
+def test_search_slots_are_whole_bytes_sized_from_p(p):
+    """A slot of the packed search holds a sum of two residues, below 2p, in
+    whole bytes: one up to p = 127 and two from p = 131 on, where the
+    residues of a column, one byte each, are laid out again.  Every column
+    int reads back as s*y^2 slot by slot, and the search gives the old
+    answers on coefficients up to p - 1."""
+    F = ffield.finite_field(p)
+    width = 1 if p < 128 else 2
+    assert lg._search_slot(p) == width
+    assert lg._packing(p, 4)[0] == 8 * width
+    s, max_deg = (p - 1, p - 2, 1), 1 if p < 10 else 0
+    length = len(s) + 2 * max_deg
+    squares = lg._coordinates(p, max_deg)[1]
+    mask = (1 << 8 * width) - 1
+    for x, y2 in zip(lg._column(p, s, max_deg, length), squares, strict=True):
+        want = polys.pmul(F, s, y2)
+        assert [x >> (8 * width * i) & mask for i in range(length)] == \
+            list(want) + [0] * (length - len(want))
+    for sq in ([(p - 1,), (p - 1, p - 1), (1, 1)],
+               [(1,), (p - 1,), (0, 1), (0, p - 1)],
+               [(p - 1, 1), (p - 2, p - 1), (1, p - 1), (0, 2)]):
+        half = (len(sq) + 1) // 2
+        assert new_search(p, sq, half, 0) == \
+            old_mitm_search(p, F, sq, half, 0), sq
+
+
+def _is_squarefree(F, s):
+    derivative = polys.trim(F, [i * c % F.p for i, c in enumerate(s)][1:])
+    return polys.deg(polys.pgcd(F, s, derivative)) == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_degree0_cut_keeps_every_zero_and_fires(p):
+    """The end-term test of _subform_witness's degree-0 cut, on 300 seeded
+    tuples of k = 3 or 4 squarefree polynomials of degree <= 3 per field,
+    kept when no proper sub-tuple has a zero at degree 0: no tuple on which
+    old_mitm_search finds a zero at degree 0 is rejected.  Every other
+    tuple has a zero built in (its last entry is -sum s_i*c_i^2 over the
+    others, for nonzero constants c_i); of the drawn tuples, the test
+    rejects at least 70%."""
+    F = ffield.finite_field(p)
+    rng = random.Random(p)
+
+    def draw():
+        while True:
+            s = polys.trim(F, [rng.randrange(p)
+                               for _ in range(rng.randint(1, 4))])
+            if s and _is_squarefree(F, s):
+                return s
+
+    drawn = built = rejected = 0
+    for seed in range(300):
+        k = 3 + seed % 4 // 2
+        sq = [draw() for _ in range(k)]
+        if seed % 2:
+            last = ()
+            for s in sq[:-1]:
+                c = rng.randrange(1, p)
+                last = polys.psub(F, last, polys.pscale(F, s, c * c % p))
+            if not last or not _is_squarefree(F, last):
+                continue
+            sq[-1] = last
+        if any(old_mitm_search(p, F, [sq[i] for i in sub], (r + 1) // 2, 0)
+               for r in range(2, k)
+               for sub in itertools.combinations(range(k), r)):
+            continue
+        zero = old_mitm_search(p, F, sq, (k + 1) // 2, 0) is not None
+        passes = lg._end_terms_pass(F, sq)
+        assert passes or not zero, sq
+        if seed % 2:
+            assert zero, sq
+            built += 1
+        else:
+            drawn += 1
+            rejected += not passes
+    assert built >= 80 and drawn >= 100 and rejected >= 0.7 * drawn, \
+        (built, drawn, rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +484,11 @@ def _outcome(search, q):
 
 def test_lazy_candidates_give_the_eager_witness():
     """isotropic_vector_global against the search on eager candidates and
-    eager representatives, on the 3-fold expansions of the global-witness
-    inputs of seeds 1-3 and on sampled forms of dim 4-8 over GF(3)(X) and
-    GF(5)(X): the same witness, raw for raw, or the same refusal."""
+    eager representatives, with no degree-0 cut and old_mitm_search in
+    place of the packed kernels, on the 3-fold expansions of the
+    global-witness inputs of seeds 1-3 and on sampled forms of dim 4-8 over
+    GF(3)(X) and GF(5)(X): the same witness, raw for raw, or the same
+    refusal."""
     forms = [pfister.expand(s) for s in _global_witness_inputs((1, 2, 3), 32)]
     budget = SampleBudget(max_deg=2)
     for p in (3, 5):
