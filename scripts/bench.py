@@ -32,7 +32,14 @@ localglobal.isotropic_vector_global WITNESS_REPEAT times on the expansion
 of each of WITNESS_SYMBOLS, over GF(5)(X) and GF(3)(X), whose search
 reaches 4-subsets at degree 1.  Two more time the factoring of GF(p)[X]:
 localglobal.factor of FACTOR_POLY over GF(5), and building LARGE_FIELD,
-whose defining polynomial canonical_modulus finds.
+whose defining polynomial canonical_modulus finds.  The two class-read
+lines take the GF(5)(X) ops among the first CLASS_READ_OPS of the
+global-witness workload (seed TRACE_SEED, from perfbench/gen.py):
+reads-localize runs localglobal.localize once on each op's 3-fold
+expansion, built before the clock starts, and reads-linkage runs
+linkage.is_linked_pair once on each op's two 2-fold symbols.  Each starts
+from an empty record cache, so the polynomials it meets first are
+factored inside the timing, as in a fresh workload process.
 
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
@@ -50,6 +57,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
 OUT = os.path.join(ROOT, "perfbench", "out")
 
 WORKLOADS = ("laurent-linkage", "global-witness", "cli-certify")
@@ -86,6 +95,7 @@ WITNESS_SYMBOLS = {
 }
 WITNESS_REPEAT = 100
 FACTOR_POLY = "X^20 + X + 1"
+CLASS_READ_OPS = 200
 LARGE_FIELD = "GF(1000006000009)"  # GF(p^2), p = 1000003
 
 
@@ -112,9 +122,10 @@ def _operand_text(depth, kind, which):
 
 
 def _micro_inputs():
-    """{name: (field, operand texts, timed statement)}; the statement sees
-    the parsed operands (a text that starts with << is a Pfister symbol)
-    as x and y, and dsl, localglobal, pfister and the tower K."""
+    """{name: (field, operand texts, timed statement[, untimed setup])};
+    both see the parsed operands (a text that starts with << is a Pfister
+    symbol) as the list operands, the first two as x and y, and dsl,
+    linkage, localglobal, pfister and the tower K."""
     out = {}
     for depth, field in MICRO_FIELDS.items():
         for kind in ("dense", "sparse"):
@@ -137,17 +148,29 @@ def _micro_inputs():
                               "localglobal.factor(5, x.raw[0])")
     out["field-p2"] = (MICRO_FIELDS[1], [],
                        f"dsl.parse_field({LARGE_FIELD!r}).ops")
+    ops = [op for op in gen.generate("global-witness", TRACE_SEED,
+                                     CLASS_READ_OPS)
+           if op["field"] == "GF(5)(X)"]
+    out["reads-localize"] = (
+        "GF(5)(X)", [op["symbols"][0] for op in ops],
+        "for q in forms: localglobal.localize(q)",
+        "forms = [pfister.expand(s) for s in operands]")
+    out["reads-linkage"] = (
+        "GF(5)(X)", [s for op in ops for s in op["symbols"][1:]],
+        "for s1, s2 in zip(operands[::2], operands[1::2]): "
+        "linkage.is_linked_pair(s1, s2)")
     return out
 
 
 _MICRO_RUN = """
 import sys, time
 sys.path.insert(0, {src!r})
-from towerforms import dsl, localglobal, pfister
+from towerforms import dsl, linkage, localglobal, pfister
 K = dsl.parse_field({field!r})
 operands = [(dsl.parse_pfister if text.startswith("<<") else
              dsl.parse_element)(K, text) for text in {texts!r}]
 x, y = (operands + [None, None])[:2]
+{setup}
 start = time.perf_counter()
 {statement}
 print(time.perf_counter() - start)
@@ -158,9 +181,10 @@ def micro():
     """{name: {"seconds": s}} for each micro timing, or
     {"timeout_s": MICRO_TIMEOUT_S} for one that ran past it."""
     out = {}
-    for name, (field, texts, statement) in _micro_inputs().items():
+    for name, (field, texts, statement, *setup) in _micro_inputs().items():
         code = _MICRO_RUN.format(src=os.path.join(ROOT, "src"), field=field,
-                                 texts=texts, statement=statement)
+                                 texts=texts, setup="".join(setup),
+                                 statement=statement)
         try:
             proc = subprocess.run([sys.executable, "-c", code],
                                   capture_output=True, text=True,

@@ -3,7 +3,8 @@
 Subcommands: isotropy, witt, residue, square, pfister-expand,
 pfister-normalize, link, certify, verify.  Exit codes: 0 for any computed
 result (including negative answers such as "not linked"), 1 when a
-verification run reports failures, 2 for malformed or unsupported input.
+verification run reports counterexamples, 2 for malformed or unsupported
+input and for a verification run whose only failures are refusals.
 
 With ``--json`` every subcommand emits a single JSON object with sorted keys;
 identical command lines produce byte-identical output (verification reports
@@ -198,15 +199,17 @@ def _cmd_verify(args):
                 seed=args.seed, **kwargs)
     payload = report.to_json()
     payload["elapsed_ms"] = None  # keep --json byte-identical across runs
+    refused = report.failures and all(
+        f["kind"] == "witness-budget" for f in report.failures)
     _emit(args, payload,
           [f"theorem:  {report.theorem}",
            f"field:    {report.field}",
            f"samples:  {report.samples}  seed: {report.seed}",
            f"failures: {len(report.failures)}",
            f"elapsed:  {report.elapsed_ms} ms",
-           "PASS" if report.passed else "FAIL"] +
+           "REFUSED" if refused else "PASS" if report.passed else "FAIL"] +
           [f"  {json.dumps(f, sort_keys=True)}" for f in report.failures])
-    return 0 if report.passed else 1
+    return 2 if refused else 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,10 @@ class Zp(_FiniteField):
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
+    def is_square(self, a):
+        """Euler's criterion in one builtin pow; a must be nonzero."""
+        return pow(a, (self.p - 1) // 2, self.p) == 1
+
     def eq(self, a, b):
         return a == b
 

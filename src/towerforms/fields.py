@@ -163,9 +163,15 @@ class FracField:
         return out
 
     def inv(self, a):
-        if not a[0]:
+        """(den, num) over lc(num): a reduced raw needs no make, no gcd."""
+        num, den = a
+        if not num:
             raise DivisionByZero("inverse of zero")
-        return self.make(a[1], a[0])
+        F = self.inner
+        if F.eq(num[-1], F.one):
+            return (den, num)
+        c = F.inv(num[-1])
+        return (polys.pscale(F, den, c), polys.pscale(F, num, c))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -18,33 +18,37 @@ element's square class over a place list is one int (place_class), two
 bits per place: its valuation mod 2 and whether its unit residue is a
 non-square in GF(p^deg), read off by Legendre symbols from one cached
 factorization (ffield.factor_monic, polynomial in the degree and log p).
-localize, the class reader over GF(p)(X), factors each entry once and
-XORs one mask per odd factor, built once per form; the local dimension is
-qforms.bits_dimension of the bits at a place, and no residue field is
-built.  qforms.read_classes, which every decision above dimension 2
-calls, and the witness search read it alike.  Pfister decisions take the
-places of the slots and 1 + 4b plus infinity, which support every entry
-of the expansion (pfister.expansion_classes).
+Every reader takes an element's data from the records (_poly_record) of
+its numerator and denominator: leading unit, factor dict, sorted factors
+of odd multiplicity and their monic product, cached for the process, one
+per distinct (p, polynomial) seen.  localize, the class reader over
+GF(p)(X), XORs one mask per odd factor of each entry, built once per form;
+the local dimension is qforms.bits_dimension of the bits at a place, and
+no residue field is built.  qforms.read_classes, which every decision
+above dimension 2 calls, and the witness search read it alike.  Pfister
+decisions take the places of the slots and 1 + 4b plus infinity, which
+support every entry of the expansion (pfister.expansion_classes).
 
 The witness search reads the same localize result: a pair is hyperbolic
 iff its class ints XOR to that of -1, candidate subforms are decided on
 pair masks of the class ints, built once per read, and the entries'
-squarefree parts s_i come from their factor dicts.  At degree 0 a
-candidate whose zeros must have full support is skipped unless both end
-terms of sum s_i*y_i^2, at the top degree and at the lowest order in X,
-can vanish: a lone term cannot, and two only if minus the product of
+squarefree parts s_i are the products of their records' monic parts.  At
+degree 0 a candidate whose zeros must have full support is skipped unless
+both end terms of sum s_i*y_i^2, at the top degree and at the lowest order
+in X, can vanish: a lone term cannot, and two only if minus the product of
 their coefficients is a square in GF(p) (the proof is at
 _subform_witness).  The meet-in-the-middle search adds and reduces
 coefficient vectors packed into one int each, at whole bytes a slot (one
 for p < 128), and an entry's column of s_i*y^2 over every y of one degree
 is one Kronecker product cut into such ints.  Field elements are built
 only for the pair that passes and for the witness, whose nonzero
-coordinates alone go through square_class_rep.
+coordinates alone get their square parts c_i.
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 from . import fields as fl
 from . import ffield, polys, qforms
@@ -56,6 +60,8 @@ FINITE = "finite"
 
 # the witness search's limit on one side of the meet-in-the-middle table
 WITNESS_SIDE_CAP = 400_000
+
+_Record = namedtuple("_Record", "lc factors odd monic")
 
 
 @dataclass(frozen=True)
@@ -108,25 +114,26 @@ def factor(p, f):
     return lc, ffield.factor_monic(p, f if lc == 1 else polys.pmonic(F, f))
 
 
-def _factors(p, elem):
-    """(num_fac, den_fac) of a nonzero element, as factor gives them; a
-    constant has no irreducible factors and is not factored."""
-    return tuple(factor(p, f)[1] if polys.deg(f) > 0 else {}
-                 for f in elem.raw)
+@lru_cache(maxsize=None)
+def _poly_record(p, f):
+    """(lc, factors, odd, monic) of a nonzero GF(p)[X] polynomial f: its
+    leading unit and factor dict as factor gives them (empty for a
+    constant), its factors of odd multiplicity in sorted order, and their
+    monic product.  Built once per (p, f), as ffield.factor_monic is.
+    Callers must not mutate the dict."""
+    lc, fac = factor(p, f) if len(f) > 1 else (f[0], {})
+    odd = tuple(sorted(g for g, m in fac.items() if m & 1))
+    F = ffield.finite_field(p)
+    monic = reduce(partial(polys.pmul, F), odd[1:], odd[0]) if odd else (1,)
+    return _Record(lc, fac, odd, monic)
 
 
-def places_of_interest(q, factored=None):
+def places_of_interest(q):
     """The places where some diagonal entry is not a unit, in (degree,
-    polynomial) order, then infinity.  When factored is a list, each
-    entry's _factors are appended to it in order, for place_class."""
+    polynomial) order, then infinity."""
     p, _, _ = _global_base(q.tower)
-    finite = set()
-    for d in q.diag:
-        factors = _factors(p, d)
-        for fac in factors:
-            finite.update(fac)
-        if factored is not None:
-            factored.append(factors)
+    finite = {g for d in q.diag for f in d.raw
+              for g in _poly_record(p, f).factors}
     places = sorted((Place(FINITE, f) for f in finite),
                     key=lambda P: (P.degree, P.poly))
     places.append(Place(INFINITY))
@@ -168,25 +175,20 @@ def _factor_mask(p, places, g):
     return bits
 
 
-def place_class(places, elem, factors=None, masks=None):
+def place_class(places, elem, masks=None):
     """The square class of a nonzero element over an ordered place list, as
-    one int from one factorization of its numerator and denominator (its
-    _factors, unless given): bit 2k is its valuation mod 2 at places[k],
-    bit 2k + 1 whether the residue of its unit part is a non-square.  The
-    uniformizers are fixed, so the class of a product is the XOR of the
-    classes: the element is lc(num) times irreducibles g^(+-e), an even
-    power adds nothing, and the class is the XOR of _factor_mask over the g
-    of odd multiplicity and, when lc(num) is a non-square, over None.  A
-    masks dict, when given, keeps each mask for later calls on the same
-    places."""
+    one int read off the _poly_record of its numerator and denominator:
+    bit 2k is its valuation mod 2 at places[k], bit 2k + 1 whether the
+    residue of its unit part is a non-square.  The uniformizers are fixed,
+    so the class of a product is the XOR of the classes: the element is
+    lc(num) times irreducibles g^(+-e), an even power adds nothing, and the
+    class is the XOR of _factor_mask over the odd factors of numerator and
+    denominator and, when lc(num) is a non-square, over None.  A masks
+    dict, when given, keeps each mask for later calls on the same places."""
     p, F, _ = _global_base(elem.tower)
-    if factors is None:
-        factors = _factors(p, elem)
-    if masks is None:
-        masks = {}
-    odd = [g for fac in factors for g, e in fac.items() if e & 1]
-    if not F.is_square(elem.raw[0][-1]):
-        odd.append(None)
+    num, den = _poly_record(p, elem.raw[0]), _poly_record(p, elem.raw[1])
+    odd = num.odd + den.odd + (() if F.is_square(num.lc) else (None,))
+    masks = {} if masks is None else masks
     bits = 0
     for g in odd:
         mask = masks.get(g)
@@ -211,17 +213,14 @@ def places_dimension(places, minus_one, classes):
                for k in range(len(places)))
 
 
-def localize(q, factored=None):
+def localize(q):
     """(places, minus_one, classes) of the diagonal form q: its
     places_of_interest and the place_class ints of -1 and of each entry,
-    every entry factored once and each factor's mask built once; the one
-    class read over GF(p)(X).  When factored is a list, the entries'
-    _factors are appended to it, as places_of_interest does."""
-    factored, masks = [] if factored is None else factored, {}
-    places = places_of_interest(q, factored)
-    minus_one = place_class(places, -q.tower.one, masks=masks)
-    return places, minus_one, [place_class(places, d, f, masks)
-                               for d, f in zip(q.diag, factored)]
+    each factor's mask built once; the one class read over GF(p)(X)."""
+    masks = {}
+    places = places_of_interest(q)
+    return places, place_class(places, -q.tower.one, masks), \
+        [place_class(places, d, masks) for d in q.diag]
 
 
 # ---------------------------------------------------------------------------
@@ -272,50 +271,44 @@ def hilbert_symbol(a, b, v):
 # explicit witnesses and Witt decomposition
 
 
-def square_class_rep(tower, elem, factors=None):
+def square_class_rep(tower, elem):
     """(s, c) with elem = s*c^2 and s a squarefree-polynomial representative.
 
-    Both are read off the factorization lc * prod g^m / prod h^m of elem
-    (its _factors, unless given): s is the product of the g and h of odd
-    multiplicity (_squarefree_part), and c = sqrt(lc) * prod g^(m//2) /
-    prod h^ceil(m/2) (_square_part).  When lc is a non-square, s is scaled
-    by the first non-square nu of GF(p) and sqrt(lc / nu) replaces
-    sqrt(lc); the root is the first one in GF(p) order, the one
-    fields.try_sqrt takes.
+    Both are read off the _poly_record of the numerator lc * prod g^m and of
+    the denominator prod h^m: s is the product of their monic parts, the g
+    and h of odd multiplicity (_squarefree_part), and c = sqrt(lc) *
+    prod g^(m//2) / prod h^ceil(m/2) (_square_part).  When lc is a
+    non-square, s is scaled by the first non-square nu of GF(p) and
+    sqrt(lc / nu) replaces sqrt(lc); the root is the first one in GF(p)
+    order, the one fields.try_sqrt takes.
     """
     p, F, _ = _global_base(tower)
     if elem.is_zero():
         raise ZeroArgument("square class of zero")
-    factors = _factors(p, elem) if factors is None else factors
-    lc = elem.raw[0][-1]
-    return (_squarefree_part(F, lc, factors),
-            _square_part(tower, F, lc, factors))
+    num, den = _poly_record(p, elem.raw[0]), _poly_record(p, elem.raw[1])
+    return (_squarefree_part(F, num, den),
+            _square_part(tower, F, num, den))
 
 
-def _squarefree_part(F, lc, factors):
-    """s of square_class_rep, from the leading coefficient lc of the
-    numerator and the factor dicts (num_fac, den_fac): the product of the g
-    and h of odd multiplicity, in sorted order, times nu if lc is a
-    non-square."""
-    odd = sorted(g for fac in factors for g, m in fac.items() if m % 2)
-    s = odd[0] if odd else (1,)
-    for g in odd[1:]:
-        s = polys.pmul(F, s, g)
-    return s if F.is_square(lc) else polys.pscale(F, s, F.nonsquare)
+def _squarefree_part(F, num, den):
+    """s of square_class_rep, from the records of num and den."""
+    a, b = num.monic, den.monic
+    s = a if b == (1,) else b if a == (1,) else polys.pmul(F, a, b)
+    return s if F.is_square(num.lc) else polys.pscale(F, s, F.nonsquare)
 
 
-def _square_part(tower, F, lc, factors):
-    """c of square_class_rep, from the same lc and factor dicts."""
-    num_fac, den_fac = factors
-    root = F.sqrt(lc)
+def _square_part(tower, F, num, den):
+    """c of square_class_rep, from the same records: the denominator's
+    monic part times each h^(m//2) is prod h^ceil(m/2)."""
+    root = F.sqrt(num.lc)
     if root is None:
-        root = F.sqrt(F.div(lc, F.nonsquare))
-    c_num, c_den = (root,), (1,)
-    for g, m in num_fac.items():
+        root = F.sqrt(F.div(num.lc, F.nonsquare))
+    c_num, c_den = (root,), den.monic
+    for g, m in num.factors.items():
         for _ in range(m // 2):
             c_num = polys.pmul(F, c_num, g)
-    for h, m in den_fac.items():
-        for _ in range((m + 1) // 2):
+    for h, m in den.factors.items():
+        for _ in range(m // 2):
             c_den = polys.pmul(F, c_den, h)
     return tower.element((c_num, c_den))
 
@@ -328,11 +321,11 @@ def isotropic_vector_global(q):
     """An explicit nontrivial zero over GF(p)(X), or None if q is anisotropic.
 
     A binary form is decided by its discriminant, and an isotropic one
-    takes its witness from one fields.try_sqrt of -a_1/a_0, with nothing
-    factored.  A form of dimension >= 3 is read once by localize(q), which
-    keeps each entry's factor dicts, and everything else comes from that
-    read.  Isotropy is places_dimension for n <= 4 and the u-invariant 4
-    for n >= 5.  The hyperbolic pair is the first (i, j) in combinations
+    takes its witness from one fields.try_sqrt of -a_1/a_0, factoring
+    nothing.  A form of dimension >= 3 is read once by localize(q), and
+    everything else comes from that read and the entries' _poly_record.
+    Isotropy is places_dimension for n <= 4 and the u-invariant 4 for
+    n >= 5.  The hyperbolic pair is the first (i, j) in combinations
     order with classes[i] ^ classes[j] == minus_one, and that test is
     exact: the class of -a_j/a_i is minus_one ^ classes[i] ^ classes[j],
     as classes multiply by XOR and 1/a has the class of a, and a
@@ -349,19 +342,18 @@ def isotropic_vector_global(q):
     5-dimensional subform being isotropic, and a meet-in-the-middle search
     on packed ints runs over polynomial vectors of growing degree on the
     chosen subforms (_subform_witness), its squarefree parts and the
-    witness's square-class representatives built from the same factor
-    dicts.  Every witness passes qforms.is_isotropic_vector.  Raises
-    BudgetExceeded if the form is isotropic but no witness appears before
-    every candidate's table outgrows WITNESS_SIDE_CAP.
+    witness's square-class representatives built from the same records.
+    Every witness passes qforms.is_isotropic_vector.  Raises BudgetExceeded
+    if the form is isotropic but no witness appears before every
+    candidate's table outgrows WITNESS_SIDE_CAP.
     """
     n, tower = q.dim, q.tower
     if n <= 2:
         if not is_isotropic_global(q):
             return None
-        read, factored, pair = None, [None] * n, (0, 1)
+        read, pair = None, (0, 1)
     else:
-        factored = []
-        read = _, minus_one, classes = localize(q, factored)
+        read = _, minus_one, classes = localize(q)
         if n <= 4 and places_dimension(*read) == n:
             return None
         pair = next(((i, j) for i, j in itertools.combinations(range(n), 2)
@@ -373,7 +365,7 @@ def isotropic_vector_global(q):
             vec = [tower.zero] * n
             vec[i], vec[j] = root, tower.one
             return tuple(vec)
-    found = _subform_witness(q, _candidates(read, n), factored)
+    found = _subform_witness(q, _candidates(read, n))
     assert qforms.is_isotropic_vector(q, found)
     return found
 
@@ -445,12 +437,12 @@ def _isotropic_subsets(read, k, masks=None):
             yield a, b, c, d
 
 
-def _subform_witness(q, candidates, factored):
+def _subform_witness(q, candidates):
     """A zero of q supported on one candidate subform: a polynomial vector y
-    with sum s_i*y_i^2 = 0, s_i the _squarefree_part of entry i read off
-    factored[i] (the entry's _factors, or None to factor it), gives the
-    witness y_i / c_i, with c_i from square_class_rep, which runs only on
-    the nonzero coordinates of the returned vector.
+    with sum s_i*y_i^2 = 0, s_i the _squarefree_part of entry i, gives the
+    witness y_i / c_i, c_i its _square_part, built only for the nonzero
+    coordinates of the returned vector; both come from the records of the
+    entry's numerator and denominator, as in square_class_rep.
 
     Degrees D = 0, 1, ... are tried in turn, on every candidate whose
     meet-in-the-middle side of (p^(D+1))^ceil(k/2) vectors stays within
@@ -507,10 +499,8 @@ def _subform_witness(q, candidates, factored):
             exhausted = False
             for i in idx:
                 if i not in parts:
-                    d = q.diag[i]
                     parts[i] = _squarefree_part(
-                        F, d.raw[0][-1],
-                        _factors(p, d) if factored[i] is None else factored[i])
+                        F, *(_poly_record(p, f) for f in q.diag[i].raw))
             if not D and len(idx) < 5 and \
                     not _end_terms_pass(F, [parts[i] for i in idx]):
                 continue
@@ -523,8 +513,8 @@ def _subform_witness(q, candidates, factored):
                 out = [q.tower.zero] * q.dim
                 for pos, y in zip(idx, found):
                     if y:
-                        c = square_class_rep(q.tower, q.diag[pos],
-                                             factored[pos])[1]
+                        c = _square_part(q.tower, F, *(
+                            _poly_record(p, f) for f in q.diag[pos].raw))
                         out[pos] = _embed_poly(q.tower, ys[y]) / c
                 return tuple(out)
         if exhausted:

@@ -9,7 +9,8 @@ When F's class sets ``_int_raws`` (only ffield.Zp does), the raws are ints
 in [0, p) and padd, pneg, pmul, pscale, pdivmod and psqrt work on them
 directly: a sum or product is reduced by one ``% p`` (psqrt sums every
 product of a root coefficient first), and no field method is called per
-coefficient.  pmod, pgcd, ppowmod and pxgcd reach that path through them.
+coefficient.  pmod, ppowmod and pxgcd reach that path through them; pgcd
+runs its own Euclid on int lists, with no tuple per remainder.
 Every other field (Fq, FracField) takes the generic path, which also
 serves the tests as the reference for the int path; both return the same
 tuples.  Every raw is canonical, so trim and pshift_order find zeros by
@@ -393,6 +394,22 @@ def ppowmod(F, a, n, m):
 
 
 def pgcd(F, a, b):
+    """The monic gcd, by Euclid; over Zp's int raws the remainders are
+    taken in place on one list each, one pow per leading inverse."""
+    if getattr(F, "_int_raws", False):
+        p = F.p
+        a, b = list(a), list(b)
+        while b:
+            inv_lead, m = pow(b[-1], p - 2, p), len(b) - 1
+            while len(a) > m:
+                c = a.pop() * inv_lead % p
+                k = len(a) - m
+                a[k:] = [(x - c * y) % p for x, y in zip(a[k:], b)]
+                while a and not a[-1]:
+                    a.pop()
+            a, b = b, a
+        c = pow(a[-1], p - 2, p) if a else 0
+        return tuple([x * c % p for x in a])
     while b:
         a, b = b, pmod(F, a, b)
     return pmonic(F, a)

@@ -1,6 +1,6 @@
 import itertools
 import signal
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -81,6 +81,37 @@ def packed_operand(rng, f, kind):
     else:
         den = (g.zero,) * rng.randint(0, 2) + (g.one,)
     return f.make(tuple(coeffs), den)
+
+
+def monic_polys(p, d):
+    """Every monic polynomial of degree d over GF(p), by coefficients from
+    the top."""
+    for top in itertools.product(range(p), repeat=d):
+        yield top[::-1] + (1,)
+
+
+@lru_cache(maxsize=None)
+def is_irreducible(p, g):
+    """Trial division by every monic polynomial of degree 1..deg g / 2."""
+    F = finite_field(p)
+    return all(polys.pmod(F, g, h) for e in range(1, polys.deg(g) // 2 + 1)
+               for h in monic_polys(p, e))
+
+
+def trial_factor(p, f):
+    """{irreducible: multiplicity} of a monic f over GF(p), dividing by the
+    irreducibles of each degree in monic_polys order until the rest has
+    no factor of at most half its degree: the oracle for factor_monic."""
+    F, out, d = finite_field(p), {}, 1
+    while 2 * d <= polys.deg(f):
+        for g in filter(partial(is_irreducible, p), monic_polys(p, d)):
+            while not polys.pmod(F, f, g):
+                f = polys.pdivmod(F, f, g)[0]
+                out[g] = out.get(g, 0) + 1
+        d += 1
+    if polys.deg(f) > 0:
+        out[f] = 1
+    return out
 
 
 @lru_cache(maxsize=None)

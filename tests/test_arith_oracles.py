@@ -12,14 +12,14 @@ GF(p)[X] factoring and irreducibility by trial division over every monic
 polynomial of each degree, and sympy's primality and factoring (test-only).
 """
 
-import itertools
 import random
 from functools import partial
 
 import pytest
 import sympy
 
-from conftest import packed_operand, tower
+from conftest import (is_irreducible, monic_polys, packed_operand, tower,
+                      trial_factor)
 from towerforms import errors, ffield, fields, polys
 from towerforms.ffield import Fq, Zp
 from towerforms.dsl import parse_element, parse_field
@@ -147,36 +147,6 @@ def test_primality_matches_sympy():
     assert ffield.prime_power(10 ** 30) is None
 
 
-def _monic_polys(p, d):
-    """Every monic polynomial of degree d over GF(p), by coefficients from
-    the top."""
-    for top in itertools.product(range(p), repeat=d):
-        yield top[::-1] + (1,)
-
-
-def _is_irreducible(p, g):
-    """Trial division by every monic polynomial of degree 1..deg g / 2."""
-    F = Zp(p)
-    return all(polys.pmod(F, g, h) for e in range(1, polys.deg(g) // 2 + 1)
-               for h in _monic_polys(p, e))
-
-
-def _trial_factor(p, f):
-    """{irreducible: multiplicity} of a monic f over GF(p), dividing by the
-    irreducibles of each degree in _monic_polys order until the rest has
-    no factor of at most half its degree."""
-    F, out, d = Zp(p), {}, 1
-    while 2 * d <= polys.deg(f):
-        for g in filter(partial(_is_irreducible, p), _monic_polys(p, d)):
-            while not polys.pmod(F, f, g):
-                f = polys.pdivmod(F, f, g)[0]
-                out[g] = out.get(g, 0) + 1
-        d += 1
-    if polys.deg(f) > 0:
-        out[f] = 1
-    return out
-
-
 def _sympy_factor(p, f):
     lc, factors = sympy.Poly(f[::-1], sympy.Symbol("X"),
                              modulus=p).factor_list()
@@ -229,23 +199,23 @@ def test_factor_matches_trial_division_in_order(p):
     degree <= 5 over GF(3) and <= 3 otherwise, and seeded products of
     degree <= 8."""
     top = 5 if p == 3 else 3
-    inputs = [f for d in range(top + 1) for f in _monic_polys(p, d)]
+    inputs = [f for d in range(top + 1) for f in monic_polys(p, d)]
     rng = random.Random(p)
     inputs += [_seeded_monic(rng, p, 8) for _ in range(50)]
     for f in inputs:
         assert list(ffield.factor_monic(p, f).items()) == \
-            list(_trial_factor(p, f).items()), f
+            list(trial_factor(p, f).items()), f
 
 
 def test_canonical_modulus_is_first_irreducible():
     """canonical_modulus(p, k), which fixes every GF(p^k) raw, is the first
-    irreducible of _monic_polys(p, k) for p <= 23 and k <= 5 (k <= 3 from
+    irreducible of monic_polys(p, k) for p <= 23 and k <= 5 (k <= 3 from
     p = 11 on), and its walk leaves the factoring cache as it was."""
     before = ffield.factor_monic.cache_info()
     for p in (3, 5, 7, 11, 13, 17, 19, 23):
         for k in range(1, (5 if p < 11 else 3) + 1):
-            want = next(filter(partial(_is_irreducible, p),
-                               _monic_polys(p, k)))
+            want = next(filter(partial(is_irreducible, p),
+                               monic_polys(p, k)))
             assert ffield.canonical_modulus.__wrapped__(p, k) == want, (p, k)
     assert ffield.canonical_modulus(3, 2) == (1, 0, 1)
     assert ffield.factor_monic.cache_info() == before
@@ -395,6 +365,21 @@ def test_pmul_kernel_on_short_operands(p, la, lb, summed, monkeypatch):
     assert bool(calls) == summed
 
 
+def test_zp_is_square_matches_generic_euler():
+    """Zp.is_square, one builtin pow, against the generic Euler criterion
+    on pow_: every nonzero a for each odd p <= 31, and 3000 sampled a mod
+    10^9 + 7."""
+    generic = ffield._FiniteField.is_square
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        Z = Zp(p)
+        squares = [Z.is_square(a) for a in range(1, p)]
+        assert squares == [generic(Z, a) for a in range(1, p)]
+        assert sum(squares) == (p - 1) // 2
+    Z, rng = Zp(10 ** 9 + 7), random.Random(7)
+    for a in [rng.randrange(1, Z.p) for _ in range(3000)] + [1, Z.p - 1]:
+        assert Z.is_square(a) == generic(Z, a), a
+
+
 # seeded cases per prime, x 5 primes: 2100
 KERNEL_CASES = 420
 
@@ -432,7 +417,8 @@ def test_int_kernels_match_generic_path(p):
                            ("pneg", (a,)), ("pmul", (a, b)),
                            ("pmul", (padded, b)), ("pscale", (a, c)),
                            ("pshift_order", (shifted,)), ("pmonic", (a,)),
-                           ("pgcd", (a, b)), ("pxgcd", (a, b))):
+                           ("pgcd", (a, b)), ("pgcd", (b, a)),
+                           ("pxgcd", (a, b))):
             assert getattr(polys, name)(Z, *args) == \
                 getattr(polys, name)(G, *args), (name, args)
         assert polys.psqrt(Z, square) == monic
@@ -553,11 +539,15 @@ def test_zp_raws_are_canonical(p):
 
 class _EuclidFrac(FracField):
     """FracField by cross-multiplication: add and mul multiply the
-    denominators, and make reduces every fraction by pgcd.  The reference
-    for the monomial-denominator add, mul and make."""
+    denominators, make reduces every fraction by pgcd, and inv is make of
+    the swapped raw.  The reference for the monomial-denominator add, mul
+    and make, and for inv."""
 
     def make(self, num, den):
         return _make_by_gcd(self, num, den)
+
+    def inv(self, a):
+        return self.make(a[1], a[0])
 
     def add(self, a, b):
         F = self.inner
@@ -571,8 +561,9 @@ class _EuclidFrac(FracField):
 
 
 def _euclid_tower(K):
-    """K's chain rebuilt from the generic-path Zp by _EuclidFrac levels."""
-    f = _GenericZp(K.base_char)
+    """K's chain rebuilt by _EuclidFrac levels from the generic-path Zp,
+    or from K's own Fq base, which has no int kernels."""
+    f = _GenericZp(K.base_char) if K.base_degree == 1 else K.chain[0]
     for lv in K.levels:
         f = _EuclidFrac(f, lv.symbol)
     return f
@@ -631,6 +622,34 @@ def test_ratfunc_arithmetic_matches_euclid():
             b = euclid.sub(euclid.mul(a, f.gen), a)
         if not f.is_zero(b):
             _assert_ops_match_euclid(f, euclid, a, b)
+
+
+@pytest.mark.parametrize("field", ["GF(3)(X)", "GF(5)(X)", "GF(9)((t))",
+                                   "GF(5)((t))", "GF(3)((t))((u))",
+                                   "GF(3)((t))((u))((w))"])
+def test_inverse_matches_make_of_the_swapped_raw(field):
+    """FracField.inv, the swapped raw with its new den made monic, against
+    make(den, num) and the gcd route of _euclid_tower, at the outer level:
+    on sampled raws, whose dens are c*X^k at a Laurent level, on those
+    times a power of the generator, and on quotients of two numerators,
+    whose dens are mostly not monomials."""
+    K = parse_field(field)
+    f, euclid = K.ops, _euclid_tower(K)
+    budget = SampleBudget(max_val=1, max_deg=3, series_terms=1)
+    monomial = other = 0
+    for seed in range(60 if len(K.levels) < 3 else 15):
+        a = sample(K, budget, ("inv", seed)).raw
+        b = sample(K, budget, ("inv", seed, "b")).raw
+        shifted = f.mul(a, f.monomial(f.inner.one, seed % 5 - 2))
+        for x in (a, shifted, f.make(a[0], b[0])):
+            assert f.inv(x) == f.make(x[1], x[0]) == euclid.inv(x), x
+            if f._x_power(x[0]) is None:
+                other += 1
+            else:
+                monomial += 1
+    assert monomial >= 30 and other >= 10, (monomial, other)
+    with pytest.raises(errors.DivisionByZero):
+        f.inv(f.zero)
 
 
 def _old_sample_raw(tower, depth, budget, rng):

@@ -75,6 +75,7 @@ def test_micro_timings_record_seconds_or_a_timeout(monkeypatch):
     assert {f"expand-{n}" for n in ("4fold", "6fold", "sparse")} <= names
     assert sum(name.startswith("product-") for name in names) == 6
     assert {"witness-gf3", "witness-gf5"} <= names
+    assert {"reads-localize", "reads-linkage"} <= names
 
     monkeypatch.setattr(bench, "_micro_inputs", lambda: {
         "small": (bench.MICRO_FIELDS[2], ["1 + t", "u"], "x * y"),

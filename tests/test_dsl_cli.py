@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from towerforms import cli, dsl, errors
+from towerforms import cli, dsl, errors, linkage
 from towerforms.cli import main
 from towerforms.fields import SampleBudget, format_element, sample
 from towerforms.pfister import BilinearPfisterSymbol, QuadraticPfisterSymbol
@@ -211,6 +211,28 @@ def test_cli_verify_higher_local(capsys):
                            "--samples", "5", "--seed", "42")
     assert code == 0
     assert "PASS" in out
+
+
+def test_cli_verify_tells_a_refusal_from_a_counterexample(capsys,
+                                                          monkeypatch):
+    """The only failure of 418 higher-local-d1 samples over GF(3)(X), seed
+    1, is a witness-budget refusal at sample 417, an 8-dimensional (so
+    isotropic) expansion: REFUSED, exit 2.  A counterexample among the
+    failures, alone or next to a refusal, still prints FAIL, exit 1."""
+    code, out, _ = run_cli(capsys, "verify", "higher-local-d1", "--q", "3",
+                           "--seed", "1", "--samples", "418")
+    lines = out.splitlines()
+    assert code == 2 and lines[3] == "failures: 1" and lines[5] == "REFUSED"
+    refusal = json.loads(lines[6])
+    assert (refusal["kind"], refusal["index"]) == ("witness-budget", 417)
+    counterexample = {"kind": "unlinked-pair", "index": 0}
+    for failures in ((counterexample,), (refusal, counterexample)):
+        report = linkage.VerificationReport("higher-local-d1", "GF(3)(X)",
+                                            failures=failures)
+        monkeypatch.setattr(linkage, "verify_higher_local_d1",
+                            lambda *args, **kwargs: report)
+        code, out, _ = run_cli(capsys, "verify", "higher-local-d1", "--q", "3")
+        assert code == 1 and out.splitlines()[5] == "FAIL", failures
 
 
 def test_cli_exit_2_on_bad_input(capsys):

@@ -9,8 +9,9 @@ from towerforms import dsl, errors, localglobal, polys
 from towerforms.fields import RATFUNC, SampleBudget, sample
 from towerforms.linkage import verify_higher_local_d1
 from towerforms.localglobal import (FINITE, INFINITY, Place, _bits_at,
-                                    _factors, _global_base, _isotropic_subsets,
-                                    _legendre_nonsquare, _split_plane,
+                                    _global_base, _isotropic_subsets,
+                                    _legendre_nonsquare, _poly_record,
+                                    _split_plane,
                                     hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
                                     place_class, places_of_interest,
@@ -20,7 +21,7 @@ from towerforms.pfister import QuadraticPfisterSymbol, expand
 from towerforms.qforms import (QuadraticForm, form, is_isotropic,
                                is_isotropic_vector, isometric, witt_index)
 from towerforms.valuation import ValuationCtx
-from conftest import RefPlace, tower
+from conftest import RefPlace, tower, trial_factor
 
 
 def _split(p, F, place, raw, factors):
@@ -29,10 +30,10 @@ def _split(p, F, place, raw, factors):
 
     At infinity v = deg den - deg num, and the residue is lc(num).  At P of
     degree m, v is the multiplicity of P in num minus that in den, read off
-    factors = (num_fac, den_fac) as factor gives them.  The residue is lc
-    times the other irreducible factors g^(+-e) mod P, so its bit is the XOR
-    of theirs: an even power adds nothing, an odd one the Legendre symbol
-    of g mod P, and lc its bit in GF(p) iff m is odd.
+    factors = (num_fac, den_fac), the factor dicts of their records.  The
+    residue is lc times the other irreducible factors g^(+-e) mod P, so its
+    bit is the XOR of theirs: an even power adds nothing, an odd one the
+    Legendre symbol of g mod P, and lc its bit in GF(p) iff m is odd.
     """
     num, den = raw
     nonsquare = place.degree % 2 == 1 and not F.is_square(num[-1])
@@ -43,6 +44,11 @@ def _split(p, F, place, raw, factors):
         if e % 2 and g != place.poly:
             nonsquare ^= _legendre_nonsquare(p, g, place.poly)
     return num_fac.get(place.poly, 0) - den_fac.get(place.poly, 0), nonsquare
+
+
+def _factor_dicts(p, a):
+    """(num_fac, den_fac) of a nonzero element, from its records."""
+    return tuple(_poly_record(p, f).factors for f in a.raw)
 
 
 def _place_names(q):
@@ -303,7 +309,7 @@ def test_place_split_matches_reference_loops(p):
     assert {P.degree for P in places} == {1, 2, 3, 4}
     assert len(places) * len(elems) >= 1000
     _, F, _ = _global_base(K)
-    factored = [_factors(p, a) for a in elems]
+    factored = [_factor_dicts(p, a) for a in elems]
     for P in places:
         ref = RefPlace(p, P)
         for a, factors in zip(elems, factored):
@@ -334,7 +340,7 @@ def test_place_class_matches_split_and_reference(p):
         places = rng.sample(pool, rng.randint(1, 6))
         masks = {}
         for a in rng.sample(elems, 20):
-            factors = _factors(p, a)
+            factors = _factor_dicts(p, a)
             want = 0
             for k, P in enumerate(places):
                 v, nonsquare = _split(p, F, P, a.raw, factors)
@@ -342,8 +348,55 @@ def test_place_class_matches_split_and_reference(p):
                 assert (v, nonsquare) == (v_ref, not refs[P].is_square(r))
                 want |= ((v & 1) | (nonsquare << 1)) << (2 * k)
             assert place_class(places, a) == want, (places, a)
-            assert place_class(places, a, factors, masks) == want
+            assert place_class(places, a, masks) == want
             pairs += 1
+
+
+def _product(F, factors):
+    out = (1,)
+    for g in factors:
+        out = polys.pmul(F, out, g)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_poly_records_match_trial_division(p):
+    """Each _poly_record against trial division: the leading unit, the
+    factor dict in order, the odd factors sorted, their monic product, and
+    the square part, f / (lc * monic) being the square of the product of
+    the g^(m // 2); then place_class against RefPlace with the record cache
+    cold and again warm.  Entries a, a*b^2 and a*b^3 give multiplicities
+    above one."""
+    K = tower(p, 1, ("X", RATFUNC))
+    F = K.chain[0]
+    budget = SampleBudget(max_deg=2)
+    elems = []
+    for seed in range(40):
+        a, b = (sample(K, budget, ("record", seed, i)) for i in range(2))
+        elems.append((a, a * b * b, a * b ** 3)[seed % 3])
+    repeated, distinct = 0, {f for a in elems for f in a.raw}
+    for f in distinct:
+        lc, factors, odd, monic = _poly_record(p, f)
+        want = trial_factor(p, polys.pmonic(F, f))
+        assert (lc, list(factors.items())) == (f[-1], list(want.items())), f
+        assert odd == tuple(sorted(g for g, m in want.items() if m % 2))
+        assert monic == _product(F, odd)
+        root = _product(F, [g for g, m in want.items() for _ in range(m // 2)])
+        assert polys.pscale(F, polys.pmul(F, monic, polys.pmul(F, root, root)),
+                            lc) == f
+        repeated += max(want.values(), default=1) > 1
+    assert repeated >= 15
+    places = places_of_interest(QuadraticForm(K, tuple(elems)))
+    want = [0] * len(elems)
+    for k, P in enumerate(places):
+        ref = RefPlace(p, P)
+        for i, a in enumerate(elems):
+            v, r = ref.split(a)
+            want[i] |= ((v & 1) | (not ref.is_square(r)) << 1) << (2 * k)
+    _poly_record.cache_clear()
+    for _ in ("cold", "warm"):
+        assert [place_class(places, a) for a in elems] == want
+        assert _poly_record.cache_info().misses == len(distinct)
 
 
 @pytest.mark.parametrize("p", [3, 5])
