@@ -15,8 +15,10 @@ the runs.  Under per_layer it holds every nonzero call count of the traced
 run (a count missing there is 0), and under per_layer_run that run's seed,
 op and failure counts.  Its context block holds the git sha, nproc, the
 Python version, the CPU model and the median calibration speed over every
---trace 0 run, with the sha256 of src/towerforms/*.py that run.py reports
-(the sha names the commit checked out, which the tree may differ from).
+--trace 0 run, with the sha256 of src/towerforms/*.py that run.py reports.
+src_digest names the tree that was measured; git_sha names the commit
+checked out, and git_dirty is true when ``git status --porcelain -- src``
+prints anything, that is when the measured src/ differs from that commit.
 
 --label also records micro timings under the micro key (see micro()): for
 each, the seconds of one in-process run on a fixed input, in its own
@@ -40,6 +42,9 @@ expansion, built before the clock starts, and reads-linkage runs
 linkage.is_linked_pair once on each op's two 2-fold symbols.  Each starts
 from an empty record cache, so the polynomials it meets first are
 factored inside the timing, as in a fresh workload process.
+reads-certify, the Laurent side of the class rule, runs
+linkage.find_certificate once on each GF(3)((t)) certify pair among the
+first CLASS_READ_OPS ops of the cli-certify workload (seed TRACE_SEED).
 
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
@@ -159,6 +164,14 @@ def _micro_inputs():
         "GF(5)(X)", [s for op in ops for s in op["symbols"][1:]],
         "for s1, s2 in zip(operands[::2], operands[1::2]): "
         "linkage.is_linked_pair(s1, s2)")
+    # argv: certify --field F --p1 S1 --p2 S2 --json
+    certify = [op["argv"] for op in gen.generate("cli-certify", TRACE_SEED,
+                                                 CLASS_READ_OPS)
+               if op["argv"][:3] == ["certify", "--field", MICRO_FIELDS[1]]]
+    out["reads-certify"] = (
+        MICRO_FIELDS[1], [s for argv in certify for s in argv[4:7:2]],
+        "for s1, s2 in zip(operands[::2], operands[1::2]): "
+        "linkage.find_certificate(s1, s2)")
     return out
 
 
@@ -210,9 +223,10 @@ def _cpu_model():
     return platform.processor() or platform.machine()
 
 
-def _git_sha():
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                          capture_output=True, text=True)
+def _git(*args):
+    """git's stdout in the repository root, or None when git fails."""
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
@@ -271,7 +285,10 @@ def measure(seeds=SEEDS, ops=None):
                               "failed": rep["failed"],
                               "correct": traced["correct"]},
         }
-    doc["context"] = {"git_sha": _git_sha(), "src_digest": src_digest,
+    status = _git("status", "--porcelain", "--", "src")
+    doc["context"] = {"git_sha": _git("rev-parse", "HEAD"),
+                      "git_dirty": None if status is None else bool(status),
+                      "src_digest": src_digest,
                       "nproc": os.cpu_count(), "cpu": _cpu_model(),
                       "python": platform.python_version(),
                       "speed": statistics.median(speeds)}

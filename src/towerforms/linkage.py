@@ -7,8 +7,8 @@ classes of the slots and of 1 + 4b (pfister.expansion_classes, from
 qforms.read_classes): over Laurent towers one qforms.square_class int
 each, over GF(p)(X) one place-class int each over S, the places of all
 slots and 1 + 4b plus infinity.  The Laurent class representatives are
-qforms.class_rep of each int (square_class_reps); a negative's class is
-the int XOR that of -1.
+qforms.class_reps, a class_rep per int; a negative's class is the int
+XOR that of -1.
 Certificates exhibit an explicit common presentation
 <<a1, shared...; b]] / <<a1', shared...; b]].  The search decides every
 candidate on the same square classes, by XOR, with no expansion, and ends
@@ -109,37 +109,19 @@ def is_linked_pair(q1, q2):
     return index >= 2 ** (q1.fold - 1)
 
 
-def _rep_classes(tower):
-    """The square_class ints of square_class_reps(tower), in its order:
-    value parities outermost first, innermost varying fastest, then the
-    unit 1 before nu."""
-    return [u | sum(e << (i + 1) for i, e in enumerate(eps))
-            for eps in itertools.product((0, 1), repeat=len(tower.levels))
-            for u in (0, 1)]
-
-
-def square_class_reps(tower):
-    """Representatives of the square classes of the tower: class_rep
-    t^eps * {1, nu} of each class, nu the first non-square of the finite
-    base, innermost uniformizer varying fastest."""
-    if any(lv.kind == fl.RATFUNC for lv in tower.levels):
-        raise ConfigUnsupported("square classes of GF(q)(X) are infinite")
-    return [qforms.class_rep(tower, c) for c in _rep_classes(tower)]
-
-
 @lru_cache(maxsize=None)
 def _class_pool(tower):
-    """(square_class_reps(tower), the square_class ints of their negatives
-    keyed by raw), the class of -s being that of s XOR that of -1; empty
-    over GF(p)(X), whose square classes are infinite.  Callers must not
-    mutate the dict."""
+    """(the representatives of qforms.class_reps(tower), the square_class
+    ints of their negatives keyed by raw), the class of -s being that of s
+    XOR that of -1; empty over GF(p)(X), whose square classes are
+    infinite.  Callers must not mutate the dict."""
     try:
-        reps = tuple(square_class_reps(tower))
+        pairs = qforms.class_reps(tower)
     except ConfigUnsupported:
         return (), {}
     minus_one = qforms.minus_one_class(tower)
-    return reps, {s.raw: c ^ minus_one
-                  for s, c in zip(reps, _rep_classes(tower))}
+    return (tuple(s for _, s in pairs),
+            {s.raw: c ^ minus_one for c, s in pairs})
 
 
 def find_certificate(q1, q2):

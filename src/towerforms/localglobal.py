@@ -15,16 +15,18 @@ plane per explicit isotropic vector off the diagonal.
 Place machinery is implemented for prime base fields GF(p)(X) only, whose
 numerators and denominators are int polynomials over ffield.Zp.  An
 element's square class over a place list is one int (place_class), two
-bits per place: its valuation mod 2 and whether its unit residue is a
-non-square in GF(p^deg), read off by Legendre symbols from one cached
-factorization (ffield.factor_monic, polynomial in the degree and log p).
+bits per place: at places[k], bit 2k is its valuation mod 2 and bit 2k + 1
+whether its unit residue is a non-square in GF(p^deg), read off by
+Legendre symbols from one cached factorization (ffield.factor_monic,
+polynomial in the degree and log p).  Only this module writes that
+layout (place_layout, as qforms.class_dimension reads it).
 Every reader takes an element's data from the records (_poly_record) of
 its numerator and denominator: leading unit, factor dict, sorted factors
 of odd multiplicity and their monic product, cached for the process, one
 per distinct (p, polynomial) seen.  localize, the class reader over
 GF(p)(X), XORs one mask per odd factor of each entry, built once per form;
-the local dimension is qforms.bits_dimension of the bits at a place, and
-no residue field is built.  qforms.read_classes, which every decision
+the local dimension is qforms.class_dimension on place_layout, and no
+residue field is built.  qforms.read_classes, which every decision
 above dimension 2 calls, and the witness search read it alike.  Pfister
 decisions take the places of the slots and 1 + 4b plus infinity, which
 support every entry of the expansion (pfister.expansion_classes).
@@ -198,19 +200,10 @@ def place_class(places, elem, masks=None):
     return bits
 
 
-def _bits_at(k, minus_one, classes):
-    """What qforms.bits_dimension reads at places[k], from place_class ints:
-    (-1 is a non-square, per entry (v mod 2, the unit residue is one))."""
-    return ((minus_one >> (2 * k + 1)) & 1,
-            tuple(((c >> 2 * k) & 1, (c >> (2 * k + 1)) & 1) for c in classes))
-
-
-def places_dimension(places, minus_one, classes):
-    """The largest local anisotropic dimension over places of the diagonal
-    form whose entries have the given place_class ints, minus_one being
-    that of -1."""
-    return max(qforms.bits_dimension(*_bits_at(k, minus_one, classes))
-               for k in range(len(places)))
+def place_layout(places):
+    """The qforms.class_dimension layout of place_class ints over places:
+    at places[k], key bit 2k (the valuation) and non-square bit 2k + 1."""
+    return tuple((1 << 2 * k, 2 << 2 * k) for k in range(len(places)))
 
 
 def localize(q):
@@ -239,8 +232,9 @@ def is_isotropic_global(q):
 def hilbert_symbol(a, b, v):
     """(a, b)_v: 1 iff (-1)^(v_a v_b) a^(v_b) b^(-v_a) has a square residue,
     that is iff (v_a v_b and m) xor (v_b and n_a) xor (v_a and n_b) is 0,
-    with m, n_a, n_b the non-square bits of -1 and of the unit residues.
-    A Place must be infinity or monic irreducible, coefficients in [0, p)."""
+    with v_a, v_b the key bits and m, n_a, n_b the non-square bits of -1,
+    a and b on the layout of their class ints at v.  A Place must be
+    infinity or monic irreducible, coefficients in [0, p)."""
     if a.is_zero() or b.is_zero():
         raise ZeroArgument("Hilbert symbol needs nonzero arguments")
     if b.tower != a.tower or getattr(v, "tower", a.tower) != a.tower:
@@ -250,20 +244,19 @@ def hilbert_symbol(a, b, v):
         if v.kind != INFINITY and not (v.kind == FINITE and P and all(
                 0 <= c < p for c in P) and factor(p, P) == (1, {P: 1})):
             raise TowerFormsError(f"not a place of GF({p})(X): {v}")
-        # place_class bit 0 is the valuation mod 2, bit 1 the non-square bit
-        (na, va), (nb, vb), (minus_one, _) = (
-            divmod(place_class([v], x), 2) for x in (a, b, -a.tower.one))
+        layout, read = place_layout([v]), partial(place_class, [v])
     else:
         if v.rank != 1:
             raise ConfigUnsupported("Hilbert symbol needs a rank-1 valuation")
         if v.residue_tower.levels:
             raise ConfigUnsupported("Hilbert symbol needs a finite residue field")
-        # one Laurent level: the class is 2 * (v mod 2) + non-square bit
-        (va, na), (vb, nb) = (divmod(qforms.square_class(v.tower, x), 2)
-                              for x in (a, b))
-        minus_one = qforms.minus_one_class(v.tower)
-    nonsquare = (va * vb % 2 and minus_one) ^ (vb % 2 and na) ^ \
-        (va % 2 and nb)
+        layout = qforms.LAURENT_LAYOUT
+        read = partial(qforms.square_class, v.tower)
+    (key, ns), = layout
+    ca, cb, m = (read(x) for x in (a, b, -a.tower.one))
+    va, vb = ca & key, cb & key
+    nonsquare = bool(va and vb and m & ns) ^ bool(vb and ca & ns) ^ \
+        bool(va and cb & ns)
     return -1 if nonsquare else 1
 
 
@@ -324,12 +317,12 @@ def isotropic_vector_global(q):
     takes its witness from one fields.try_sqrt of -a_1/a_0, factoring
     nothing.  A form of dimension >= 3 is read once by localize(q), and
     everything else comes from that read and the entries' _poly_record.
-    Isotropy is places_dimension for n <= 4 and the u-invariant 4 for
-    n >= 5.  The hyperbolic pair is the first (i, j) in combinations
-    order with classes[i] ^ classes[j] == minus_one, and that test is
-    exact: the class of -a_j/a_i is minus_one ^ classes[i] ^ classes[j],
-    as classes multiply by XOR and 1/a has the class of a, and a
-    place_class int over these places is 0 iff the element is a square.
+    Isotropy is qforms.class_dimension on place_layout for n <= 4 and the
+    u-invariant 4 for n >= 5.  The hyperbolic pair is the first (i, j) in
+    combinations order with classes[i] ^ classes[j] == minus_one, and that
+    test is exact: the class of -a_j/a_i is minus_one ^ classes[i] ^
+    classes[j], as classes multiply by XOR and 1/a has the class of a, and
+    a place_class int over these places is 0 iff the element is a square.
     For the places hold every odd factor g of a_i and a_j, hence of the
     quotient, and each sets the valuation bit at its own place, which no
     other factor's mask touches; with no odd factor the quotient is lc
@@ -354,7 +347,8 @@ def isotropic_vector_global(q):
         read, pair = None, (0, 1)
     else:
         read = _, minus_one, classes = localize(q)
-        if n <= 4 and places_dimension(*read) == n:
+        if n <= 4 and qforms.class_dimension(
+                place_layout(read[0]), minus_one, classes) == n:
             return None
         pair = next(((i, j) for i, j in itertools.combinations(range(n), 2)
                      if classes[i] ^ classes[j] == minus_one), None)
@@ -396,7 +390,7 @@ def _pair_masks(read):
     places where entries i and j have the same key, and those where they
     form an anisotropic pair, one bit per place (bit 2k of place_class)."""
     places, minus_one, classes = read
-    even = sum(1 << (2 * j) for j in range(len(places)))
+    even = sum(key for key, _ in place_layout(places))
     m = (minus_one >> 1) & even
     same, aniso = {}, {}
     for i, j in itertools.combinations(range(len(classes)), 2):
@@ -415,7 +409,7 @@ def _isotropic_subsets(read, k, masks=None):
 
     At a place the key is one valuation bit, so the k entries split into at
     most two parts, and the subform is anisotropic there iff each part is
-    an anisotropic residue form (qforms.bits_dimension): a 3-subset iff it
+    an anisotropic residue form (qforms.class_dimension): a 3-subset iff it
     splits 2 + 1 with an anisotropic pair, a 4-subset iff it splits 2 + 2
     with both pairs anisotropic, a pair of one key being anisotropic iff
     its non-square bits and that of -1 XOR to 1.  So two ints per pair,

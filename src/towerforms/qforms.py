@@ -5,18 +5,22 @@ and every routine works on the diagonal entries.  Isotropy, Witt index,
 hyperbolicity and isometry all read one number, anisotropic_dimension.
 It rests on one finite-field rule (parity and discriminant, _finite_kernel
 on elements, _finite_kernel_dim on square-class bits), and one routine,
-bits_dimension, sums that rule over the parts of a diagonal form given as
-square-class bits: the -1 bit, and per entry a parity key and the
-non-square bit of its residue.  read_classes is the one place where a
-tower's kind picks the class reader.  Over a finite field or an iterated
-Laurent tower it is square_class, one fields.leading_term read per entry
-into one int whose key is the value vector mod 2 (minus_one_class gives
-that of -1), and class_rep maps an int back to its representative
-t^eps * {1, nu}.  Over GF(p)(X) it is localglobal.localize, one
-place_class int per entry whose key at a place is the valuation mod 2;
-the global dimension is the largest local one, and witt_decompose also
-splits hyperbolic planes off on the diagonal.  A binary form needs no
-reader: minus its determinant is a square or not.
+class_dimension, sums that rule over the parts of a diagonal form given
+as square-class ints, on a layout: one (key, non-square) pair of masks
+per place, c & key being an entry's parity key there and c & ns the
+non-square bit of its residue.  This module writes the layout of finite
+and Laurent towers (LAURENT_LAYOUT), localglobal that of GF(p)(X)
+(place_layout), and read_classes, the one place where a tower's kind
+picks the class reader, binds it.  Over a finite field or an iterated
+Laurent tower the reader is square_class, one fields.leading_term read
+per entry into one int whose key is the value vector mod 2
+(minus_one_class gives that of -1), and class_rep maps an int back to its
+representative t^eps * {1, nu} (class_reps, for every class).  Over
+GF(p)(X) it is localglobal.localize, one place_class int per entry whose
+key at a place is the valuation mod 2; the global dimension is the
+largest local one, and witt_decompose also splits hyperbolic planes off
+on the diagonal.  A binary form needs no reader: minus its determinant is
+a square or not.
 
 One rule answers above every class read: u_invariant gives the largest
 dimension of an anisotropic form, 2^(r+1) over r Laurent levels on GF(q)
@@ -27,12 +31,17 @@ tower kind, answers a form of larger dimension without a read.  Other
 towers, such as GF(q)((t))(X), get no bound.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
 
 from . import fields as fl
-from .errors import SingularForm, TowerFormsError, TowerMismatch, ZeroScalar
+from .errors import (ConfigUnsupported, SingularForm, TowerFormsError,
+                     TowerMismatch, ZeroScalar)
+
+# the layout of square_class ints: the value parities above bit 0 are the key
+LAURENT_LAYOUT = ((-2, 1),)
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,8 @@ def _finite_kernel(tower, entries):
 
 def _finite_kernel_dim(n, det_nonsquare, minus_one_nonsquare):
     """len(_finite_kernel(tower, entries)) for n = len(entries) >= 0 entries,
-    read off square-class bits alone.
+    read off square-class bits alone: det_nonsquare 0 or 1, and
+    minus_one_nonsquare any int, set when nonzero.
 
     GF(q)^* / GF(q)^*2 is F2, so det is a non-square iff the XOR of the
     entries' non-square bits (det_nonsquare) is set, and the sign of
@@ -149,24 +159,29 @@ def _finite_kernel_dim(n, det_nonsquare, minus_one_nonsquare):
     return 2 if det_nonsquare ^ (minus_one_nonsquare and (n // 2) % 2) else 0
 
 
-def bits_dimension(minus_one, entries):
-    """Anisotropic dimension of a diagonal form over a henselian field with
-    finite residue field, from square-class bits: minus_one, whether -1 is
-    a non-square, and per entry a pair (key, nonsquare).
+def class_dimension(layout, minus_one, classes):
+    """Anisotropic dimension of the diagonal form whose entries have the
+    given square-class ints, minus_one being that of -1: the largest local
+    one over the places of layout, a (key, ns) pair of masks each.
 
-    The entries with one key form one residue form (Springer: W(K) is a sum
-    of copies of W(k), one per key), whose residues have the XOR of their
-    non-square bits as the determinant's bit, so the finite rule is summed
-    over the keys.  A finite field is the case with one key.
+    At a place with finite residue field the entries with one key c & key
+    form one residue form (Springer: W(K) is a sum of copies of W(k), one
+    per key), whose determinant's bit is the XOR of their bits c & ns, so
+    the finite rule is summed over the keys.  A finite field is the case
+    with one key.
     """
-    parts = {}  # key -> (entries, XOR of their non-square bits)
-    for key, nonsquare in entries:
-        n, det = parts.get(key, (0, False))
-        parts[key] = (n + 1, det ^ nonsquare)
-    total = 0
-    for n, det in parts.values():
-        total += _finite_kernel_dim(n, det, minus_one)
-    return total
+    best = 0
+    for key, ns in layout:
+        parts = {}  # c & key -> (entries, XOR of their c & ns)
+        for c in classes:
+            k = c & key
+            n, det = parts.get(k, (0, 0))
+            parts[k] = (n + 1, det ^ (c & ns))
+        total = 0
+        for n, det in parts.values():
+            total += _finite_kernel_dim(n, det != 0, minus_one & ns)
+        best = max(best, total)
+    return best
 
 
 def square_class(tower, a):
@@ -205,22 +220,28 @@ def class_rep(tower, c):
     return fl.Element(tower, raw)
 
 
+def class_reps(tower):
+    """(square_class int, class_rep) of every square class of a tower whose
+    levels are all Laurent: value parities outermost first, innermost
+    varying fastest, then the unit 1 before nu.  A tower with a GF(q)(X)
+    level is refused, as its square classes are infinite."""
+    if any(lv.kind == fl.RATFUNC for lv in tower.levels):
+        raise ConfigUnsupported("square classes of GF(q)(X) are infinite")
+    return [(c, class_rep(tower, c)) for c in (
+        u | sum(e << (i + 1) for i, e in enumerate(eps))
+        for eps in itertools.product((0, 1), repeat=len(tower.levels))
+        for u in (0, 1))]
+
+
 def reduce_square_classes(q):
     """An isometric form whose entries are the class_rep of their
     square_class (iterated-Laurent towers only; others pass through).  No
-    decision needs it; it is kept as a public helper."""
+    decision needs it; it stays as perfbench/tracer.py wraps it by name."""
     tower = q.tower
     if any(lv.kind != fl.LAURENT for lv in tower.levels):
         return q
     return QuadraticForm(tower, tuple(class_rep(tower, square_class(tower, d))
                                       for d in q.diag))
-
-
-def class_dimension(tower, classes):
-    """Anisotropic dimension of the diagonal form whose entries have the
-    given square classes (square_class) over a tower of Laurent levels."""
-    return bits_dimension(minus_one_class(tower),
-                          [(c >> 1, c & 1) for c in classes])
 
 
 def read_classes(tower, elems):
@@ -230,10 +251,11 @@ def read_classes(tower, elems):
     entries that are products of elems and -1 (the XOR of the factors').
     The only place where a tower's kind picks the reader.
 
-    Finite and Laurent towers: square_class ints and class_dimension.
+    The rule is class_dimension with the layout and minus_one bound.
+    Finite and Laurent towers: square_class ints on LAURENT_LAYOUT.
     GF(p)(X): place_class ints over S, the places of elems plus infinity,
-    from localglobal.localize, and the largest local dimension over S
-    (localglobal.places_dimension).  In dimension >= 3 that is the global
+    from localglobal.localize, on localglobal.place_layout(S), so the
+    largest local dimension over S.  In dimension >= 3 that is the global
     one.  With no real places, an anisotropic kernel of dimension >= 3
     stays anisotropic in some completion (Hasse-Minkowski), and places off
     S add at most the parity/discriminant floor.  S reaches that floor: for
@@ -242,13 +264,14 @@ def read_classes(tower, elems):
     is lc * square with lc a non-square, so a non-square at infinity.
     """
     if tower.laurent_rank() == len(tower.levels):
-        return ([square_class(tower, x) for x in elems],
-                minus_one_class(tower), partial(class_dimension, tower))
+        minus_one = minus_one_class(tower)
+        return ([square_class(tower, x) for x in elems], minus_one,
+                partial(class_dimension, LAURENT_LAYOUT, minus_one))
     from . import localglobal
     places, minus_one, classes = localglobal.localize(
         QuadraticForm(tower, tuple(elems)))
-    return (classes, minus_one,
-            partial(localglobal.places_dimension, places, minus_one))
+    return (classes, minus_one, partial(
+        class_dimension, localglobal.place_layout(places), minus_one))
 
 
 def anisotropic_dimension(q):

@@ -5,7 +5,7 @@ from functools import lru_cache, partial
 import pytest
 
 from towerforms import fields as fl
-from towerforms import polys
+from towerforms import polys, qforms
 from towerforms.ffield import finite_field
 from towerforms.fields import FieldTower, LevelDescriptor, LAURENT, RATFUNC
 from towerforms.localglobal import INFINITY
@@ -39,6 +39,27 @@ def tower(p, k=1, *levels):
 def finite_nonsquare(T):
     """The first non-square of a finite tower, in elements() order."""
     return fl.Element(T, T.ops.nonsquare)
+
+
+def ref_bits_dimension(minus_one, entries):
+    """Anisotropic dimension of a diagonal form over a henselian field with
+    finite residue field, from square-class bits: minus_one, whether -1 is
+    a non-square, and per entry a pair (key, nonsquare).
+
+    The entries with one key form one residue form (Springer: W(K) is a sum
+    of copies of W(k), one per key), whose residues have the XOR of their
+    non-square bits as the determinant's bit, so the finite rule is summed
+    over the keys.  A finite field is the case with one key.  The oracle
+    for qforms.class_dimension, which reads the same bits off class ints.
+    """
+    parts = {}  # key -> (entries, XOR of their non-square bits)
+    for key, nonsquare in entries:
+        n, det = parts.get(key, (0, False))
+        parts[key] = (n + 1, det ^ nonsquare)
+    total = 0
+    for n, det in parts.values():
+        total += qforms._finite_kernel_dim(n, det, minus_one)
+    return total
 
 
 def square_class_monomial(T, a):

@@ -15,8 +15,9 @@ def test_bench_document_schema_on_a_few_ops():
     doc = bench.measure(seeds=(1,), ops=4)
     assert doc["seeds"] == [1] and doc["ops"] == 4
     ctx = doc["context"]
-    assert set(ctx) == {"git_sha", "src_digest", "nproc", "cpu", "python",
-                        "speed"}
+    assert set(ctx) == {"git_sha", "git_dirty", "src_digest", "nproc", "cpu",
+                        "python", "speed"}
+    assert ctx["git_dirty"] in (True, False, None)
     assert len(ctx["src_digest"]) == 64 and ctx["nproc"] >= 1
     assert ctx["speed"] > 0
     assert set(doc["workloads"]) == set(bench.WORKLOADS)
@@ -75,7 +76,7 @@ def test_micro_timings_record_seconds_or_a_timeout(monkeypatch):
     assert {f"expand-{n}" for n in ("4fold", "6fold", "sparse")} <= names
     assert sum(name.startswith("product-") for name in names) == 6
     assert {"witness-gf3", "witness-gf5"} <= names
-    assert {"reads-localize", "reads-linkage"} <= names
+    assert {"reads-localize", "reads-linkage", "reads-certify"} <= names
 
     monkeypatch.setattr(bench, "_micro_inputs", lambda: {
         "small": (bench.MICRO_FIELDS[2], ["1 + t", "u"], "x * y"),

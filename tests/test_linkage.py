@@ -7,12 +7,11 @@ from towerforms.fields import LAURENT, SampleBudget, sample
 from towerforms.linkage import (NOT_FOUND, LinkageCertificate,
                                 check_top_d_linked, find_certificate,
                                 is_linked_pair, sample_symbol,
-                                square_class_reps,
                                 verify_higher_local_d1,
                                 verify_lifting_equivalence,
                                 verify_residue_transfer)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
-from towerforms.qforms import is_isotropic
+from towerforms.qforms import class_reps, is_isotropic, square_class
 from conftest import finite_nonsquare, tower
 
 
@@ -180,9 +179,13 @@ def _ref_square_class_reps(T):
     tower(5, 1, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT))],
     ids=lambda T: T.describe())
 def test_square_class_reps_match_level_recursion(T):
-    assert square_class_reps(T) == _ref_square_class_reps(T)
+    """qforms.class_reps lists the recursion's representatives, each with
+    its own square_class int."""
+    pairs = class_reps(T)
+    assert [s for _, s in pairs] == _ref_square_class_reps(T)
+    assert [c for c, _ in pairs] == [square_class(T, s) for _, s in pairs]
 
 
 def test_square_class_reps_refuse_rational_functions(gf3x):
     with pytest.raises(errors.ConfigUnsupported):
-        square_class_reps(gf3x)
+        class_reps(gf3x)

@@ -2,19 +2,21 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
-from towerforms import dsl, errors, localglobal, polys
+from towerforms import dsl, errors, localglobal, polys, qforms
 from towerforms.fields import RATFUNC, SampleBudget, sample
 from towerforms.linkage import verify_higher_local_d1
-from towerforms.localglobal import (FINITE, INFINITY, Place, _bits_at,
+from towerforms.localglobal import (FINITE, INFINITY, Place,
                                     _global_base, _isotropic_subsets,
                                     _legendre_nonsquare, _poly_record,
                                     _split_plane,
                                     hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
-                                    place_class, places_of_interest,
+                                    place_class, place_layout,
+                                    places_of_interest,
                                     square_class_rep,
                                     witt_decompose_global)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
@@ -80,8 +82,10 @@ def test_localize_examples(gf3x):
     for k, place in enumerate(places):
         for elem, split in zip(q.diag, splits[place]):
             assert RefPlace(3, place).split(elem) == split
-        assert _bits_at(k, minus_one, classes) == (
-            True, tuple((v % 2, r == (2,)) for v, r in splits[place]))
+        key, ns = place_layout(places)[k]
+        assert (bool(minus_one & ns),
+                tuple((bool(c & key), bool(c & ns)) for c in classes)) == (
+            True, tuple((v % 2 == 1, r == (2,)) for v, r in splits[place]))
 
 
 def test_global_isotropy_examples(gf3x):
@@ -118,14 +122,40 @@ def test_hilbert_symbol_bilinearity(gf3t):
             hilbert_symbol(a, b1, ctx) * hilbert_symbol(a, b2, ctx)
 
 
-def test_hilbert_symbol_matches_springer(gf5t):
-    ctx = ValuationCtx(gf5t)
+def test_hilbert_symbol_matches_springer(gf3t, gf5t):
+    """(a, b)_v = 1 iff <1, -a, -b, ab> has class_dimension 0 at v: over
+    GF(3)((t)) and GF(5)((t)) on LAURENT_LAYOUT, where it is also
+    is_isotropic, and over GF(3)(X) and GF(5)(X) at every place of
+    interest of the pair, on that place's own pair of place_layout."""
     budget = SampleBudget()
-    for seed in range(30):
-        a = sample(gf5t, budget, (seed, "a"))
-        b = sample(gf5t, budget, (seed, "b"))
-        q = form(gf5t, 1, -a, -b, a * b)
-        assert (hilbert_symbol(a, b, ctx) == 1) == is_isotropic(q)
+    for T in (gf3t, gf5t):
+        ctx = ValuationCtx(T)
+        dimension = partial(qforms.class_dimension, qforms.LAURENT_LAYOUT,
+                            qforms.minus_one_class(T))
+        for seed in range(30):
+            a = sample(T, budget, (seed, "a"))
+            b = sample(T, budget, (seed, "b"))
+            q = form(T, 1, -a, -b, a * b)
+            hyperbolic = not dimension(
+                [qforms.square_class(T, d) for d in q.diag])
+            assert (hilbert_symbol(a, b, ctx) == 1) == hyperbolic == \
+                is_isotropic(q)
+    checked = 0
+    for p in (3, 5):
+        K = tower(p, 1, ("X", RATFUNC))
+        for seed in range(40):
+            a = sample(K, budget, (seed, "a"))
+            b = sample(K, budget, (seed, "b"))
+            places = places_of_interest(QuadraticForm(K, (a, b)))
+            classes = [place_class(places, d)
+                       for d in (K.one, -a, -b, a * b)]
+            minus_one = place_class(places, -K.one)
+            for place, pair in zip(places, place_layout(places)):
+                hyperbolic = not qforms.class_dimension(
+                    (pair,), minus_one, classes)
+                assert (hilbert_symbol(a, b, place) == 1) == hyperbolic
+                checked += 1
+    assert checked >= 200
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -88,8 +88,9 @@ def test_isotropy_matches_expansion(T):
         n = ref_dimension(q)
         assert anisotropic_dimension(q) == n, s.describe()
         (classes,), _, dimension = expansion_classes(s)
-        assert class_dimension(T, classes) == dimension(classes) == n, \
-            s.describe()
+        assert class_dimension(qforms.LAURENT_LAYOUT,
+                               qforms.minus_one_class(T), classes) == \
+            dimension(classes) == n, s.describe()
         assert symbol_isotropic(s) == (n < q.dim), s.describe()
         isotropic += n < q.dim
     assert 0 < isotropic < SYMBOLS
@@ -246,7 +247,7 @@ def _ref_find_certificate(q1, q2):
     pool of class representatives."""
     T, d = q1.tower, q1.fold
     try:
-        classes = linkage.square_class_reps(T)
+        classes = [s for _, s in qforms.class_reps(T)]
     except ConfigUnsupported:
         classes = []
     reps = list(dict.fromkeys(list(q1.slots) + list(q2.slots) + classes))
@@ -293,7 +294,7 @@ def test_certificate_search_expands_class_representatives(T, monkeypatch):
     the search on the symbols' own expansions, with no expansion, and
     every certificate's slots and 1 + 4b are the symbols' own or
     representatives."""
-    classes = linkage.square_class_reps(T)
+    classes = [s for _, s in qforms.class_reps(T)]
     expanded = []
     found = 0
     for i in range(CERTIFICATE_PAIRS):

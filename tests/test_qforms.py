@@ -1,6 +1,8 @@
 """Quadratic forms: isotropy, Witt decomposition, isometry."""
 
 import itertools
+import random
+from functools import partial
 
 import pytest
 
@@ -12,7 +14,7 @@ from towerforms.qforms import (QuadraticForm, class_dimension, form,
                                is_hyperbolic, is_isotropic, isometric, neg,
                                orth_sum, scale, square_class, u_invariant,
                                witt_decompose, witt_index)
-from conftest import tower
+from conftest import ref_bits_dimension, tower
 
 
 def test_finite_isotropy_examples(gf3):
@@ -144,16 +146,71 @@ def test_class_dimension_is_bounded_by_u(field):
     u = u_invariant(T)
     # the bound is reached: <1, -nu> at each of the 2^r value parities
     flip = 1 ^ qforms.minus_one_class(T)
-    assert class_dimension(T, [c for e in range(u // 2)
-                               for c in (e << 1, e << 1 | flip)]) == u
+    dimension = partial(class_dimension, qforms.LAURENT_LAYOUT,
+                        qforms.minus_one_class(T))
+    assert dimension([c for e in range(u // 2)
+                      for c in (e << 1, e << 1 | flip)]) == u
     budget = SampleBudget(max_val=1, series_terms=1)
     for n in range(1, u + 3):
         for i in range(U_FORMS):
             q = QuadraticForm(T, tuple(sample(T, budget, ("u", n, i, j))
                                        for j in range(n)))
-            dim = class_dimension(T, [square_class(T, d) for d in q.diag])
+            dim = dimension([square_class(T, d) for d in q.diag])
             assert dim <= u and dim % 2 == n % 2, q
             assert is_isotropic(q) == (dim < n), q
+
+
+# patterns drawn per length where there are more than 2^16 of that length
+SAMPLED_PATTERNS = 3000
+
+
+def _patterns(values, rng):
+    """Every tuple of at most 5 class ints below values, or SAMPLED_PATTERNS
+    of them drawn by rng at a length with more than 2^16."""
+    for n in range(6):
+        if values ** n <= 1 << 16:
+            yield from itertools.product(range(values), repeat=n)
+        else:
+            for _ in range(SAMPLED_PATTERNS):
+                yield tuple(rng.randrange(values) for _ in range(n))
+
+
+def _place_bits(k, minus_one, classes):
+    """(bit 2k + 1 of minus_one, per class int (bit 2k, bit 2k + 1)): what
+    ref_bits_dimension reads at place k of place_class ints."""
+    return ((minus_one >> (2 * k + 1)) & 1,
+            [((c >> 2 * k) & 1, (c >> (2 * k + 1)) & 1) for c in classes])
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("laurent", 0), ("laurent", 1), ("laurent", 2),
+    ("places", 1), ("places", 2), ("places", 3)])
+def test_class_dimension_matches_the_tuple_rule(kind, size):
+    """class_dimension against conftest.ref_bits_dimension on every pattern
+    of at most 5 class ints (sampled from one seed where a length has more
+    than 2^16), with -1 a square and a non-square: on LAURENT_LAYOUT with
+    size key bits, the ints decoded as (c >> 1, c & 1), and on the layout
+    of size places, the largest over the places of the bits at each."""
+    rng = random.Random(f"class-dimension:{kind}:{size}")
+    if kind == "laurent":
+        layout, values, minus_ones = qforms.LAURENT_LAYOUT, 2 << size, (0, 1)
+
+        def ref(m, classes):
+            return ref_bits_dimension(m & 1,
+                                      [(c >> 1, c & 1) for c in classes])
+    else:
+        layout = localglobal.place_layout(
+            [localglobal.Place(localglobal.INFINITY)] * size)
+        values = 4 ** size
+        minus_ones = (0, sum(2 << 2 * k for k in range(size)))
+
+        def ref(m, classes):
+            return max(ref_bits_dimension(*_place_bits(k, m, classes))
+                       for k in range(size))
+    for classes in _patterns(values, rng):
+        for m in minus_ones:
+            assert class_dimension(layout, m, classes) == ref(m, classes), \
+                (m, classes)
 
 
 def test_forms_above_u_are_isotropic_without_a_class_read(monkeypatch):

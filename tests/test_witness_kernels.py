@@ -3,7 +3,7 @@
 The references below are the routines those kernels replaced: the
 meet-in-the-middle search over polynomial vectors, on coefficient tuples
 with no packing, the square-class representative by division and an exact
-square root, the isotropic subsets by qforms.bits_dimension at each place,
+square root, the isotropic subsets by qforms.class_dimension at each place,
 and the finite rule on the residues of conftest.RefPlace.  Each new kernel
 must give the identical answer, so the witnesses built from them stay
 byte-identical.  The class-int rule that picks the hyperbolic pair is
@@ -156,12 +156,12 @@ def old_isotropic_vector(q):
 
 def old_isotropic_subsets(read, k):
     """The k-subsets whose subform has local anisotropic dimension < k at
-    every place of read = localize(q), by qforms.bits_dimension."""
+    every place of read = localize(q), by qforms.class_dimension."""
     places, minus_one, classes = read
-    bits = [lg._bits_at(j, minus_one, classes) for j in range(len(places))]
+    layout = lg.place_layout(places)
     for idx in itertools.combinations(range(len(classes)), k):
-        if all(qforms.bits_dimension(m, [entries[i] for i in idx]) < k
-               for m, entries in bits):
+        if qforms.class_dimension(layout, minus_one,
+                                  [classes[i] for i in idx]) < k:
             yield idx
 
 
@@ -412,14 +412,16 @@ def test_completion_bits_match_residues(p):
             sample(K, budget, ("bits", seed, i)) for i in range(5)))
         places, minus_one, classes = lg.localize(q)
         assert places == lg.places_of_interest(q)
-        for k, P in enumerate(places):
+        for P, (key, ns) in zip(places, lg.place_layout(places)):
             ref = RefPlace(p, P)
             splits = [ref.split(d) for d in q.diag]
-            bits = lg._bits_at(k, minus_one, classes)
+            bits = (bool(minus_one & ns),
+                    tuple((bool(c & key), bool(c & ns)) for c in classes))
             assert bits == (
                 not ref.is_square((p - 1,)),
-                tuple((v % 2, not ref.is_square(r)) for v, r in splits))
-            assert qforms.bits_dimension(*bits) == \
+                tuple((v % 2 == 1, not ref.is_square(r)) for v, r in splits))
+            assert qforms.class_dimension(((key, ns),), minus_one,
+                                          classes) == \
                 ref.local_dimension(q.diag)
 
 
@@ -429,7 +431,7 @@ def test_completion_bits_match_residues(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_isotropic_subsets_match_bits_dimension(p):
-    """The pair masks against qforms.bits_dimension at every place, on every
+    """The pair masks against qforms.class_dimension at every place, on every
     3- and 4-subset of 100 sampled forms of dim 4-8 per field."""
     K = _ratfunc(p)
     budget = SampleBudget(max_deg=2)
