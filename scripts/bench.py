@@ -32,11 +32,13 @@ every product from one packed layout, and Frobenius images that pack
 sparse and are multiplied pair by pair.  The witness lines run
 localglobal.isotropic_vector_global WITNESS_REPEAT times on the expansion
 of each of WITNESS_SYMBOLS, over GF(5)(X) and GF(3)(X), whose search
-reaches 4-subsets at degree 1.  Two more time the factoring of GF(p)[X]:
-localglobal.factor of FACTOR_POLY over GF(5), and building LARGE_FIELD,
-whose defining polynomial canonical_modulus finds.  The two class-read
-lines take the GF(5)(X) ops among the first CLASS_READ_OPS of the
-global-witness workload (seed TRACE_SEED, from perfbench/gen.py):
+reaches 4-subsets at degree 1.  Three more time the factoring of
+GF(p)[X]: localglobal.factor of FACTOR_POLY over GF(5), and building
+LARGE_FIELD and LARGE_FIELD_P4, whose defining polynomials
+canonical_modulus finds (no binomial X^4 - a is irreducible over the
+second's prime field).  The two class-read lines take the GF(5)(X) ops
+among the first CLASS_READ_OPS of the global-witness workload (seed
+TRACE_SEED, from perfbench/gen.py):
 reads-localize runs localglobal.localize once on each op's 3-fold
 expansion, built before the clock starts, and reads-linkage runs
 linkage.is_linked_pair once on each op's two 2-fold symbols.  Each starts
@@ -102,6 +104,7 @@ WITNESS_REPEAT = 100
 FACTOR_POLY = "X^20 + X + 1"
 CLASS_READ_OPS = 200
 LARGE_FIELD = "GF(1000006000009)"  # GF(p^2), p = 1000003
+LARGE_FIELD_P4 = "GF(1000012000054000108000081)"  # GF(p^4), p = 1000003
 
 
 def _monomial_text(coeff, exponents):
@@ -153,6 +156,8 @@ def _micro_inputs():
                               "localglobal.factor(5, x.raw[0])")
     out["field-p2"] = (MICRO_FIELDS[1], [],
                        f"dsl.parse_field({LARGE_FIELD!r}).ops")
+    out["field-p4"] = (MICRO_FIELDS[1], [],
+                       f"dsl.parse_field({LARGE_FIELD_P4!r}).ops")
     ops = [op for op in gen.generate("global-witness", TRACE_SEED,
                                      CLASS_READ_OPS)
            if op["field"] == "GF(5)(X)"]

@@ -11,8 +11,10 @@ trailing zeros (the zero element is the empty tuple).
 GF(p)[X] is factored by factor_monic alone: distinct-degree factorization,
 then Cantor-Zassenhaus splitting along a fixed walk, not random choices
 (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14), each power
-O(d log p) products.  canonical_modulus stops each candidate at its first
-split, yet walks O(p) of them when many come first (k = 4, p = 3 mod 4).
+O(d log p) products.  finite_field builds Fq(base, modulus) on
+canonical_modulus, which skips the binomials X^k + c when a prime r | k
+does not divide p - 1, or 4 | k and p != 1 mod 4: none is irreducible then
+(Lidl-Niederreiter, Finite Fields, Thm 3.75).
 """
 
 import itertools
@@ -202,9 +204,9 @@ class Zp(_FiniteField):
 
 @lru_cache(maxsize=None)
 def finite_field(p, k=1):
-    """GF(p^k), built once per (p, k): Zp when k = 1, else Fq, so a tower
-    and all its drop_outer()s share one Fq."""
-    return Fq(p, k) if k > 1 else Zp(p)
+    """GF(p^k), built once per (p, k): Zp when k = 1, else Fq on
+    canonical_modulus(p, k); a tower and its drop_outer()s share one Fq."""
+    return Fq(finite_field(p), canonical_modulus(p, k)) if k > 1 else Zp(p)
 
 
 def _digits(p, i):
@@ -260,30 +262,39 @@ def factor_monic(p, f):
                      for g in _equal_degree(F, part, d)),
                     key=lambda g: (len(g), g[::-1])):
         out[g] = 0
-        while not polys.pmod(F, f, g):
-            f, out[g] = polys.pdivmod(F, f, g)[0], out[g] + 1
+        q, r = polys.pdivmod(F, f, g)
+        while not r:
+            f, out[g] = q, out[g] + 1
+            q, r = polys.pdivmod(F, f, g)
     return out
+
+
+def _no_irreducible_binomial(p, k):
+    """The rule of the module docstring: no X^k - a is irreducible."""
+    return (k % 4 == 0 and p % 4 != 1) or any(
+        k % r == 0 and (p - 1) % r for r in range(2, k + 1) if _is_prime(r))
 
 
 @lru_cache(maxsize=None)
 def canonical_modulus(p, k):
     """The first monic irreducible of degree k over GF(p), by coefficients
     from the top; each candidate stops at its first split."""
-    return next(g for g in map(partial(_digits, p), range(p ** k, 2 * p ** k))
+    start = p ** k + (p if _no_irreducible_binomial(p, k) else 0)
+    return next(g for g in map(partial(_digits, p), range(start, 2 * p ** k))
                 if next(_distinct_degree(finite_field(p), g))[0] == k)
 
 
 class Fq(_FiniteField):
-    """GF(p^k) as GF(p)[X]/(canonical_modulus(p, k)), its one modulus."""
+    """GF(p^k) as base[X]/(modulus), for base GF(p)."""
 
-    def __init__(self, p, k):
-        if p == 2:
+    def __init__(self, base, modulus):
+        if base.p == 2:
             raise TowerFormsError("even characteristic is not supported")
-        self.p = p
-        self.k = k
-        self.base = finite_field(p)
-        self.modulus = canonical_modulus(p, k)
-        self.order = p ** k
+        self.p = base.p
+        self.k = len(modulus) - 1
+        self.base = base
+        self.modulus = modulus
+        self.order = self.p ** self.k
         self.zero = ()
         self.one = (1,)
 

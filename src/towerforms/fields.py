@@ -3,12 +3,12 @@
 A tower is a finite base field GF(p^k) (odd p) with an ordered stack of
 transcendental levels.  The base is ffield.Zp, with int raws, when k = 1,
 and ffield.Fq, with int-tuple raws, when k > 1.  A LaurentSeries level
-carries henselian t-adic semantics; a RationalFunction level carries global
-semantics.  Elements are held exactly as reduced fractions of polynomials in
-the outermost level symbol, with coefficients one level down; for a Laurent
-level this is the dense subfield K(t) of K((t)), which suffices because
-every decision made here factors through valuations and residues of unit
-parts.
+carries henselian t-adic semantics, and a finite field is the rank-0 case;
+a RationalFunction level, outermost, carries global semantics.  Elements
+are held exactly as reduced fractions of polynomials in the outermost
+level symbol, with coefficients one level down; for a Laurent level this
+is the dense subfield K(t) of K((t)), which suffices because every
+decision made here factors through valuations and residues of unit parts.
 """
 
 import random
@@ -238,12 +238,18 @@ class FieldTower:
         return self.base_char ** self.base_degree
 
     def drop_outer(self, n=1):
-        """The tower with the outermost n levels removed."""
+        """The tower with the outermost n levels removed: self for n = 0."""
         return FieldTower(self.base_char, self.base_degree,
-                          self.levels[:-n] if n else self.levels)
+                          self.levels[:-n]) if n else self
 
     def laurent_rank(self):
         return sum(1 for lv in self.levels if lv.kind == LAURENT)
+
+    @property
+    def all_laurent(self):
+        """No level is (X), which can only be outermost; true for a finite
+        field.  The one test of a tower's kind outside this class."""
+        return not self.levels or self.levels[-1].kind == LAURENT
 
     def element(self, raw):
         return Element(self, raw)
@@ -438,13 +444,12 @@ def leading_term(fracs, raw):
 
 
 def valuation(tower, a):
-    """Composed valuation vector over all Laurent levels, outermost first."""
+    """Composed valuation vector over all Laurent levels, outermost first:
+    () over a finite field and for a constant of GF(q)(X)."""
     if a.is_zero():
         raise ZeroArgument("valuation of zero")
-    if tower.laurent_rank() < 1:
-        raise UnsupportedLevel("tower has no LaurentSeries level")
     raw, depth = a.raw, len(tower.levels)
-    if tower.levels[-1].kind == RATFUNC:
+    if not tower.all_laurent:
         num, den = raw
         if polys.deg(num) > 0 or polys.deg(den) > 0:
             raise UnsupportedLevel(
@@ -455,7 +460,9 @@ def valuation(tower, a):
 
 def residue(tower, a):
     """Image of an integral unit (or zero) in the residue tower."""
-    rt = _residue_tower(tower)
+    if not tower.levels or not tower.all_laurent:
+        raise UnsupportedLevel("outermost level is not LaurentSeries")
+    rt = tower.drop_outer()
     if a.is_zero():
         return rt.zero
     (v,), r = leading_term(tower.chain[-1:], a.raw)
@@ -464,18 +471,12 @@ def residue(tower, a):
     return Element(rt, r)
 
 
-def _residue_tower(tower):
-    if not tower.levels or tower.levels[-1].kind != LAURENT:
-        raise UnsupportedLevel("outermost level is not LaurentSeries")
-    return tower.drop_outer()
-
-
 def is_square(tower, a):
     """Square-class decision under the tower's semantics."""
     if a.is_zero():
         raise ZeroArgument("square class of zero")
     raw, depth = a.raw, len(tower.levels)
-    if depth and tower.levels[-1].kind == RATFUNC:
+    if not tower.all_laurent:
         # global rational-function semantics: num*den must be a square up to
         # a square leading coefficient one level down
         F = tower.chain[depth].inner
@@ -570,7 +571,7 @@ def _sample_raw(tower, depth, budget, rng):
 def sample_unit(tower, budget=SampleBudget(), seed=0):
     """A sampled element scaled to valuation zero at every Laurent level."""
     a = sample(tower, budget, seed)
-    if not tower.laurent_rank() or any(lv.kind == RATFUNC for lv in tower.levels):
+    if not tower.all_laurent:
         return a
     v = valuation(tower, a)
     syms = [lv.symbol for lv in reversed(tower.levels)]

@@ -99,7 +99,7 @@ def _poly_str(f):
 
 def _global_base(tower):
     """Validate a GF(p)(X) tower and return (p, Zp, ratfunc symbol)."""
-    if len(tower.levels) != 1 or tower.levels[0].kind != fl.RATFUNC:
+    if len(tower.levels) != 1 or tower.all_laurent:
         raise ConfigUnsupported("places are defined over GF(q)(X) towers only")
     if tower.base_degree != 1:
         raise ConfigUnsupported("place machinery needs a prime base field")

@@ -354,8 +354,6 @@ def good_slot_presentation(symbol, ctx):
     """
     tower = symbol.tower
     b, c = symbol.last, symbol.c
-    if ctx.rank == 0:
-        return symbol
     if not b.is_zero() and not any(ctx.value_vector(b)) \
             and not any(ctx.value_vector(c)):
         return symbol

@@ -10,17 +10,17 @@ as square-class ints, on a layout: one (key, non-square) pair of masks
 per place, c & key being an entry's parity key there and c & ns the
 non-square bit of its residue.  This module writes the layout of finite
 and Laurent towers (LAURENT_LAYOUT), localglobal that of GF(p)(X)
-(place_layout), and read_classes, the one place where a tower's kind
-picks the class reader, binds it.  Over a finite field or an iterated
-Laurent tower the reader is square_class, one fields.leading_term read
-per entry into one int whose key is the value vector mod 2
-(minus_one_class gives that of -1), and class_rep maps an int back to its
-representative t^eps * {1, nu} (class_reps, for every class).  Over
-GF(p)(X) it is localglobal.localize, one place_class int per entry whose
-key at a place is the valuation mod 2; the global dimension is the
-largest local one, and witt_decompose also splits hyperbolic planes off
-on the diagonal.  A binary form needs no reader: minus its determinant is
-a square or not.
+(place_layout), and read_classes binds it.  Every choice by tower kind
+here reads one test, FieldTower.all_laurent, true for a finite field (the
+rank-0 Laurent tower) and for iterated Laurent towers; their reader is
+square_class, one fields.leading_term read per entry into one int whose
+key is the value vector mod 2 (minus_one_class gives that of -1), and
+class_rep maps an int back to its representative t^eps * {1, nu}
+(class_reps, for every class).  Over GF(p)(X) it is localglobal.localize,
+one place_class int per entry whose key at a place is the valuation mod
+2; the global dimension is the largest local one, and witt_decompose
+also splits hyperbolic planes off on the diagonal.  A binary form needs
+no reader: minus its determinant is a square or not.
 
 One rule answers above every class read: u_invariant gives the largest
 dimension of an anisotropic form, 2^(r+1) over r Laurent levels on GF(q)
@@ -117,12 +117,6 @@ def neg(q):
 
 # ---------------------------------------------------------------------------
 # the Witt decision
-
-
-def _outer_kind(tower):
-    if not tower.levels:
-        return "finite"
-    return tower.levels[-1].kind
 
 
 def _finite_kernel(tower, entries):
@@ -225,7 +219,7 @@ def class_reps(tower):
     levels are all Laurent: value parities outermost first, innermost
     varying fastest, then the unit 1 before nu.  A tower with a GF(q)(X)
     level is refused, as its square classes are infinite."""
-    if any(lv.kind == fl.RATFUNC for lv in tower.levels):
+    if not tower.all_laurent:
         raise ConfigUnsupported("square classes of GF(q)(X) are infinite")
     return [(c, class_rep(tower, c)) for c in (
         u | sum(e << (i + 1) for i, e in enumerate(eps))
@@ -238,7 +232,7 @@ def reduce_square_classes(q):
     square_class (iterated-Laurent towers only; others pass through).  No
     decision needs it; it stays as perfbench/tracer.py wraps it by name."""
     tower = q.tower
-    if any(lv.kind != fl.LAURENT for lv in tower.levels):
+    if not tower.all_laurent:
         return q
     return QuadraticForm(tower, tuple(class_rep(tower, square_class(tower, d))
                                       for d in q.diag))
@@ -263,7 +257,7 @@ def read_classes(tower, elems):
     that is a global non-square has odd valuation at a finite place of S or
     is lc * square with lc a non-square, so a non-square at infinity.
     """
-    if tower.laurent_rank() == len(tower.levels):
+    if tower.all_laurent:
         minus_one = minus_one_class(tower)
         return ([square_class(tower, x) for x in elems], minus_one,
                 partial(class_dimension, LAURENT_LAYOUT, minus_one))
@@ -299,11 +293,9 @@ def u_invariant(tower):
     Elman-Karpenko-Merkurjev, section 19).  Over GF(q)(X), a global
     function field, it is 4.  A form of larger dimension is isotropic.
     """
-    levels = tower.levels
-    r = tower.laurent_rank()
-    if r == len(levels):
-        return 2 ** (r + 1)
-    if len(levels) == 1:
+    if tower.all_laurent:
+        return 2 ** (len(tower.levels) + 1)
+    if len(tower.levels) == 1:
         return 4
     return None
 
@@ -341,23 +333,11 @@ class WittDecomposition:
         return 0 if self.anisotropic_kernel is None else self.anisotropic_kernel.dim
 
 
-def _decomposition(q, entries):
-    kernel = QuadraticForm(q.tower, tuple(entries)) if entries else None
-    return WittDecomposition(kernel, (q.dim - len(entries)) // 2)
-
-
 def witt_decompose(q):
-    kind = _outer_kind(q.tower)
-    if kind == "finite":
-        return _witt_finite(q)
-    if kind == fl.RATFUNC:
+    if not q.tower.all_laurent:
         from . import localglobal
         return localglobal.witt_decompose_global(q)
     return _witt_laurent(q)
-
-
-def _witt_finite(q):
-    return _decomposition(q, _finite_kernel(q.tower, q.diag))
 
 
 def _witt_laurent(q):
@@ -365,15 +345,17 @@ def _witt_laurent(q):
 
     The kernel is the sum over eps of t^eps * lift(ker q_eps): forms over a
     henselian non-dyadic field are classified by their residue forms, so any
-    unit lifts of the residue kernels represent the kernel.
+    unit lifts of the residue kernels represent the kernel.  Over a finite
+    field the split has rank 0 and one part, decided by the finite rule.
     """
     from . import valuation as vmod
     ctx = vmod.ValuationCtx(q.tower, len(q.tower.levels))
     parts = vmod.raw_springer_split(q, ctx)
-    kernel_entries = []
+    entries = []
     for eps in sorted(parts):
         kernel = _finite_kernel(ctx.residue_tower, [r for _, r in parts[eps]])
         if kernel:
             pi = ctx.monomial(eps)
-            kernel_entries += [pi * q.tower.embed(r) for r in kernel]
-    return _decomposition(q, kernel_entries)
+            entries += [pi * q.tower.embed(r) for r in kernel]
+    return WittDecomposition(QuadraticForm(q.tower, tuple(entries))
+                             if entries else None, (q.dim - len(entries)) // 2)

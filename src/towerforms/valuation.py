@@ -26,10 +26,9 @@ class ValuationCtx:
         # rank 0 is the trivial valuation (every element is a unit)
         if self.rank < 0 or self.rank > len(self.tower.levels):
             raise TowerFormsError("rank out of range")
-        for lv in self.tower.levels[len(self.tower.levels) - self.rank:]:
-            if lv.kind != fl.LAURENT:
-                raise TowerFormsError(
-                    "valuation context requires LaurentSeries levels")
+        if self.rank and not self.tower.all_laurent:
+            raise TowerFormsError(
+                "valuation context requires LaurentSeries levels")
 
     @cached_property
     def residue_tower(self):

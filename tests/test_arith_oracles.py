@@ -1,7 +1,7 @@
 """Differential oracles for the arithmetic core.
 
 Each test keeps the slow route as the reference: GF(p) as the 1-tuple field
-Fq(p, 1), the generic polys path (a Zp subclass without the int kernels),
+Fq(Zp(p), X), the generic polys path (a Zp subclass without the int kernels),
 the int product as a list loop over shifted rows (the kernel the Kronecker
 product replaced), square roots by brute force in elements() order, powers
 by repeated products and by squaring and multiplying over the generic
@@ -36,7 +36,8 @@ def _brute_sqrt(F, a):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_zp_matches_tuple_prime_field(p):
-    Z, T = Zp(p), Fq(p, 1)
+    Z = Zp(p)
+    T = Fq(Z, (0, 1))
     assert (Z.k, Z.order) == (T.k, T.order)
 
     def tup(x):
@@ -60,7 +61,9 @@ def test_zp_matches_tuple_prime_field(p):
 
 
 @pytest.mark.parametrize("F", [Zp(p) for p in (3, 5, 7, 13, 17, 41, 73, 97)]
-                         + [Fq(3, 2), Fq(5, 2), Fq(3, 3)],
+                         + [ffield.finite_field(3, 2),
+                            ffield.finite_field(5, 2),
+                            ffield.finite_field(3, 3)],
                          ids=lambda F: f"GF({F.order})")
 def test_sqrt_is_first_root_in_element_order(F):
     squares = 0
@@ -82,7 +85,7 @@ def test_pow_matches_repeated_product(field):
             for _ in range(abs(n)):
                 ref = ref * a if n > 0 else ref / a
             assert a ** n == ref
-    F = Fq(3, 2)
+    F = ffield.finite_field(3, 2)
     for a in F.elements():
         if F.is_zero(a):
             continue
@@ -95,7 +98,8 @@ def test_pow_matches_repeated_product(field):
 
 def test_each_finite_field_is_built_once(monkeypatch):
     """Places build no residue field, so over a prime base no Fq is built
-    at all; a GF(9)((t)) tower and all its drop_outer()s share one Fq."""
+    at all; a GF(9)((t)) tower and all its drop_outer()s share one Fq, on
+    GF(3) and X^2 + 1."""
     built = []
     init = Fq.__init__
 
@@ -109,7 +113,7 @@ def test_each_finite_field_is_built_once(monkeypatch):
     assert verify_higher_local_d1(5, samples=60).passed
     assert built == []
     assert check_top_d_linked(tower(3, 2, ("t", LAURENT)), 2, 30).passed
-    assert built == [(3, 2)]
+    assert built == [(ffield.finite_field(3), (1, 0, 1))]
 
 
 def _sympy_prime_power(n):
@@ -219,6 +223,25 @@ def test_canonical_modulus_is_first_irreducible():
             assert ffield.canonical_modulus.__wrapped__(p, k) == want, (p, k)
     assert ffield.canonical_modulus(3, 2) == (1, 0, 1)
     assert ffield.factor_monic.cache_info() == before
+
+
+def _sympy_irreducible(p, g):
+    return sympy.Poly(g[::-1], sympy.Symbol("X"), modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p", list(sympy.primerange(3, 60)))
+def test_binomial_rule_matches_brute_force(p):
+    """_no_irreducible_binomial(p, k) holds exactly when no X^k + c over
+    GF(p) is irreducible, for 2 <= k <= 6, by sympy (test-only); so the
+    binomials canonical_modulus skips hold no irreducible, and the modulus
+    is still the first irreducible of monic_polys(p, k) for k <= 5."""
+    for k in range(2, 7):
+        brute = not any(_sympy_irreducible(p, (c,) + (0,) * (k - 1) + (1,))
+                        for c in range(p))
+        assert ffield._no_irreducible_binomial(p, k) == brute, (p, k)
+    for k in range(1, 6):
+        want = next(g for g in monic_polys(p, k) if _sympy_irreducible(p, g))
+        assert ffield.canonical_modulus.__wrapped__(p, k) == want, (p, k)
 
 
 def _make_by_gcd(f, num, den):
@@ -824,11 +847,9 @@ def test_packed_rows_cut_after_the_reduction(field):
 def _reference_chain(K):
     """K's chain on the generic path throughout: the generic-path Zp at the
     base (under Fq for GF(p^k)) and every level on the generic mul."""
-    if K.base_degree == 1:
-        f = _GenericZp(K.base_char)
-    else:
-        f = Fq(K.base_char, K.base_degree)
-        f.base = _GenericZp(K.base_char)
+    f = _GenericZp(K.base_char)
+    if K.base_degree > 1:
+        f = Fq(f, ffield.canonical_modulus(K.base_char, K.base_degree))
     for lv in K.levels:
         f = FracField(f, lv.symbol)
     return f

@@ -76,6 +76,7 @@ def test_micro_timings_record_seconds_or_a_timeout(monkeypatch):
     assert {f"expand-{n}" for n in ("4fold", "6fold", "sparse")} <= names
     assert sum(name.startswith("product-") for name in names) == 6
     assert {"witness-gf3", "witness-gf5"} <= names
+    assert {"field-p2", "field-p4"} <= names
     assert {"reads-localize", "reads-linkage", "reads-certify"} <= names
 
     monkeypatch.setattr(bench, "_micro_inputs", lambda: {

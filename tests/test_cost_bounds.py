@@ -13,7 +13,9 @@ up to half the degree, and the defining polynomial of GF(p^2) was found
 the same way: the GF(1000003)(X) isotropy line and the GF(1000006000009)
 square line took 8 s each, the X^6 form over GF(101)(X) and the degree-20
 form over GF(5)(X) ran past 40 s, and GF(1000000014000000049) ran out of
-memory listing GF(10^9 + 7).
+memory listing GF(10^9 + 7).  The defining polynomial of GF(p^4), p =
+1000003 = 3 mod 4, has no binomial X^4 - a to find, since none is
+irreducible; the walk once tried all p of them first and ran past 30 s.
 Distinct-degree factorization with equal-degree splitting now costs a
 polynomial in the degree and log p.  The dim-6
 form over GF(5)(X) (Witt index 2) exercises the slow tail of the witness
@@ -81,6 +83,7 @@ FOLD4_PAIR = (
     "isotropy --field 'GF(1000003)(X)' --form 'diag[1, X^2+1, X]'",
     "square --field 'GF(1000006000009)' --elem 3",
     "square --field 'GF(1000000014000000049)' --elem 3",
+    "square --field 'GF(1000012000054000108000081)' --elem 3",
     "isotropy --field 'GF(101)(X)' --form 'diag[1, X^5+X+3, X]'",
     "isotropy --field 'GF(101)(X)' --form 'diag[1, X^6+X+3, X]'",
     "isotropy --field 'GF(5)(X)' --form "

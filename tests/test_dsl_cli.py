@@ -152,6 +152,39 @@ def test_cli_residue(capsys):
     assert js["first_residue"] == "<<1]]" and js["m"] == 1
 
 
+def test_cli_residue_of_a_form(capsys):
+    """<1, 2> is hyperbolic over GF(3), so diag[1, t, 2] has no residue
+    form at pi = 1 and diag[1] at pi = t."""
+    argv = ("residue", "--field", "GF(3)((t))", "--form", "diag[1, t, 2]")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == "pi = 1: -\npi = t: diag[1]\n"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["parts"] == [{"form": [], "pi": "1"},
+                                        {"form": ["1"], "pi": "t"}]
+
+
+@pytest.mark.parametrize("field", ["GF(3)((t))", "GF(3)"])
+def test_cli_residue_of_a_symbol_without_slots(field, capsys):
+    """<<1]] has no slot to normalize; over GF(3), the rank-0 tower, the
+    report is the same."""
+    argv = ("residue", "--field", field, "--pfister", "<<1]]")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "first residue: <<1]]\npi = 1: multiplier 1\n"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    js = json.loads(out)
+    assert code == 0 and (js["m"], js["residue_field"]) == (0, "GF(3)")
+    assert js["entries"] == [{"indices": [], "multiplier": "1",
+                              "representative": "1"}]
+
+
+def test_cli_pfister_expand_bilinear(capsys):
+    code, out, _ = run_cli(capsys, "pfister-expand", "--field", "GF(3)((t))",
+                           "--pfister", "<<t, 1 + t>>")
+    assert code == 0 and out == "diag[1, 2*t, 2 + 2*t, t + t^2]\n"
+
+
 def test_cli_pfister_normalize(capsys):
     code, out, _ = run_cli(capsys, "pfister-normalize", "--field",
                            "GF(5)((t))", "--pfister", "<<t, t>>", "--json")
@@ -255,6 +288,20 @@ def test_cli_exit_2_on_bad_input(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err
+
+
+def test_cli_missing_input_exits_2_with_its_message(capsys):
+    for argv, message in (
+            (("square", "--field", "GF(7)", "--elem", "0"),
+             "zero has no square class"),
+            (("verify", "higher-local-d1"),
+             "verify higher-local-d1 needs --q"),
+            (("verify", "top-linked"), "verify top-linked needs --field"),
+            (("verify", "lifting-equivalence", "--field", "GF(3)((t))"),
+             "verify lifting-equivalence needs --d"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_cli_json_determinism(capsys):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from towerforms import errors
 from towerforms.fields import (FieldTower, LevelDescriptor, LAURENT, RATFUNC,
                                SampleBudget, format_element, is_square,
-                               residue, sample, valuation)
+                               residue, sample, sample_unit, valuation)
+from towerforms.valuation import ValuationCtx
 from conftest import tower
 
 
@@ -47,6 +48,28 @@ def test_valuation_examples(gf3t, gf5t, gf3tu):
 def test_valuation_of_zero_raises(gf3t):
     with pytest.raises(errors.ZeroArgument):
         valuation(gf3t, gf3t.zero)
+
+
+def test_rank_zero_value_vector_is_empty(gf3x):
+    """A finite field is the rank-0 tower: its value vector is (), as the
+    rank-0 ValuationCtx gives, and so is that of a constant of GF(3)(X);
+    an element that involves X is refused."""
+    gf7 = tower(7)
+    for a in (gf7.from_int(3), gf7.one):
+        assert valuation(gf7, a) == () == ValuationCtx(gf7, 0).value_vector(a)
+    assert valuation(gf3x, gf3x.from_int(2)) == ()
+    with pytest.raises(errors.UnsupportedLevel):
+        valuation(gf3x, gf3x.gen("X"))
+    with pytest.raises(errors.UnsupportedLevel):
+        valuation(gf3x, 1 / (1 + gf3x.gen("X")))
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2)])
+def test_sample_unit_over_a_finite_field_is_the_sample(p, k):
+    T, budget = tower(p, k), SampleBudget()
+    for seed in range(20):
+        a = sample_unit(T, budget, seed)
+        assert a == sample(T, budget, seed) and not a.is_zero()
 
 
 def test_residue_examples(gf3t, gf5t, gf3tu):

@@ -13,9 +13,9 @@ from conftest import finite_nonsquare, tower
 from towerforms import dsl
 from towerforms import fields as fl
 from towerforms.fields import LAURENT, SampleBudget, sample
-from towerforms.qforms import (QuadraticForm, WittDecomposition, _witt_finite,
-                               is_isotropic, reduce_square_classes,
-                               witt_decompose)
+from towerforms.qforms import (QuadraticForm, WittDecomposition,
+                               _finite_kernel, is_isotropic,
+                               reduce_square_classes, witt_decompose)
 from towerforms.valuation import ValuationCtx, raw_springer_split
 
 TOWERS = [tower(3, 1, ("t", LAURENT)),
@@ -46,14 +46,16 @@ def ref_is_isotropic(q):
 def ref_witt_decompose(q):
     T = q.tower
     if not T.levels:
-        return _witt_finite(q)
-    t = T.gen(T.levels[-1].symbol)
-    kernel = []
-    for eps, sub in _residue_forms(q):
-        dec = ref_witt_decompose(sub)
-        if dec.anisotropic_kernel is not None:
-            pi = t if eps[0] else T.one
-            kernel += [pi * T.embed(r) for r in dec.anisotropic_kernel.diag]
+        kernel = _finite_kernel(T, q.diag)
+    else:
+        t = T.gen(T.levels[-1].symbol)
+        kernel = []
+        for eps, sub in _residue_forms(q):
+            dec = ref_witt_decompose(sub)
+            if dec.anisotropic_kernel is not None:
+                pi = t if eps[0] else T.one
+                kernel += [pi * T.embed(r)
+                           for r in dec.anisotropic_kernel.diag]
     return WittDecomposition(QuadraticForm(T, tuple(kernel)) if kernel
                              else None, (q.dim - len(kernel)) // 2)
 
