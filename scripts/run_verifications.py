@@ -11,22 +11,11 @@ import argparse
 import json
 import sys
 
-from towerforms.fields import FieldTower, LevelDescriptor, LAURENT, SampleBudget
+from towerforms.dsl import parse_field
+from towerforms.fields import SampleBudget
 from towerforms.linkage import (check_top_d_linked, verify_higher_local_d1,
                                 verify_lifting_equivalence,
                                 verify_residue_transfer)
-
-
-def towers():
-    gf3 = FieldTower(3, 1)
-    gf5 = FieldTower(5, 1)
-    t = (LevelDescriptor("t", LAURENT),)
-    tu = (LevelDescriptor("t", LAURENT), LevelDescriptor("u", LAURENT))
-    return {
-        "GF(3)": gf3, "GF(5)": gf5,
-        "GF(3)((t))": FieldTower(3, 1, t), "GF(5)((t))": FieldTower(5, 1, t),
-        "GF(3)((t))((u))": FieldTower(3, 1, tu),
-    }
 
 
 def main():
@@ -35,7 +24,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", action="store_true")
     args = ap.parse_args()
-    tw = towers()
+    tw = {name: parse_field(name) for name in (
+        "GF(3)", "GF(5)", "GF(3)((t))", "GF(5)((t))", "GF(3)((t))((u))")}
     lean = SampleBudget(max_val=1, series_terms=1)
     n = args.samples
 

@@ -165,51 +165,38 @@ def _cmd_certify(args):
     return 0
 
 
-_THEOREMS = ("residue-transfer", "lifting-equivalence", "higher-local-d1",
-             "top-linked")
+# theorem -> (the flags whose values its harness takes, in this order, each
+# checked to be given and --field parsed; the name of its harness in linkage)
+_THEOREMS = {
+    "residue-transfer": (("field", "n", "m"), "verify_residue_transfer"),
+    "lifting-equivalence": (("field", "d", "m"), "verify_lifting_equivalence"),
+    "higher-local-d1": (("q",), "verify_higher_local_d1"),
+    "top-linked": (("field", "d"), "check_top_d_linked"),
+}
 
 
 def _cmd_verify(args):
-    kwargs = {}
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.theorem == "higher-local-d1":
-        if args.q is None:
-            raise TowerFormsError("verify higher-local-d1 needs --q")
-        report = linkage.verify_higher_local_d1(args.q, seed=args.seed,
-                                                **kwargs)
-    else:
-        if args.field is None:
-            raise TowerFormsError(f"verify {args.theorem} needs --field")
-        tower = dsl.parse_field(args.field)
-        if args.theorem == "top-linked":
-            if args.d is None:
-                raise TowerFormsError("verify top-linked needs --d")
-            report = linkage.check_top_d_linked(tower, args.d, seed=args.seed,
-                                               **kwargs)
-        elif args.theorem == "residue-transfer":
-            report = linkage.verify_residue_transfer(
-                tower, args.n if args.n is not None else 1,
-                args.m if args.m is not None else 1, seed=args.seed, **kwargs)
-        else:  # lifting-equivalence
-            if args.d is None:
-                raise TowerFormsError("verify lifting-equivalence needs --d")
-            report = linkage.verify_lifting_equivalence(
-                tower, args.d, args.m if args.m is not None else 1,
-                seed=args.seed, **kwargs)
+    flags, harness = _THEOREMS[args.theorem]
+    values = []
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is None:
+            raise TowerFormsError(f"verify {args.theorem} needs --{flag}")
+        values.append(dsl.parse_field(value) if flag == "field" else value)
+    kwargs = {} if args.samples is None else {"samples": args.samples}
+    report = getattr(linkage, harness)(*values, seed=args.seed, **kwargs)
     payload = report.to_json()
     payload["elapsed_ms"] = None  # keep --json byte-identical across runs
-    refused = report.failures and all(
-        f["kind"] == "witness-budget" for f in report.failures)
     _emit(args, payload,
           [f"theorem:  {report.theorem}",
            f"field:    {report.field}",
            f"samples:  {report.samples}  seed: {report.seed}",
            f"failures: {len(report.failures)}",
            f"elapsed:  {report.elapsed_ms} ms",
-           "REFUSED" if refused else "PASS" if report.passed else "FAIL"] +
+           "REFUSED" if report.refused else
+           "PASS" if report.passed else "FAIL"] +
           [f"  {json.dumps(f, sort_keys=True)}" for f in report.failures])
-    return 2 if refused else 0 if report.passed else 1
+    return 2 if report.refused else 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +267,12 @@ def build_parser():
     p.add_argument("--p2", required=True)
 
     p = add("verify", _cmd_verify, help="run a sampled verification harness")
-    p.add_argument("theorem", choices=_THEOREMS)
+    p.add_argument("theorem", choices=tuple(_THEOREMS))
     p.add_argument("--field", help="field DSL string (tower-based theorems)")
     p.add_argument("--q", type=int, help="base prime (higher-local-d1)")
     p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--m", type=int, default=1)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=0)
 

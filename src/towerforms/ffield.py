@@ -31,13 +31,16 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n):
     """Exact primality: deterministic Miller-Rabin on _MR_BASES.
 
     A base that witnesses compositeness proves it at any size; passing all
     13 bases proves primality for n < _MR_BOUND (about 3.3 * 10^24).  An
     n >= _MR_BOUND that passes them all is refused with ConfigUnsupported
-    rather than guessed.
+    rather than guessed.  Each n is tested once per process: every
+    FieldTower checks its base characteristic, and so does each residue
+    tower that drop_outer builds.
     """
     if n < 2:
         return False

@@ -15,9 +15,11 @@ candidate on the same square classes, by XOR, with no expansion, and ends
 on its own finite candidate set (find_certificate); a certificate
 re-verifies by isometry of the expanded symbols (LinkageCertificate.verify).
 
-The verify_* functions are seeded sampling harnesses for the residue
-transfer, lifting equivalence, and higher-local statements; they report
-"N samples, listed failures", never universal truth.
+The verify_* functions and check_top_d_linked are seeded sampling
+harnesses for the paper's statements; they report "N samples, listed
+failures", never universal truth.  check_top_d_linked and
+verify_higher_local_d1 run one loop (_top_linked) with their own isotropy
+checks, and every per-sample failure record comes from _failure.
 """
 
 import itertools
@@ -49,6 +51,13 @@ class VerificationReport:
     @property
     def passed(self):
         return not self.failures
+
+    @property
+    def refused(self):
+        """Whether there are failures and all are witness-budget refusals
+        (a search out of budget), so no counterexample was found."""
+        return bool(self.failures) and all(
+            f["kind"] == "witness-budget" for f in self.failures)
 
     def to_json(self):
         return {"theorem": self.theorem, "field": self.field,
@@ -202,12 +211,11 @@ def find_certificate(q1, q2):
 
 
 def _sample_b(tower, budget, seed):
-    """An element usable as quadratic last slot: 1 + 4b != 0."""
-    for k in range(32):
-        b = fl.sample(tower, budget, (seed, "b", k))
-        if not (tower.one + 4 * b).is_zero():
-            return b
-    raise ConfigUnsupported("could not sample a last slot")  # unreachable
+    """A quadratic last slot b, 1 + 4b != 0: the sampled element, which is
+    never 0, or 0 (the hyperbolic symbol, c = 1) in place of the b with
+    1 + 4b = 0."""
+    b = fl.sample(tower, budget, (seed, "b", 0))
+    return tower.zero if (tower.one + 4 * b).is_zero() else b
 
 
 def sample_symbol(tower, fold, seed, budget=fl.SampleBudget()):
@@ -238,25 +246,45 @@ def _report(theorem, tower, start, failures, samples, seed, d=None, n=None,
         elapsed_ms=int((time.perf_counter() - start) * 1000))
 
 
+def _failure(kind, index, *symbols, **extra):
+    """The record of a failed sample: its kind and index, the symbol (one)
+    or symbols (several) as describe() prints them, and the extra fields."""
+    shown = [s.describe() for s in symbols]
+    key = {"symbol": shown[0]} if len(shown) == 1 else {"symbols": shown}
+    return {"kind": kind, "index": index, **key, **extra}
+
+
+def _top_linked(theorem, tower, d, samples, seed, budget, isotropy_failure,
+                reported_d):
+    """The sampled check of top-d-linkage: (d+1)-fold symbols drawn at
+    (seed, "iso", i) fail with the kind isotropy_failure returns (None when
+    isotropic), then pairs of d-fold symbols drawn at (seed, "pair-a", i)
+    and (seed, "pair-b", i) fail when unlinked."""
+    start = time.perf_counter()
+    failures = []
+    for i in range(samples):
+        s = sample_symbol(tower, d + 1, (seed, "iso", i), budget)
+        kind = isotropy_failure(s)
+        if kind is not None:
+            failures.append(_failure(kind, i, s))
+    for i in range(samples):
+        pair = [sample_symbol(tower, d, (seed, side, i), budget)
+                for side in ("pair-a", "pair-b")]
+        if not is_linked_pair(*pair):
+            failures.append(_failure("unlinked-pair", i, *pair))
+    return _report(theorem, tower, start, failures, samples, seed,
+                   d=reported_d)
+
+
 def check_top_d_linked(tower, d, samples=200, seed=0,
                        budget=fl.SampleBudget()):
     """Sampled check that the tower is top-d-linked: (d+1)-fold symbols are
     isotropic and pairs of d-fold symbols are linked."""
     _require_positive(samples, d)
-    start = time.perf_counter()
-    failures = []
-    for i in range(samples):
-        s = sample_symbol(tower, d + 1, (seed, "iso", i), budget)
-        if not pfister.symbol_isotropic(s):
-            failures.append({"kind": "anisotropic-(d+1)-fold", "index": i,
-                             "symbol": s.describe()})
-    for i in range(samples):
-        s1 = sample_symbol(tower, d, (seed, "pair-a", i), budget)
-        s2 = sample_symbol(tower, d, (seed, "pair-b", i), budget)
-        if not is_linked_pair(s1, s2):
-            failures.append({"kind": "unlinked-pair", "index": i,
-                             "symbols": [s1.describe(), s2.describe()]})
-    return _report("top-linked", tower, start, failures, samples, seed, d=d)
+    return _top_linked(
+        "top-linked", tower, d, samples, seed, budget,
+        lambda s: None if pfister.symbol_isotropic(s) else
+        "anisotropic-(d+1)-fold", d)
 
 
 def verify_residue_transfer(tower, n, m, samples=200, seed=0,
@@ -288,8 +316,8 @@ def verify_residue_transfer(tower, n, m, samples=200, seed=0,
             continue  # no good-slot presentation within the span
         n2 = rep.first_residue.fold
         if not n <= n2 <= n + m:
-            failures.append({"kind": "fold-out-of-range", "index": i,
-                             "symbol": s.describe(), "residue_fold": n2})
+            failures.append(_failure("fold-out-of-range", i, s,
+                                     residue_fold=n2))
 
     # (b) surjectivity via the explicit lift <<t_1,...,t_m, slots..., b]]
     uniformizers = tuple(tower.gen(sym) for sym in ctx.symbols)
@@ -302,13 +330,11 @@ def verify_residue_transfer(tower, n, m, samples=200, seed=0,
             rep = pfister.pfister_residues(lift, ctx)
         except IsotropicInput:
             if not pfister.symbol_isotropic(r):
-                failures.append({"kind": "lift-lost-anisotropy", "index": i,
-                                 "symbol": r.describe()})
+                failures.append(_failure("lift-lost-anisotropy", i, r))
             continue
         if not pfister.symbols_isometric(rep.first_residue, r):
-            failures.append({"kind": "lift-residue-mismatch", "index": i,
-                             "symbol": r.describe(),
-                             "residue": rep.first_residue.describe()})
+            failures.append(_failure("lift-residue-mismatch", i, r,
+                                     residue=rep.first_residue.describe()))
 
     # (c) injectivity on consecutive sample pairs
     for i in range(len(lifts) - 1):
@@ -316,8 +342,7 @@ def verify_residue_transfer(tower, n, m, samples=200, seed=0,
         same_res = pfister.symbols_isometric(r1, r2)
         same_lift = pfister.symbols_isometric(l1, l2)
         if same_res != same_lift:
-            failures.append({"kind": "injectivity-break", "index": i,
-                             "symbols": [r1.describe(), r2.describe()]})
+            failures.append(_failure("injectivity-break", i, r1, r2))
     return _report("residue-transfer", tower, start, failures, samples, seed,
                    n=n, m=m)
 
@@ -353,33 +378,23 @@ def verify_lifting_equivalence(tower, d, m, samples=100, seed=0,
                    seed, d=d, m=m)
 
 
+def _witness_failure(s):
+    """The failure kind of s by an explicit isotropic vector of expand(s),
+    or None when a valid one is found."""
+    q = pfister.expand(s)
+    try:
+        vec = localglobal.isotropic_vector_global(q)
+    except BudgetExceeded:
+        return "witness-budget"
+    return ("anisotropic-3-fold" if vec is None else None
+            if qforms.is_isotropic_vector(q, vec) else "witness-invalid")
+
+
 def verify_higher_local_d1(q_base, samples=500, seed=0):
     """Sampled check that GF(q)(X) is top-2-linked (higher-local at d = 1):
     3-fold symbols with small slots are isotropic (with explicit witnesses)
     and pairs of 2-fold symbols are linked."""
     _require_positive(samples)
-    start = time.perf_counter()
     tower = fl.FieldTower(q_base, 1, (fl.LevelDescriptor("X", fl.RATFUNC),))
-    budget = fl.SampleBudget(max_deg=2)
-    failures = []
-    for i in range(samples):
-        s = sample_symbol(tower, 3, (seed, "iso", i), budget)
-        q = pfister.expand(s)
-        try:
-            vec = localglobal.isotropic_vector_global(q)
-            kind = ("anisotropic-3-fold" if vec is None else None
-                    if qforms.is_isotropic_vector(q, vec) else
-                    "witness-invalid")
-        except BudgetExceeded:
-            kind = "witness-budget"
-        if kind is not None:
-            failures.append({"kind": kind, "index": i,
-                             "symbol": s.describe()})
-    for i in range(samples):
-        s1 = sample_symbol(tower, 2, (seed, "pair-a", i), budget)
-        s2 = sample_symbol(tower, 2, (seed, "pair-b", i), budget)
-        if not is_linked_pair(s1, s2):
-            failures.append({"kind": "unlinked-pair", "index": i,
-                             "symbols": [s1.describe(), s2.describe()]})
-    return _report("higher-local-d1", tower, start, failures, samples, seed,
-                   d=1)
+    return _top_linked("higher-local-d1", tower, 2, samples, seed,
+                       fl.SampleBudget(max_deg=2), _witness_failure, 1)

@@ -26,8 +26,9 @@ One rule answers above every class read: u_invariant gives the largest
 dimension of an anisotropic form, 2^(r+1) over r Laurent levels on GF(q)
 (Springer's theorem doubles it per level; Lam, Introduction to Quadratic
 Forms over Fields, ch. VI, and Elman-Karpenko-Merkurjev, section 19) and 4
-over GF(q)(X).  is_isotropic, the one place that applies it for every
-tower kind, answers a form of larger dimension without a read.  Other
+over GF(q)(X).  It is applied in two places, on every tower kind:
+is_isotropic answers a form of larger dimension without a read, and
+pfister.symbol_isotropic a symbol whose expansion is that large.  Other
 towers, such as GF(q)((t))(X), get no bound.
 """
 

@@ -248,16 +248,16 @@ def test_cli_verify_higher_local(capsys):
 
 def test_cli_verify_tells_a_refusal_from_a_counterexample(capsys,
                                                           monkeypatch):
-    """The only failure of 418 higher-local-d1 samples over GF(3)(X), seed
-    1, is a witness-budget refusal at sample 417, an 8-dimensional (so
+    """The only failure of 123 higher-local-d1 samples over GF(7)(X), seed
+    0, is a witness-budget refusal at sample 122, an 8-dimensional (so
     isotropic) expansion: REFUSED, exit 2.  A counterexample among the
     failures, alone or next to a refusal, still prints FAIL, exit 1."""
-    code, out, _ = run_cli(capsys, "verify", "higher-local-d1", "--q", "3",
-                           "--seed", "1", "--samples", "418")
+    code, out, _ = run_cli(capsys, "verify", "higher-local-d1", "--q", "7",
+                           "--seed", "0", "--samples", "123")
     lines = out.splitlines()
     assert code == 2 and lines[3] == "failures: 1" and lines[5] == "REFUSED"
     refusal = json.loads(lines[6])
-    assert (refusal["kind"], refusal["index"]) == ("witness-budget", 417)
+    assert (refusal["kind"], refusal["index"]) == ("witness-budget", 122)
     counterexample = {"kind": "unlinked-pair", "index": 0}
     for failures in ((counterexample,), (refusal, counterexample)):
         report = linkage.VerificationReport("higher-local-d1", "GF(3)(X)",

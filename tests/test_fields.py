@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towerforms import errors
+from towerforms import dsl, errors, ffield, qforms
 from towerforms.fields import (FieldTower, LevelDescriptor, LAURENT, RATFUNC,
                                SampleBudget, format_element, is_square,
                                residue, sample, sample_unit, valuation)
@@ -16,6 +16,22 @@ def test_even_characteristic_rejected():
         FieldTower(2, 1)
     with pytest.raises(errors.TowerFormsError):
         FieldTower(4, 1)
+
+
+def test_each_prime_is_tested_once_per_process():
+    """Each witt_decompose builds a residue tower, which checks its base
+    characteristic; Miller-Rabin runs once for p all the same, and a
+    composite is refused with the same message every time."""
+    T = dsl.parse_field("GF(1000000000000000003)((t))")
+    q = dsl.parse_form(T, "diag[1, 2*t, 3, 5*t]")
+    ffield._is_prime.cache_clear()
+    for _ in range(100):
+        qforms.witt_decompose(q)
+    assert ffield._is_prime.cache_info().misses == 1
+    for _ in range(2):
+        with pytest.raises(errors.TowerFormsError,
+                           match="base characteristic must be an odd prime"):
+            FieldTower(10 ** 18 + 1, 1)
 
 
 def test_ratfunc_level_must_be_outermost():

@@ -44,7 +44,7 @@ _SPEC.loader.exec_module(output_digest)
 TOWERS = [tower(3, 1, ("t", LAURENT)),
           tower(5, 1, ("t", LAURENT), ("u", LAURENT)),
           tower(3, 1, ("t", LAURENT), ("u", LAURENT), ("w", LAURENT)),
-          tower(5)]
+          tower(5), tower(3)]
 SYMBOLS = 400  # per tower, plus PAIRS pairs: 1000 inputs
 PAIRS = 600
 BUDGET = SampleBudget(max_val=1, series_terms=1)
