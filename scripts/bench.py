@@ -47,6 +47,9 @@ factored inside the timing, as in a fresh workload process.
 reads-certify, the Laurent side of the class rule, runs
 linkage.find_certificate once on each GF(3)((t)) certify pair among the
 first CLASS_READ_OPS ops of the cli-certify workload (seed TRACE_SEED).
+places-cold runs cli.main once on PLACES_COLD, an isotropy query over
+GF(10^9 + 7)(X) whose places are all linear, with every cache cold: each
+non-square bit there is one Euler test in a residue field.
 
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
@@ -105,6 +108,8 @@ FACTOR_POLY = "X^20 + X + 1"
 CLASS_READ_OPS = 200
 LARGE_FIELD = "GF(1000006000009)"  # GF(p^2), p = 1000003
 LARGE_FIELD_P4 = "GF(1000012000054000108000081)"  # GF(p^4), p = 1000003
+PLACES_COLD = ["isotropy", "--field", "GF(1000000007)(X)", "--form",
+               "diag[X*(X+1)*(X+2), (X+3)*(X+4), (X+5)*(X+6)*(X+7), X+8]"]
 
 
 def _monomial_text(coeff, exponents):
@@ -177,6 +182,8 @@ def _micro_inputs():
         MICRO_FIELDS[1], [s for argv in certify for s in argv[4:7:2]],
         "for s1, s2 in zip(operands[::2], operands[1::2]): "
         "linkage.find_certificate(s1, s2)")
+    out["places-cold"] = (MICRO_FIELDS[1], [], f"cli.main({PLACES_COLD!r})",
+                          "from towerforms import cli")
     return out
 
 

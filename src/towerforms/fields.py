@@ -14,10 +14,12 @@ decision made here factors through valuations and residues of unit parts.
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from . import polys
-from .errors import (DivisionByZero, NotIntegralUnit, TowerFormsError,
-                     TowerMismatch, UnsupportedLevel, ZeroArgument)
+from .errors import (BudgetExceeded, DivisionByZero, NotIntegralUnit,
+                     TowerFormsError, TowerMismatch, UnsupportedLevel,
+                     ZeroArgument)
 from .ffield import _is_prime, finite_field
 
 LAURENT = "laurent"
@@ -56,19 +58,15 @@ class FracField:
     A level whose coefficients are one-level fractions over Zp (the second
     level over GF(p): the outer one of GF(p)((t))((u)), the middle one of
     GF(p)((t))((u))((w))) gives pfister's expansion the products of every
-    subset of a list of raws (subset_products, _packed_subset_products),
-    all from one Kronecker layout of ints: polys._subset_row_products
-    shifts each raw's numerator coefficients, the rows, to sit over one
-    power of t, packs them end to end so that X becomes a power of t, and
-    takes each product as one int product of an earlier, reduced product
-    and one raw, cut once into its reduced raw (the polys docstring gives
-    the layout and the bounds).  It returns None, and the expansion
-    multiplies pair by pair through mul, when some den is not a power of X
-    or of t, or when the density rule of polys.pmul calls the layout
-    sparse: a Frobenius image such as 1 + t^2187 + u^2187 packs into
-    millions of slots, but has three terms.  Whether a level has the
-    subset products is decided once, in __init__; every level multiplies
-    a pair through mul.
+    subset of a list of raws (subset_products, _packed_subset_products)
+    from one Kronecker layout of ints, whose rows are the raws' numerator
+    coefficients (polys._subset_row_products gives the layout and the
+    bounds).  It returns None, and the expansion multiplies pair by pair
+    through mul, when some den is not a power of X or of t, or when the
+    layout is too large to pack: a Frobenius image such as 1 + t^2187 +
+    u^2187 packs into millions of slots, but has three terms.  Whether a
+    level has the subset products is decided once, in __init__; every
+    level multiplies a pair through mul.
     """
 
     def __init__(self, inner, symbol):
@@ -150,7 +148,7 @@ class FracField:
         order (entry e is the product of the gens[j] at the bits j of e,
         entry 0 is one and entry 2^j is gens[j] itself), from one layout;
         or None when some den is not a power of X or of t, or the layout is
-        sparse (see the class docstring)."""
+        too large (see the class docstring)."""
         powers = [self._x_power(d) for _, d in gens]
         if None in powers:
             return None
@@ -354,11 +352,15 @@ class Element:
         """self^n by the base-p digits n_i of n: the product of the
         (self^(p^i))^(n_i), each self^(p^i) a Frobenius image (_frobenius),
         which is as sparse as self and takes no product, and each power
-        n_i < p by squaring and multiplying."""
+        n_i < p by squaring and multiplying.  Refused with BudgetExceeded,
+        before any product, when _power_slots exceeds POWER_SLOT_CAP."""
         if n < 0:
             return (self.tower.one / self) ** (-n)
         tower = self.tower
         p, depth = tower.base_char, len(tower.levels)
+        if _power_slots(tower.chain, depth, self.raw, n, p) > POWER_SLOT_CAP:
+            raise BudgetExceeded(f"power too large: ^{n} would hold more "
+                                 f"than {POWER_SLOT_CAP} coefficients")
         result, q = tower.one, 1
         while n:
             n, digit = divmod(n, p)
@@ -389,6 +391,31 @@ class Element:
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.tower.describe()}>"
+
+
+# the most coefficient slots that Element.__pow__ builds (_power_slots)
+POWER_SLOT_CAP = 10 ** 7
+
+
+def _power_slots(chain, depth, raw, n, p):
+    """A bound on the slots of raw^n in chain[depth] from the base-p digits
+    n_i of n.  A polynomial of raw of degree d has an (n d + 1)-slot power,
+    whose nonzero terms, for k in the polynomial, are also at most prod
+    C(k - 1 + n_i, n_i), what the product of the (x^(p^i))^(n_i) can hold
+    (Lucas: (1 + t)^n has prod (n_i + 1)), each bounded alike one level
+    down."""
+    if depth == 0:
+        return 1
+    zero, total = chain[depth - 1].zero, 0
+    for poly in filter(None, raw):
+        coeffs = [c for c in poly if c != zero]
+        slots, terms, m = n * (len(poly) - 1) + 1, 1, n
+        while m and terms < slots:
+            m, digit = divmod(m, p)
+            terms *= comb(len(coeffs) - 1 + digit, digit)
+        total += slots + min(terms, slots) * max(
+            _power_slots(chain, depth - 1, c, n, p) for c in coeffs)
+    return total
 
 
 def _frobenius(chain, depth, raw, q):

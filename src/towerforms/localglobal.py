@@ -14,22 +14,22 @@ plane per explicit isotropic vector off the diagonal.
 
 Place machinery is implemented for prime base fields GF(p)(X) only, whose
 numerators and denominators are int polynomials over ffield.Zp.  An
-element's square class over a place list is one int (place_class), two
-bits per place: at places[k], bit 2k is its valuation mod 2 and bit 2k + 1
-whether its unit residue is a non-square in GF(p^deg), read off by
-Legendre symbols from one cached factorization (ffield.factor_monic,
-polynomial in the degree and log p).  Only this module writes that
-layout (place_layout, as qforms.class_dimension reads it).
-Every reader takes an element's data from the records (_poly_record) of
-its numerator and denominator: leading unit, factor dict, sorted factors
+element's square class over a place list is one int (place_class), two bits
+per place: at places[k], bit 2k is its valuation mod 2 and bit 2k + 1
+whether its unit residue is a non-square in the residue field kappa(P)
+(residue_field), by that field's Euler test, from one cached factorization
+(ffield.factor_monic, polynomial in the degree and log p).  Only this
+module writes that layout (place_layout, as qforms.class_dimension reads
+it).  Every reader takes an element's data from the records (_poly_record)
+of its numerator and denominator: leading unit, factor dict, sorted factors
 of odd multiplicity and their monic product, cached for the process, one
 per distinct (p, polynomial) seen.  localize, the class reader over
 GF(p)(X), XORs one mask per odd factor of each entry, built once per form;
-the local dimension is qforms.class_dimension on place_layout, and no
-residue field is built.  qforms.read_classes, which every decision
-above dimension 2 calls, and the witness search read it alike.  Pfister
-decisions take the places of the slots and 1 + 4b plus infinity, which
-support every entry of the expansion (pfister.expansion_classes).
+the local dimension is qforms.class_dimension on place_layout, and only
+places of degree >= 2 build a field.  qforms.read_classes, which every
+decision above dimension 2 calls, and the witness search read it alike.
+Pfister decisions take the places of the slots and 1 + 4b plus infinity,
+which support every entry of the expansion (pfister.expansion_classes).
 
 The witness search reads the same localize result: a pair is hyperbolic
 iff its class ints XOR to that of -1, candidate subforms are decided on
@@ -147,33 +147,40 @@ def places_of_interest(q):
 
 
 @lru_cache(maxsize=None)
-def _legendre_nonsquare(p, g, P):
-    """Whether g is a non-square modulo the monic irreducible P, g coprime
-    to P: Euler's criterion g^((p^m - 1)/2) = -1 in GF(p)[X]/(P), m = deg P."""
+def residue_field(p, P):
+    """kappa(P) = GF(p)[X]/(P) for a monic irreducible P, built once per
+    (p, P): GF(p) (ffield.finite_field) if P = X - r is linear or P = None
+    (infinity), else ffield.Fq on the modulus P."""
     F = ffield.finite_field(p)
-    return polys.ppowmod(F, g, (p ** polys.deg(P) - 1) // 2, P) != (1,)
+    return F if P is None or len(P) == 2 else ffield.Fq(F, P)
+
+
+@lru_cache(maxsize=None)
+def _residue_nonsquare(p, g, P):
+    """Whether g, prime to P, has a non-square residue in residue_field(p,
+    P): lc g at infinity, where g's unit part is X^-deg g * g, else g mod
+    P, which is (g(r),) at P = X - r."""
+    K = residue_field(p, P)
+    if P is None:
+        return not K.is_square(g[-1])
+    r = polys.pmod(ffield.finite_field(p), g, P)
+    return not K.is_square(r if len(P) > 2 else r[0])
 
 
 def _factor_mask(p, places, g):
-    """The place_class of the monic irreducible g, or with g = None that of
-    a non-square constant, over places.
+    """The place_class of g over places: g is a monic irreducible, or the
+    non-square constant (nu,) of GF(p).
 
-    At infinity v(g) = -deg g and the residue of g's unit part is 1; at g's
-    own place v = 1 and the residue is 1; at any other P the residue is g
-    mod P, whose bit is the Legendre symbol.  A constant c has v = 0
-    everywhere, and its bit in GF(p^m) is its bit in GF(p) iff m is odd, as
-    c^((p^m - 1)/2) = (c^((p - 1)/2))^(1 + p + ... + p^(m - 1)) and that
-    exponent has the parity of m."""
+    At g's own place v(g) = 1 and the residue of its unit part is 1.  At
+    infinity v(g) = -deg g, at any other P v(g) = 0, and the residue's bit
+    is kappa(P)'s Euler test (_residue_nonsquare)."""
     bits = 0
     for k, P in enumerate(places):
-        if g is None:
-            bits |= (P.degree & 1) << (2 * k + 1)
-        elif P.kind == INFINITY:
-            bits |= (polys.deg(g) & 1) << (2 * k)
-        elif P.poly == g:
+        if P.poly == g:
             bits |= 1 << (2 * k)
         else:
-            bits |= _legendre_nonsquare(p, g, P.poly) << (2 * k + 1)
+            v = polys.deg(g) & 1 if P.kind == INFINITY else 0
+            bits |= (v | _residue_nonsquare(p, g, P.poly) << 1) << (2 * k)
     return bits
 
 
@@ -185,11 +192,12 @@ def place_class(places, elem, masks=None):
     so the class of a product is the XOR of the classes: the element is
     lc(num) times irreducibles g^(+-e), an even power adds nothing, and the
     class is the XOR of _factor_mask over the odd factors of numerator and
-    denominator and, when lc(num) is a non-square, over None.  A masks
+    denominator and, when lc(num) is a non-square, over (nu,).  A masks
     dict, when given, keeps each mask for later calls on the same places."""
     p, F, _ = _global_base(elem.tower)
     num, den = _poly_record(p, elem.raw[0]), _poly_record(p, elem.raw[1])
-    odd = num.odd + den.odd + (() if F.is_square(num.lc) else (None,))
+    odd = num.odd + den.odd + (() if F.is_square(num.lc) else
+                               ((F.nonsquare,),))
     masks = {} if masks is None else masks
     bits = 0
     for g in odd:

@@ -20,7 +20,7 @@ import sympy
 
 from conftest import (is_irreducible, monic_polys, packed_operand, tower,
                       trial_factor)
-from towerforms import errors, ffield, fields, polys
+from towerforms import errors, ffield, fields, localglobal, polys
 from towerforms.ffield import Fq, Zp
 from towerforms.dsl import parse_element, parse_field
 from towerforms.fields import LAURENT, RATFUNC, FracField, SampleBudget, sample
@@ -97,9 +97,10 @@ def test_pow_matches_repeated_product(field):
 
 
 def test_each_finite_field_is_built_once(monkeypatch):
-    """Places build no residue field, so over a prime base no Fq is built
-    at all; a GF(9)((t)) tower and all its drop_outer()s share one Fq, on
-    GF(3) and X^2 + 1."""
+    """Over a prime base every Fq built is the residue field of a place of
+    degree >= 2 (localglobal.residue_field), built at most once per (p, P);
+    a GF(9)((t)) tower and all its drop_outer()s share one Fq, on GF(3) and
+    X^2 + 1."""
     built = []
     init = Fq.__init__
 
@@ -109,9 +110,16 @@ def test_each_finite_field_is_built_once(monkeypatch):
 
     monkeypatch.setattr(Fq, "__init__", counting_init)
     ffield.finite_field.cache_clear()
+    localglobal.residue_field.cache_clear()
+    localglobal._residue_nonsquare.cache_clear()
     assert verify_higher_local_d1(3, samples=150).passed
     assert verify_higher_local_d1(5, samples=60).passed
-    assert built == []
+    moduli = [(base.p, P) for base, P in built]
+    assert moduli and len(set(moduli)) == len(moduli)
+    for (p, P), (base, _) in zip(moduli, built):
+        assert base is ffield.finite_field(p)
+        assert len(P) > 2 and ffield.factor_monic(p, P) == {P: 1}
+    built.clear()
     assert check_top_d_linked(tower(3, 2, ("t", LAURENT)), 2, 30).passed
     assert built == [(ffield.finite_field(3), (1, 0, 1))]
 
@@ -824,8 +832,7 @@ def test_packed_rows_cut_after_the_reduction(field):
     """Layout products whose rows have a top or a bottom packed sum that
     is a nonzero multiple of p equal the generic mul: the row's length and
     its power of t are read after the reduction, and the third factor of
-    a triple multiplies a reduced product.  The few pairs of one or two
-    ints that the density rule calls sparse are left to mul."""
+    a triple multiplies a reduced product."""
     K = parse_field(field)
     f = K.chain[2]
     p = K.base_char

@@ -40,7 +40,7 @@ answer has 81 terms; the power is now a product of Frobenius images
 x^(3^i), one per nonzero base-3 digit of the exponent, each as sparse as x.
 The two pfister-expand lines over GF(3)((t))((u)) bound the one layout in
 which an expansion packs all its slots: the Frobenius images there would
-pack into millions of slots, so the density rule leaves them to the
+pack into millions of slots, too many to pack, so they are left to the
 products pair by pair, and the dense 6-fold symbol takes the 57 products
 of two or more of its six generators from one layout.
 """

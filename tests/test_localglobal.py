@@ -2,28 +2,37 @@
 
 import itertools
 import random
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
-from towerforms import dsl, errors, localglobal, polys, qforms
+from towerforms import dsl, errors, ffield, localglobal, polys, qforms
 from towerforms.fields import RATFUNC, SampleBudget, sample
 from towerforms.linkage import verify_higher_local_d1
 from towerforms.localglobal import (FINITE, INFINITY, Place,
                                     _global_base, _isotropic_subsets,
-                                    _legendre_nonsquare, _poly_record,
-                                    _split_plane,
+                                    _poly_record, _split_plane,
                                     hilbert_symbol, is_isotropic_global,
                                     isotropic_vector_global, localize,
                                     place_class, place_layout,
-                                    places_of_interest,
+                                    places_of_interest, residue_field,
                                     square_class_rep,
                                     witt_decompose_global)
 from towerforms.pfister import QuadraticPfisterSymbol, expand
 from towerforms.qforms import (QuadraticForm, form, is_isotropic,
                                is_isotropic_vector, isometric, witt_index)
 from towerforms.valuation import ValuationCtx
-from conftest import RefPlace, tower, trial_factor
+from conftest import (RefPlace, is_irreducible, monic_polys, tower,
+                      trial_factor)
+
+
+@lru_cache(maxsize=None)
+def _legendre_nonsquare(p, g, P):
+    """Whether g is a non-square modulo the monic irreducible P, g coprime
+    to P: Euler's criterion g^((p^m - 1)/2) = -1 in GF(p)[X]/(P), m = deg P,
+    by polys.ppowmod, with no residue field built."""
+    F = ffield.finite_field(p)
+    return polys.ppowmod(F, g, (p ** polys.deg(P) - 1) // 2, P) != (1,)
 
 
 def _split(p, F, place, raw, factors):
@@ -380,6 +389,31 @@ def test_place_class_matches_split_and_reference(p):
             assert place_class(places, a) == want, (places, a)
             assert place_class(places, a, masks) == want
             pairs += 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_residue_fields_match_listed_squares(p):
+    """residue_field(p, P) for every monic irreducible P of degree <= 3, on
+    every nonzero residue g: is_square against the squares mod P listed by
+    enumeration, sqrt squaring back to g and None exactly on non-squares,
+    and Euler's criterion on polys.ppowmod (_legendre_nonsquare)."""
+    cases = 0
+    for d in (1, 2, 3):
+        for P in filter(partial(is_irreducible, p), monic_polys(p, d)):
+            K = residue_field(p, P)
+            assert K is ffield.finite_field(p) if d == 1 else \
+                (K.p, K.k, K.modulus) == (p, d, P)
+            assert residue_field(p, P) is K
+            nonzero = [x for x in K.elements() if not K.is_zero(x)]
+            squares = {K.mul(x, x) for x in nonzero}
+            for g in nonzero:
+                root = K.sqrt(g)
+                assert K.is_square(g) == (g in squares) == (root is not None)
+                assert root is None or K.mul(root, root) == g
+                poly = (g,) if d == 1 else g
+                assert _legendre_nonsquare(p, poly, P) == (g not in squares)
+                cases += 1
+    assert cases == {3: 238, 5: 5220, 7: 39354}[p]
 
 
 def _product(F, factors):

@@ -398,8 +398,8 @@ def _monomial_dens(raw):
 
 def test_expand_falls_back_to_pairwise_products(monkeypatch):
     """A slot with a den that is no power of t or of u, and Frobenius
-    images whose layout the density rule calls sparse, leave the products
-    to the pairwise loop, with the same raws.  Folds 2 to 4: over such dens
+    images whose layout is too large to pack, leave the products to the
+    pairwise loop, with the same raws.  Folds 2 to 4: over such dens
     a 5-fold expansion runs Euclid on every entry."""
     K = tower(3, 1, ("t", LAURENT), ("u", LAURENT))
     took = _subset_product_calls(monkeypatch, K)
@@ -448,6 +448,18 @@ def test_expand_packs_rows_over_their_lowest_power_of_t(monkeypatch):
     took = _subset_product_calls(monkeypatch, K)
     _assert_matches_pairwise(parse_pfister(
         K, "<<t^11*(1+u), t^9*(2+u), 1+t; u]]"))
+    assert took == [True, True]
+
+
+def test_expand_packs_a_sparse_layout_that_fits(monkeypatch):
+    """A symbol whose few nonzero ints the product density rule of
+    polys.pmul would call sparse still takes the one layout, which has 20
+    slots, with the raws of the pairwise loop."""
+    K = tower(3, 1, ("t", LAURENT), ("u", LAURENT))
+    took = _subset_product_calls(monkeypatch, K)
+    _assert_matches_pairwise(parse_pfister(
+        K, "<<(2)*t^1, (((1)*t^-1) + ((2)*t^1)*u)*u^1, ((2)*t^1)*u^1; "
+        "((1)*t^1)*u^1]]"))
     assert took == [True, True]
 
 

@@ -3,6 +3,7 @@ flag, and the certificate search refuses (NOT_FOUND) exactly the pairs
 that are not linked."""
 
 import shlex
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from conftest import tower
 from towerforms import dsl
 from towerforms.cli import main
 from towerforms.errors import ConfigUnsupported
-from towerforms.fields import LAURENT
+from towerforms.fields import LAURENT, POWER_SLOT_CAP, _power_slots
 from towerforms.linkage import (NOT_FOUND, check_top_d_linked,
                                 find_certificate, is_linked_pair,
                                 sample_symbol, verify_higher_local_d1,
@@ -102,6 +103,51 @@ def test_cli_refuses_empty_checks(line, capsys):
     out = capsys.readouterr()
     assert "PASS" not in out.out
     assert out.err.startswith("error:")
+
+
+@pytest.mark.parametrize("field, elem", [
+    ("GF(3)((t))", "(1+t)^99999999999"),
+    ("GF(3)((t))((u))", "(1+t+u)^59048"),
+    ("GF(5)(X)", "(1+X^2)/(2+X)^-99999999999"),
+])
+def test_cli_refuses_oversized_powers_at_once(field, elem, capsys):
+    """A power whose slots, bounded from the base-p digits of the exponent,
+    pass POWER_SLOT_CAP is refused before any product is taken."""
+    start = time.perf_counter()
+    assert main(["square", "--field", field, "--elem", elem]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: power too large") and str(POWER_SLOT_CAP) \
+        in err
+
+
+def _slots(raw, depth):
+    """The coefficient slots of a raw: its base coefficients, through
+    every num and den."""
+    return 1 if depth == 0 else sum(
+        _slots(c, depth - 1) for part in raw for c in part)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("GF(3)((t))", "1+t"), ("GF(3)((t))((u))", "1+t+u"),
+    ("GF(5)((t))((u))", "(2+t*u)/(1+u)"), ("GF(3)(X)", "(1+X)/(2+X^3)"),
+])
+def test_power_slot_bound_holds(field, text):
+    """_power_slots bounds the slots of each power up to 40; the terms of
+    (1+t)^n are prod (n_i + 1) by Lucas' theorem, n_i the base-3 digits."""
+    K = dsl.parse_field(field)
+    x = dsl.parse_element(K, text)
+    depth = len(K.levels)
+    for n in range(1, 41):
+        power = (x ** n).raw
+        assert _slots(power, depth) <= \
+            _power_slots(K.chain, depth, x.raw, n, K.base_char), n
+        if text == "1+t":
+            terms, m = 1, n
+            while m:
+                m, digit = divmod(m, 3)
+                terms *= digit + 1
+            assert len(power[0]) - power[0].count(0) == terms, n
 
 
 MIXED = "GF(3)((t))(X)"
