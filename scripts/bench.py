@@ -49,7 +49,10 @@ linkage.find_certificate once on each GF(3)((t)) certify pair among the
 first CLASS_READ_OPS ops of the cli-certify workload (seed TRACE_SEED).
 places-cold runs cli.main once on PLACES_COLD, an isotropy query over
 GF(10^9 + 7)(X) whose places are all linear, with every cache cold: each
-non-square bit there is one Euler test in a residue field.
+non-square bit there is one Euler test in a residue field.  kappa-sqrt
+takes ffield's sqrt of every nonzero residue of kappa(P) = GF(7)[X]/(P),
+P = canonical_modulus(7, 3), the field built and listed before the clock
+starts.
 
 --compare prints, for every metric of either file, B's value over A's; a
 metric one file lacks reads 0, and a ratio over 0 reads n/a.  It flags
@@ -184,6 +187,11 @@ def _micro_inputs():
         "linkage.find_certificate(s1, s2)")
     out["places-cold"] = (MICRO_FIELDS[1], [], f"cli.main({PLACES_COLD!r})",
                           "from towerforms import cli")
+    out["kappa-sqrt"] = (
+        MICRO_FIELDS[1], [], "for g in residues: R.sqrt(g)",
+        "from towerforms import ffield\n"
+        "R = localglobal.residue_field(7, ffield.canonical_modulus(7, 3))\n"
+        "residues = list(R.elements())[1:]")
     return out
 
 

@@ -36,25 +36,26 @@ polynomials in the level symbols: dicts from an exponent vector to a
 nonzero base-field raw, combined with the base field's own ops
 (``tower.chain[0]``), so GF(p), GF(p^k) and GF(p)(X) share one builder.
 Each such polynomial becomes a canonical raw once, with no gcd: its
-denominator is a power of the level symbol.  Where an operation leaves the
-polynomials, the parser falls back to ``fields.Element`` arithmetic on the
-raws built so far: a division by a non-monomial, and a power of a
-non-monomial, negative or not.  Such a power is ``Element.__pow__``: the
-product of the (x^(p^i))^(n_i) over the base-p digits n_i of the exponent,
-each x^(p^i) a Frobenius image as sparse as x.  So ``(1+t+u)^3000`` over
-GF(3) is the product of four images of three terms each, with no dense
-intermediate power.  Raws are canonical, so every route gives the same
-raw.
+denominator is a power of the level symbol, and one that spans more than
+fields.POWER_SLOT_CAP slots is refused before it is laid out.  Where an
+operation leaves the polynomials, the parser falls back to
+``fields.Element`` arithmetic on the raws built so far: a division by a
+non-monomial, and a power of a non-monomial, negative or not.  Such a power
+is ``Element.__pow__``: the product of the (x^(p^i))^(n_i) over the base-p
+digits n_i of the exponent, each x^(p^i) a Frobenius image as sparse as x.
+So ``(1+t+u)^3000`` over GF(3) is the product of four images of three terms
+each, with no dense intermediate power.  Raws are canonical, so every route
+gives the same raw.
 """
 
 import operator
 import re
 
-from .errors import ParseError, TowerFormsError
+from .errors import BudgetExceeded, ParseError, TowerFormsError
 from .ffield import prime_power
 from .fields import (Element, FieldTower, LevelDescriptor, LAURENT, RATFUNC,
                      format_element)
-from . import qforms, pfister
+from . import fields, pfister, qforms
 
 # A run of ASCII digits, a run of word characters that are no decimal digit
 # (on ASCII text: letters and '_'), or any other single non-space character.
@@ -401,6 +402,9 @@ def _raw(chain, depth, terms):
     # terms now maps exponents of the level symbol to nonzero inner raws
     inner = chain[depth].inner
     lo = min(min(terms), 0)
+    if max(max(terms), 0) - lo >= fields.POWER_SLOT_CAP:  # num or den too long
+        raise BudgetExceeded(f"power too large: a monomial would hold more "
+                             f"than {fields.POWER_SLOT_CAP} coefficients")
     num = [inner.zero] * (max(terms) - lo + 1)
     for e, c in terms.items():
         num[e - lo] = c

@@ -1,12 +1,13 @@
-"""Finite field arithmetic: GF(p) and GF(p^k) with a fixed defining polynomial.
+"""Finite field arithmetic: GF(p), and GF(q^k) over any finite base GF(q).
 
 These classes expose the raw-element protocol used throughout the package:
-zero/one/add/neg/sub/mul/inv/div/eq/is_zero plus finite-field extras
-(element enumeration, Euler-criterion squareness, Tonelli-Shanks square
-roots, shared through _FiniteField).  GF(p) is Zp, whose raws are ints in
-[0, p); field towers use it as their base whenever k = 1.  GF(p^k), k > 1,
-is Fq, whose raws are little-endian int tuples of length <= k with no
-trailing zeros (the zero element is the empty tuple).
+zero/one/add/neg/sub/mul/inv/div/eq/is_zero/pow_ plus finite-field extras
+(enumeration by nth, Euler-criterion squareness, Tonelli-Shanks square
+roots from one exponentiation, shared through _FiniteField).  GF(p) is Zp,
+whose raws are ints in [0, p) and whose pow_ is the builtin pow.  GF(q^k)
+is Fq(base, modulus) over any finite base, Zp or Fq, whose raws are
+little-endian tuples of base raws with no trailing zeros (zero is ()), and
+whose pow_ is polys.ppowmod, the one square-and-multiply loop.
 
 GF(p)[X] is factored by factor_monic alone: distinct-degree factorization,
 then Cantor-Zassenhaus splitting along a fixed walk, not random choices
@@ -93,26 +94,29 @@ def prime_power(n):
 
 
 class _FiniteField:
-    """Powers, Euler's criterion and square roots over the raw protocol."""
+    """Enumeration, Euler's criterion and square roots over the raw protocol.
+
+    nth(i) is the i-th element; the first p are the constants 0, ..., p - 1.
+    """
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow_(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return result
+    def eq(self, a, b):
+        return a == b
+
+    def is_zero(self, a):
+        return a == self.zero
+
+    def elements(self):
+        return map(self.nth, range(self.order))
+
+    def from_int(self, n):
+        return self.nth(n % self.p)
 
     def is_square(self, a):
         """Euler criterion; a must be nonzero."""
-        return self.eq(self.pow_(a, (self.order - 1) // 2), self.one)
+        return self.pow_(a, (self.order - 1) // 2) == self.one
 
     @cached_property
     def nonsquare(self):
@@ -120,29 +124,37 @@ class _FiniteField:
         return next(z for z in self.elements()
                     if not self.is_zero(z) and not self.is_square(z))
 
-    def sqrt(self, a):
-        """The square root of a that comes first in elements() order, or None.
-
-        Tonelli-Shanks; the two roots are r and -r, and the earlier one is
-        the one whose leading base-p digit is below p/2.
-        """
-        if self.is_zero(a):
-            return self.zero
-        if not self.is_square(a):
-            return None
+    @cached_property
+    def _sylow(self):
+        """(s, m, c): order - 1 = 2^s m, m odd, and c = nonsquare^m."""
         s, m = 0, self.order - 1
         while m % 2 == 0:
             s, m = s + 1, m // 2
-        x, b = self.pow_(a, (m + 1) // 2), self.pow_(a, m)
-        c = None
-        while not self.eq(b, self.one):
-            if c is None:
-                c = self.pow_(self.nonsquare, m)
+        return s, m, self.pow_(self.nonsquare, m) if s > 1 else None
+
+    def sqrt(self, a):
+        """The square root of a that comes first in elements() order, or None.
+
+        Tonelli-Shanks from one exponentiation: y = a^((m-1)/2), x = a y and
+        b = x y = a^m, of order 2^i; a is a square iff i < s, Euler's test
+        b^(2^(s-1)) = 1.  The earlier of the roots r, -r is the one whose
+        leading base-p digit is below p/2.
+        """
+        if self.is_zero(a):
+            return self.zero
+        (s, m, c), one = self._sylow, self.one
+        y = self.pow_(a, (m - 1) // 2)
+        x = self.mul(a, y)
+        b = self.mul(x, y)
+        while b != one:
             i, t = 0, b
-            while not self.eq(t, self.one):
+            while t != one and i < s:
                 i, t = i + 1, self.mul(t, t)
-            g = self.pow_(c, 2 ** (s - i - 1))
-            x, c, s = self.mul(x, g), self.mul(g, g), i
+            if i == s:
+                return None
+            for _ in range(s - i - 1):
+                c = self.mul(c, c)
+            x, c, s = self.mul(x, c), self.mul(c, c), i
             b = self.mul(b, c)
         return x if 2 * self._lead_digit(x) < self.p else self.neg(x)
 
@@ -150,11 +162,11 @@ class _FiniteField:
 class Zp(_FiniteField):
     """Prime field GF(p); raws are ints in [0, p).
 
-    Every raw is canonical: from_int, elements() and every operation return
-    an int in [0, p), and the parser and the sampler build raws only through
-    them.  So zero is exactly 0, two raws are equal exactly when the ints
-    are, and polys runs its int kernels on them (``_int_raws``), whose zero
-    tests and trims rely on this.
+    Every raw is canonical: from_int, nth and every operation return an int
+    in [0, p), and the parser and the sampler build raws only through them.
+    So zero is exactly 0, two raws are equal exactly when the ints are, and
+    polys runs its int kernels on them (``_int_raws``), whose zero tests and
+    trims rely on this.
     """
 
     k = 1
@@ -185,21 +197,13 @@ class Zp(_FiniteField):
             raise DivisionByZero("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def is_square(self, a):
-        """Euler's criterion in one builtin pow; a must be nonzero."""
-        return pow(a, (self.p - 1) // 2, self.p) == 1
+    def pow_(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        return pow(a, n, self.p)
 
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def from_int(self, n):
-        return n % self.p
-
-    def elements(self):
-        return range(self.p)
+    def nth(self, i):
+        return i
 
     def _lead_digit(self, a):
         return a
@@ -288,7 +292,9 @@ def canonical_modulus(p, k):
 
 
 class Fq(_FiniteField):
-    """GF(p^k) as base[X]/(modulus), for base GF(p)."""
+    """GF(q^k) as base[X]/(modulus), for a finite base GF(q) and a monic
+    irreducible modulus of degree k.  nth(i) has the base's elements at the
+    base-q digits of i as its coefficients: over GF(p), the digits."""
 
     def __init__(self, base, modulus):
         if base.p == 2:
@@ -297,9 +303,9 @@ class Fq(_FiniteField):
         self.k = len(modulus) - 1
         self.base = base
         self.modulus = modulus
-        self.order = self.p ** self.k
+        self.order = base.order ** self.k
         self.zero = ()
-        self.one = (1,)
+        self.one = (base.one,)
 
     def add(self, a, b):
         return polys.padd(self.base, a, b)
@@ -319,24 +325,15 @@ class Fq(_FiniteField):
         g, s, _ = polys.pxgcd(self.base, a, self.modulus)
         if polys.deg(g) != 0:
             raise DivisionByZero("element not invertible")
-        return polys.pmod(self.base, polys.pscale(self.base, s, self.base.inv(g[0])),
-                          self.modulus)
+        return polys.pmod(self.base, s, self.modulus)
 
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == ()
-
-    def from_int(self, n):
-        return polys.const(self.base, n % self.p)
-
-    def elements(self):
-        return map(self.nth, range(self.order))
+    def pow_(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        return polys.ppowmod(self.base, a, n, self.modulus)
 
     def nth(self, i):
-        """The i-th element in elements() order: the base-p digits of i."""
-        return _digits(self.p, i)
+        return tuple(map(self.base.nth, _digits(self.base.order, i)))
 
     def _lead_digit(self, a):
-        return a[-1]
+        return self.base._lead_digit(a[-1])

@@ -2,9 +2,10 @@
 
 A tower is a finite base field GF(p^k) (odd p) with an ordered stack of
 transcendental levels.  The base is ffield.Zp, with int raws, when k = 1,
-and ffield.Fq, with int-tuple raws, when k > 1.  A LaurentSeries level
-carries henselian t-adic semantics, and a finite field is the rank-0 case;
-a RationalFunction level, outermost, carries global semantics.  Elements
+and ffield.Fq over it, with int-tuple raws, when k > 1; both list their
+elements by nth and take powers by pow_.  A LaurentSeries level carries
+henselian t-adic semantics, and a finite field is the rank-0 case; a
+RationalFunction level, outermost, carries global semantics.  Elements
 are held exactly as reduced fractions of polynomials in the outermost
 level symbol, with coefficients one level down; for a Laurent level this
 is the dense subfield K(t) of K((t)), which suffices because every
@@ -434,7 +435,7 @@ def _frobenius(chain, depth, raw, q):
     """
     f = chain[depth]
     if depth == 0:
-        return raw if f.k == 1 else f.pow_(raw, q)
+        return f.pow_(raw, q)
     zero = f.inner.zero
 
     def image(poly):
@@ -570,8 +571,7 @@ def _sample_raw(tower, depth, budget, rng):
     f = tower.chain[depth]
     if depth == 0:
         # the i-th element in elements() order; index 0 is zero
-        i = rng.randrange(1, f.order)
-        return i if f.k == 1 else f.nth(i)
+        return f.nth(rng.randrange(1, f.order))
     lv = tower.levels[depth - 1]
     if lv.kind == LAURENT:
         e = rng.randint(-budget.max_val, budget.max_val)

@@ -89,10 +89,6 @@ def deg(a):
     return len(a) - 1
 
 
-def const(F, x):
-    return () if F.is_zero(x) else (x,)
-
-
 def padd(F, a, b):
     if getattr(F, "_int_raws", False):
         p = F.p
@@ -347,11 +343,12 @@ def pdivmod(F, a, b):
     Each step removes the leading term of the remainder, which cancels
     exactly, and trims the zeros that the subtraction left below it.  The
     top quotient coefficient is a product of two nonzero raws, so q needs
-    no trim.
+    no trim.  A monic b, as every modulus is, takes no inverse.
     """
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    inv_lead = F.inv(b[-1])
+    monic = b[-1] == F.one
+    inv_lead = F.one if monic else F.inv(b[-1])
     r = list(trim(F, a))
     m = len(b) - 1
     q = [F.zero] * max(len(r) - m, 0)
@@ -366,7 +363,7 @@ def pdivmod(F, a, b):
                 r.pop()
         return tuple(q), tuple(r)
     while len(r) > m:
-        c = F.mul(r.pop(), inv_lead)
+        c = r.pop() if monic else F.mul(r.pop(), inv_lead)
         k = len(r) - m
         q[k] = c
         for i in range(m):
@@ -381,12 +378,13 @@ def pmod(F, a, b):
 
 
 def ppowmod(F, a, n, m):
-    """a^n mod m for n >= 0, by square-and-multiply."""
+    """a^n mod m for n >= 0, by square-and-multiply from the top bit: the
+    one power loop, for ffield.Fq.pow_ and for factoring (m reducible)."""
     result = pmod(F, (F.one,), m)
-    while n:
-        if n & 1:
+    for bit in bin(n)[2:]:
+        result = pmod(F, pmul(F, result, result), m)
+        if bit == "1":
             result = pmod(F, pmul(F, result, a), m)
-        a, n = pmod(F, pmul(F, a, a), m), n >> 1
     return result
 
 

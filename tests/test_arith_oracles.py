@@ -85,15 +85,50 @@ def test_pow_matches_repeated_product(field):
             for _ in range(abs(n)):
                 ref = ref * a if n > 0 else ref / a
             assert a ** n == ref
+    F9 = ffield.finite_field(3, 2)
+    for F in (Zp(5), Zp(1000003), F9, Fq(F9, _gf9_quadratics()[0])):
+        for a in map(F.nth, range(1, F.order, max(1, F.order // 80))):
+            ref, inv = F.one, F.inv(a)
+            for n in range(10):
+                assert F.pow_(a, n) == ref
+                ref = F.mul(ref, a)
+            ref = F.one
+            for n in range(-1, -5, -1):
+                ref = F.mul(ref, inv)
+                assert F.pow_(a, n) == ref
+        with pytest.raises(errors.DivisionByZero):
+            F.pow_(F.zero, -1)
+
+
+def _gf9_quadratics():
+    """Every monic irreducible quadratic over GF(9), by trial of each root."""
     F = ffield.finite_field(3, 2)
-    for a in F.elements():
-        if F.is_zero(a):
-            continue
-        ref = F.one
-        for n in range(10):
-            assert F.pow_(a, n) == ref
-            assert F.pow_(F.inv(a), n) == F.pow_(a, -n)
-            ref = F.mul(ref, a)
+    return [(c, b, F.one) for b in F.elements() for c in F.elements()
+            if all(F.add(F.mul(F.add(x, b), x), c) for x in F.elements())]
+
+
+def test_residue_fields_over_gf9_match_listed_squares():
+    """Fq(GF(9), P) for all 36 monic irreducible quadratics P: 81 distinct
+    elements; on each of the 2,880 nonzero residues, is_square against the
+    squares listed by enumeration, and sqrt the first root in elements()
+    order, None exactly on non-squares."""
+    F9 = ffield.finite_field(3, 2)
+    moduli = _gf9_quadratics()
+    assert len(moduli) == 36
+    residues = 0
+    for P in moduli:
+        K = Fq(F9, P)
+        assert K.order == 81
+        elements = list(K.elements())
+        assert len(set(elements)) == 81
+        first_root = {}
+        for x in elements[1:]:
+            first_root.setdefault(K.mul(x, x), x)
+        for g in elements[1:]:
+            assert K.is_square(g) == (g in first_root)
+            assert K.sqrt(g) == first_root.get(g)
+            residues += 1
+    assert residues == 2880
 
 
 def test_each_finite_field_is_built_once(monkeypatch):

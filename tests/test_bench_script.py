@@ -78,7 +78,7 @@ def test_micro_timings_record_seconds_or_a_timeout(monkeypatch):
     assert {"witness-gf3", "witness-gf5"} <= names
     assert {"field-p2", "field-p4"} <= names
     assert {"reads-localize", "reads-linkage", "reads-certify"} <= names
-    assert "places-cold" in names
+    assert {"places-cold", "kappa-sqrt"} <= names
 
     monkeypatch.setattr(bench, "_micro_inputs", lambda: {
         "small": (bench.MICRO_FIELDS[2], ["1 + t", "u"], "x * y"),

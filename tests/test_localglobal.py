@@ -30,7 +30,9 @@ from conftest import (RefPlace, is_irreducible, monic_polys, tower,
 def _legendre_nonsquare(p, g, P):
     """Whether g is a non-square modulo the monic irreducible P, g coprime
     to P: Euler's criterion g^((p^m - 1)/2) = -1 in GF(p)[X]/(P), m = deg P,
-    by polys.ppowmod, with no residue field built."""
+    by polys.ppowmod, with no residue field built.  Fq.pow_ is the same
+    ppowmod, so where the two meet, the squares listed by enumeration are
+    the independent oracle."""
     F = ffield.finite_field(p)
     return polys.ppowmod(F, g, (p ** polys.deg(P) - 1) // 2, P) != (1,)
 

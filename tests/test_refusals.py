@@ -109,10 +109,14 @@ def test_cli_refuses_empty_checks(line, capsys):
     ("GF(3)((t))", "(1+t)^99999999999"),
     ("GF(3)((t))((u))", "(1+t+u)^59048"),
     ("GF(5)(X)", "(1+X^2)/(2+X)^-99999999999"),
+    ("GF(3)((t))((u))", "t^100000000"),
+    ("GF(3)((t))((u))", "t^-20000000 + 1"),
+    ("GF(5)(X)", "X^100000000"),
 ])
 def test_cli_refuses_oversized_powers_at_once(field, elem, capsys):
     """A power whose slots, bounded from the base-p digits of the exponent,
-    pass POWER_SLOT_CAP is refused before any product is taken."""
+    pass POWER_SLOT_CAP is refused before any product is taken, and so is a
+    monomial whose span of exponents passes it, before it is laid out."""
     start = time.perf_counter()
     assert main(["square", "--field", field, "--elem", elem]) == 2
     assert time.perf_counter() - start < 0.5
